@@ -125,6 +125,7 @@ class QuasiFreeDGLA:
         self._algebra: FreeGLA | None = None
         self._d: dict[int, Matrix] = {}
         self._homology: dict[int, HomologyData] = {}
+        self._validation: ValidationReport | None = None
 
     @property
     def algebra(self) -> FreeGLA:
@@ -254,6 +255,7 @@ class FiniteDimDGLA:
         self._table: dict[tuple[int, int, int, int], Vector] | None = None
         self._conflicts: list[str] = []
         self._homology: dict[int, HomologyData] = {}
+        self._validation: ValidationReport | None = None
 
     def dim(self, k: int) -> int:
         if k < 1:
@@ -519,12 +521,20 @@ class ValidationReport:
 
 
 def validate(a) -> ValidationReport:
-    """Check the dg Lie algebra axioms; violations are reported, not thrown."""
+    """Check the dg Lie algebra axioms; violations are reported, not thrown.
+
+    The report is memoized single-assignment on the algebra, so a command
+    that validates one algebra on several paths checks the axioms once.
+    """
     if isinstance(a, QuasiFreeDGLA):
-        return _validate_quasifree(a)
-    if isinstance(a, FiniteDimDGLA):
-        return _validate_findim(a)
-    raise TypeError(f"not a dg Lie algebra: {type(a).__name__}")
+        check = _validate_quasifree
+    elif isinstance(a, FiniteDimDGLA):
+        check = _validate_findim
+    else:
+        raise TypeError(f"not a dg Lie algebra: {type(a).__name__}")
+    if a._validation is None:
+        a._validation = check(a)
+    return a._validation
 
 
 def _validate_quasifree(a: QuasiFreeDGLA) -> ValidationReport:

@@ -21,7 +21,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA
-from .errors import FormatError, ParseError
+from .errors import (
+    FormatError,
+    MixedDegrees,
+    ParseError,
+    TargetNotFiniteType,
+    UnknownGenerator,
+)
 from .exprs import format_terms, parse_expr
 from .freelie import GradedGenerator, LiePoly
 from .invert import FilteredEndo
@@ -57,10 +63,43 @@ def _rational_str(x: Fraction) -> str:
     return str(x)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans load as Python ints and are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _degree_key(key: str, context: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise FormatError(f"{context}: bad degree key {key!r}") from None
+
+
+def _rational(value, context: str) -> Fraction:
+    """A JSON integer or a rational string such as "3/2"."""
+    if _is_int(value) or isinstance(value, str):
+        try:
+            return frac(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise FormatError(f"{context}: expected a rational number, got {json.dumps(value)}")
+
+
+def _eval_field(algebra, text, degree: int, context: str):
+    """Parse one expression field and evaluate it in `algebra` at `degree`."""
+    terms = _parse_field_expr(text, context)
+    try:
+        return algebra.eval_terms(terms, expected_degree=degree)
+    except (MixedDegrees, UnknownGenerator, TargetNotFiniteType) as e:
+        raise type(e)(f"{context}: {e}") from None
+
+
 # -- dg Lie algebras ---------------------------------------------------------
 
 
 def dgla_from_doc(doc: dict, context: str = "dgla"):
+    if not isinstance(doc, dict):
+        raise FormatError(f"{context}: expected a dgla or findim_dgla object")
     kind = doc.get("kind")
     if kind == "dgla":
         return _quasifree_from_doc(doc, context)
@@ -74,12 +113,19 @@ def _quasifree_from_doc(doc: dict, context: str) -> QuasiFreeDGLA:
     if not isinstance(raw_gens, list):
         raise FormatError(f"{context}: missing generator list")
     gens = []
-    for entry in raw_gens:
+    for i, entry in enumerate(raw_gens):
         if not isinstance(entry, dict) or "name" not in entry or "degree" not in entry:
             raise FormatError(f"{context}: generator entries need name and degree")
         name, degree = entry["name"], entry["degree"]
-        if not isinstance(name, str) or not isinstance(degree, int):
-            raise FormatError(f"{context}: generator name/degree have wrong types")
+        if not isinstance(name, str):
+            raise FormatError(
+                f"{context}: generators[{i}].name: expected a string, got {json.dumps(name)}"
+            )
+        if not _is_int(degree):
+            raise FormatError(
+                f"{context}: generators[{i}].degree: expected an integer, "
+                f"got {json.dumps(degree)}"
+            )
         gens.append(GradedGenerator(name, degree))
     differential = {}
     raw_diff = doc.get("differential", {})
@@ -97,16 +143,16 @@ def _findim_from_doc(doc: dict, context: str) -> FiniteDimDGLA:
         raise FormatError(f"{context}: missing dims mapping")
     dims = {}
     for key, value in raw_dims.items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise FormatError(f"{context}: bad degree key {key!r}") from None
-        if not isinstance(value, int) or value < 0:
+        k = _degree_key(key, f"{context}: dims")
+        if not _is_int(value) or value < 0:
             raise FormatError(f"{context}: bad dimension for degree {key}")
         if value:
             dims[k] = value
     brackets = {}
-    for entry in doc.get("brackets", []):
+    raw_brackets = doc.get("brackets", [])
+    if not isinstance(raw_brackets, list):
+        raise FormatError(f"{context}: brackets must be an array")
+    for entry in raw_brackets:
         if not isinstance(entry, dict) or not {"left", "right", "value"} <= set(entry):
             raise FormatError(f"{context}: bracket entries need left/right/value")
         left = _atom_indices(entry["left"], context)
@@ -127,15 +173,18 @@ def _findim_from_doc(doc: dict, context: str) -> FiniteDimDGLA:
     raw_d = doc.get("differential", {})
     if not isinstance(raw_d, dict):
         raise FormatError(f"{context}: differential must be a mapping")
-    for key in sorted(raw_d, key=lambda s: int(s)):
-        k = int(key)
+    degrees = {key: _degree_key(key, f"{context}: differential") for key in raw_d}
+    for key in sorted(raw_d, key=degrees.__getitem__):
+        k = degrees[key]
+        field = f"{context}: differential[{key}]"
         rows = raw_d[key]
-        if not isinstance(rows, list):
-            raise FormatError(f"{context}: differential[{key}] must be an array")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise FormatError(f"{field} must be an array of rows")
         expected = (dims.get(k - 1, 0), dims.get(k, 0))
-        mat = Matrix(
-            [[frac(e) for e in row] for row in rows], cols=expected[1]
-        ) if rows else Matrix.zero(*expected)
+        entries = [[_rational(e, field) for e in row] for row in rows]
+        if any(len(row) != len(entries[0]) for row in entries):
+            raise FormatError(f"{field} has rows of different lengths")
+        mat = Matrix(entries) if rows else Matrix.zero(*expected)
         if mat.shape != expected:
             raise FormatError(
                 f"{context}: differential[{key}] has shape {mat.shape}, "
@@ -143,7 +192,7 @@ def _findim_from_doc(doc: dict, context: str) -> FiniteDimDGLA:
             )
         d_mats[k] = mat
     max_degree = doc.get("maxDegree")
-    if max_degree is not None and not isinstance(max_degree, int):
+    if max_degree is not None and not _is_int(max_degree):
         raise FormatError(f"{context}: maxDegree must be an integer")
     return FiniteDimDGLA(dims, brackets, d_mats, max_degree)
 
@@ -248,8 +297,9 @@ def morphism_images_from_doc(
     for name in sorted(raw_images):
         if name not in names:
             raise FormatError(f"{context}: image for unknown generator {name!r}")
-        terms = _parse_field_expr(raw_images[name], f"{context}: images[{name}]")
-        images[name] = target.eval_terms(terms, expected_degree=names[name])
+        images[name] = _eval_field(
+            target, raw_images[name], names[name], f"{context}: images[{name}]"
+        )
     for name, degree in names.items():
         if name not in images:
             images[name] = target.zero(degree)
@@ -364,8 +414,9 @@ def endo_from_doc(doc: dict, model: RelativeModel, context: str = "endo") -> Fil
     for name in sorted(raw_images):
         if name not in degrees:
             raise FormatError(f"{context}: image for unknown generator {name!r}")
-        terms = _parse_field_expr(raw_images[name], f"{context}: images[{name}]")
-        images[name] = model.dgla.eval_terms(terms, expected_degree=degrees[name])
+        images[name] = _eval_field(
+            model.dgla, raw_images[name], degrees[name], f"{context}: images[{name}]"
+        )
     return FilteredEndo(model, images)
 
 

@@ -277,6 +277,7 @@ class FreeGLA:
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
         self._embed_cache: dict = {}
+        self._tree_coords: dict = {}
         self._basis: dict[int, DegreeBasis] = {}
         self._oracle: dict[int, list[TVec]] = {}
         self._brackets: dict[tuple[int, int], tuple] = {}
@@ -437,6 +438,14 @@ class FreeGLA:
                 "this indicates an internal basis bug"
             )
         return d, tuple(combo.get(i, Fraction(0)) for i in range(basis.dim))
+
+    def tree_coords(self, tree) -> tuple[int, Vector]:
+        """(degree, coords) of one bracket tree, normalized once per tree."""
+        hit = self._tree_coords.get(tree)
+        if hit is not None:
+            return hit
+        result = self.normalize(LiePoly([(Fraction(1), tree)]))
+        return self._tree_coords.setdefault(tree, result)
 
     def atom(self, name: str) -> tuple[int, int]:
         """(degree, basis index) of a generator inside its degree basis."""

@@ -41,10 +41,62 @@ from .linalg import (
     Vector,
     kernel_basis,
     solve_pivot,
+    unit_vector,
     vec_is_zero,
-    zero_vector,
 )
 from .minimal import RelativeModel, is_minimal
+
+
+def _extend_tree(algebra, r: int, tree, leaf, memo: dict):
+    """Values on one bracket tree of a batch of degree-r derivations.
+
+    `leaf(name)` gives the batch's values on a generator, one coordinate
+    vector of degree |name| + r per member, or None where all of them
+    vanish; the result has the same shape for the tree.  Values that are
+    not None are nonzero, so their degree is at least 1.  Brackets follow
+    the graded rule  delta[a,b] = [delta a, b] + (-1)^{r |a|} [a, delta b]
+    through `bracket_coords`, with subtree coordinates from the algebra's
+    `tree_coords` memo; `memo` holds the batch's values per subtree.
+    """
+    if isinstance(tree, str):
+        return leaf(tree)
+    if tree in memo:
+        return memo[tree]
+    left, right = tree
+    dl = _extend_tree(algebra, r, left, leaf, memo)
+    dr = _extend_tree(algebra, r, right, leaf, memo)
+    out = None
+    if dl or dr:
+        pl, cl = algebra.tree_coords(left)
+        pr, cr = algebra.tree_coords(right)
+        sign = -1 if (r * pl) % 2 else 1
+        dim = algebra.dim(pl + pr + r)
+        values = []
+        for i in range(len(dl or dr)):
+            acc = [Fraction(0)] * dim
+            if dl:
+                for t, c in enumerate(algebra.bracket_coords(pl + r, dl[i], pr, cr)):
+                    acc[t] += c
+            if dr:
+                for t, c in enumerate(algebra.bracket_coords(pl, cl, pr + r, dr[i])):
+                    acc[t] += sign * c
+            values.append(tuple(acc))
+        if any(any(v) for v in values):
+            out = tuple(values)
+    memo[tree] = out
+    return out
+
+
+def _add_extension(acc, scale, algebra, r: int, p: LiePoly, leaf, memo: dict) -> None:
+    """acc[i] += scale * (batch member i applied to p), term by term."""
+    for coeff, tree in p.terms:
+        values = _extend_tree(algebra, r, tree, leaf, memo)
+        if values is None:
+            continue
+        for row, val in zip(acc, values):
+            for t, c in enumerate(val):
+                if c:
+                    row[t] += scale * coeff * c
 
 
 class RelDerivation:
@@ -89,43 +141,22 @@ class RelDerivation:
     def is_zero(self) -> bool:
         return not self.images
 
+    def _leaf(self, name: str):
+        el = self.images.get(name)
+        return None if el is None else (el.coords,)
+
     def value_tree(self, tree) -> Element:
         dgla = self.model.dgla
-        if isinstance(tree, str):
-            if tree in set(self.model.base_names):
-                return dgla.zero(self.model.degree_of(tree) + self.degree)
-            return self.image(tree)
-        hit = self._tree_cache.get(tree)
-        if hit is not None:
-            return hit
-        left, right = tree
-        dl = self.value_tree(left)
-        dr = self.value_tree(right)
-        el = dgla.element(LiePoly([(Fraction(1), left)]))
-        er = dgla.element(LiePoly([(Fraction(1), right)]))
-        out_deg = el.degree + er.degree + self.degree
-        total = dgla.zero(out_deg) if out_deg >= 1 else Element(out_deg, ())
-        if out_deg >= 1:
-            acc = list(total.coords)
-            if not dl.is_zero() and dl.degree >= 1:
-                for i, c in enumerate(dgla.bracket(dl, er).coords):
-                    acc[i] += c
-            sign = Fraction(-1 if (self.degree * el.degree) % 2 else 1)
-            if not dr.is_zero() and dr.degree >= 1:
-                for i, c in enumerate(dgla.bracket(el, dr).coords):
-                    acc[i] += sign * c
-            total = Element(out_deg, tuple(acc))
-        return self._tree_cache.setdefault(tree, total)
+        out_deg = dgla.algebra.tree_degree(tree) + self.degree
+        values = _extend_tree(dgla.algebra, self.degree, tree, self._leaf, self._tree_cache)
+        return dgla.zero(out_deg) if values is None else Element(out_deg, values[0])
 
     def value_poly(self, p: LiePoly, source_degree: int) -> Element:
+        dgla = self.model.dgla
         out_deg = source_degree + self.degree
-        dim = self.model.dgla.dim(out_deg) if out_deg >= 1 else 0
-        acc = [Fraction(0)] * dim
-        for coeff, tree in p.terms:
-            val = self.value_tree(tree)
-            for i, c in enumerate(val.coords):
-                acc[i] += coeff * c
-        return Element(out_deg, tuple(acc))
+        acc = [[Fraction(0)] * dgla.dim(out_deg)]
+        _add_extension(acc, 1, dgla.algebra, self.degree, p, self._leaf, self._tree_cache)
+        return Element(out_deg, tuple(acc[0]))
 
     def matrix(self, k: int) -> Matrix:
         """The extension of the derivation as a map M_k -> M_{k+degree}."""
@@ -210,29 +241,39 @@ def der_space(model: RelativeModel, r: int) -> DerSpace:
 
 
 def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
-    """Matrix of [d, -]: Der_r -> Der_{r-1} in the canonical charts."""
-    src = der_space(model, r)
-    dst = der_space(model, r - 1)
-    sign = Fraction(-1 if r % 2 else 1)
+    """Matrix of [d, -]: Der_r -> Der_{r-1} in the canonical charts.
+
+    Built by linearity, [d, theta](g) = d(theta g) - (-1)^r theta(d g).
+    Column (w, j) is the derivation sending w to the basis vector e_j of
+    degree |w| + r.  In w's own block it holds column j of
+    d_matrix(|w| + r); in every block g it loses (-1)^r * del_w(d g) e_j,
+    where del_w(d g) applies the derivation rule to the trees of d(g) with
+    w's leaf replaced by e_j.  del_w is computed once per source generator
+    w, for all j together.
+    """
+    dgla = model.dgla
+    sign = -1 if r % 2 else 1
+    blocks = [g for g in model.fiber_generators if g.degree + r - 1 >= 1]
     cols = []
-    for name, j in src.pairs:
-        deg = model.degree_of(name) + r
-        unit = [Fraction(0)] * model.dgla.dim(deg)
-        unit[j] = Fraction(1)
-        delta = RelDerivation(model, r, {name: Element(deg, tuple(unit))})
-        col = []
-        for g in model.fiber_generators:
-            out_deg = g.degree + r - 1
-            if out_deg < 1:
-                continue
-            d_delta = model.dgla.d_matrix(g.degree + r).apply(
-                delta.image(g.name).coords
-            ) if g.degree + r >= 1 else zero_vector(model.dgla.dim(out_deg))
-            d_poly = model.dgla.differential.get(g.name, LiePoly.zero())
-            delta_d = delta.value_poly(d_poly, g.degree - 1).coords
-            col.extend(a - sign * b for a, b in zip(d_delta, delta_d))
-        cols.append(tuple(col))
-    return Matrix.from_columns(cols, dst.dim)
+    for w in model.fiber_generators:
+        n = dgla.dim(w.degree + r)
+        if not n:
+            continue
+        leaf = {w.name: tuple(unit_vector(n, j) for j in range(n))}.get
+        memo: dict = {}
+        parts = []
+        for g in blocks:
+            if g.name == w.name:
+                block = [list(c) for c in dgla.d_matrix(w.degree + r).columns()]
+            else:
+                block = [[Fraction(0)] * dgla.dim(g.degree + r - 1) for _ in range(n)]
+            d_g = dgla.differential.get(g.name, LiePoly.zero())
+            _add_extension(block, -sign, dgla.algebra, r, d_g, leaf, memo)
+            parts.append(block)
+        cols.extend(
+            tuple(c for block in parts for c in block[j]) for j in range(n)
+        )
+    return Matrix.from_columns(cols, der_space(model, r - 1).dim)
 
 
 @dataclass(frozen=True)

@@ -123,11 +123,12 @@ class Matrix:
         return Matrix(out, cols=other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
+        """M v, multiplying only the nonzero entries of v."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} vs {self.cols} columns")
+        support = [(k, c) for k, c in enumerate(v) if c]
         return tuple(
-            sum((row[k] * v[k] for k in range(self.cols)), Fraction(0))
-            for row in self.data
+            sum((row[k] * c for k, c in support), Fraction(0)) for row in self.data
         )
 
     @property

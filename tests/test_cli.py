@@ -352,3 +352,96 @@ def test_style_respects_env(monkeypatch):
     assert cli._style("hello", "32") == "hello"
     monkeypatch.delenv("DGLA_COLOR")
     assert cli._style("hello", "32") == "\x1b[32mhello\x1b[0m"
+
+
+def test_minimal_model_validates_each_algebra_once(files, capsys, tmp_path, monkeypatch):
+    from dgla import dg
+
+    target = write(
+        tmp_path,
+        "disk.json",
+        {
+            "kind": "findim_dgla",
+            "dims": {"1": 2, "2": 1},
+            "brackets": [],
+            "differential": {"2": [["1"], ["0"]]},
+        },
+    )
+    passes: dict[int, int] = {}
+
+    def counting(check):
+        def wrapped(algebra):
+            passes[id(algebra)] = passes.get(id(algebra), 0) + 1
+            return check(algebra)
+
+        return wrapped
+
+    monkeypatch.setattr(dg, "_validate_findim", counting(dg._validate_findim))
+    monkeypatch.setattr(dg, "_validate_quasifree", counting(dg._validate_quasifree))
+    code, _, _ = run(
+        capsys,
+        "minimal-model",
+        files["sphere"],
+        target,
+        write(tmp_path, "map.json", {"kind": "dgla_morphism", "images": {"a": "e_1_1"}}),
+        "--max-degree",
+        "2",
+        "--out",
+        str(tmp_path / "model_out.json"),
+    )
+    assert code == 0
+    assert sorted(passes.values()) == [1, 1]
+
+
+def _assert_one_line_error(code, err, prefix):
+    assert code in (1, 2)
+    assert err.startswith(f"error: {prefix}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (
+            {"kind": "findim_dgla", "dims": {"1": 1}, "differential": {"x": []}},
+            "differential: bad degree key 'x'",
+        ),
+        (
+            {"kind": "findim_dgla", "dims": {"1": 1, "2": 1}, "differential": {"2": [["1/0"]]}},
+            'differential[2]: expected a rational number, got "1/0"',
+        ),
+        (
+            {"kind": "dgla", "generators": [{"name": "x", "degree": True}]},
+            "generators[0].degree: expected an integer, got true",
+        ),
+    ],
+    ids=["differential-key", "zero-denominator", "bool-degree"],
+)
+def test_bad_algebra_fields_exit_with_one_line(capsys, tmp_path, doc, field):
+    path = write(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, "validate", path)
+    _assert_one_line_error(code, err, f"{path}: {field}")
+    assert out == ""
+
+
+def test_wrong_degree_endo_image_names_file_and_field(files, capsys, tmp_path):
+    endo = write(tmp_path, "bad_endo.json", {"kind": "endo", "images": {"w": "v"}})
+    code, _, err = run(capsys, "invert", files["model"], endo, "--max-degree", "3")
+    _assert_one_line_error(code, err, f"{endo}: images[w]: expected degree 2, found 3")
+
+
+def test_wrong_degree_map_image_names_file_and_field(files, capsys, tmp_path):
+    bad_map = write(tmp_path, "bad_map.json", {"kind": "dgla_morphism", "images": {"a": "[a,b]"}})
+    code, _, err = run(
+        capsys,
+        "minimal-model",
+        files["sphere"],
+        files["wedge"],
+        bad_map,
+        "--max-degree",
+        "2",
+        "--out",
+        str(tmp_path / "nope.json"),
+    )
+    _assert_one_line_error(code, err, f"{bad_map}: images[a]: expected degree 1, found 2")

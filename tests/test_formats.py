@@ -74,11 +74,41 @@ def test_unknown_kind_rejected():
         dgla_from_doc({"kind": "mystery"})
 
 
+def test_model_target_must_be_an_object():
+    doc = model_to_doc(build_minimal_model(morphism_from_doc(
+        {"source": SPHERE, "target": CONE, "images": {"x": "x"}}
+    ), 2))
+    doc["structureMap"]["target"] = "cone.json"
+    with pytest.raises(FormatError) as exc:
+        model_from_doc(doc, context="m.json")
+    assert str(exc.value).startswith("m.json: structureMap target: expected")
+
+
 def test_expression_error_carries_position():
     doc = dict(CONE, differential={"y": "x +"})
     with pytest.raises(ParseError) as exc:
         dgla_from_doc(doc)
     assert "differential[y]" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"differential": {"2": [[1.5]]}}, "differential[2]: expected a rational number"),
+        ({"differential": {"2": [[True]]}}, "differential[2]: expected a rational number"),
+        ({"differential": {"2": [[1], []]}}, "differential[2] has rows of different lengths"),
+        ({"differential": {"2": [[1, 0]]}}, "differential[2] has shape (1, 2)"),
+        ({"differential": {"2": [1]}}, "differential[2] must be an array of rows"),
+        ({"dims": {"1": True, "2": 1}}, "bad dimension for degree 1"),
+        ({"maxDegree": True}, "maxDegree must be an integer"),
+        ({"brackets": {}}, "brackets must be an array"),
+    ],
+    ids=["float", "bool", "ragged", "columns", "row-not-array", "bool-dim", "bool-max", "brackets"],
+)
+def test_findim_bad_fields_are_format_errors(changes, field):
+    with pytest.raises(FormatError) as exc:
+        dgla_from_doc(dict(FINDIM, **changes), context="t.json")
+    assert str(exc.value).startswith(f"t.json: {field}")
 
 
 def test_load_document_bad_json(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgla.dg import DGLAMorphism, Element, QuasiFreeDGLA
+from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA
 from dgla.errors import NotRelativeAutomorphism, NotUnipotentRelative, NotWordLengthRaising
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
@@ -19,7 +19,7 @@ from dgla.homotopy import (
     pi0_report,
 )
 from dgla.invert import FilteredEndo, invert_relative_quasi_iso
-from dgla.minimal import RelativeModel, Stage
+from dgla.minimal import RelativeModel, Stage, build_minimal_model
 
 from helpers import rand_minimal_model, rand_relative_automorphism, sample_exp_candidate
 
@@ -410,3 +410,80 @@ def test_log_of_inverse_is_negated(cycle_model):
     theta_inv = log_unipotent(u_inv, 3)
     space = der_space(cycle_model, 0)
     assert space.pack(theta_inv) == tuple(-c for c in space.pack(theta))
+
+
+def _abelian_model():
+    # x -> a degree-1 element of the abelian {1:2, 3:3}, bound 3
+    base = QuasiFreeDGLA([GradedGenerator("x", 1)], {})
+    target = FiniteDimDGLA({1: 2, 3: 3})
+    image = Element(1, (Fraction(2), Fraction(-1)))
+    return build_minimal_model(DGLAMorphism(base, target, {"x": image}), 3)
+
+
+@pytest.fixture(scope="module")
+def seeded_models():
+    rng = random.Random(2024)
+    models = [_abelian_model()]
+    while len(models) < 4:
+        model, _ = rand_minimal_model(rng, 3)
+        if model.fiber_names:
+            models.append(model)
+    return models
+
+
+def _symbolic_value(theta, tree):
+    """theta on a bracket tree, expanded as a Lie polynomial (no coordinates)."""
+    if isinstance(tree, str):
+        el = theta.images.get(tree)
+        return theta.model.dgla.poly(el) if el is not None else LiePoly.zero()
+    left, right = tree
+    sign = -1 if (theta.degree * theta.model.dgla.algebra.tree_degree(left)) % 2 else 1
+    return bracket(_symbolic_value(theta, left), LiePoly([(Fraction(1), right)])) + sign * bracket(
+        LiePoly([(Fraction(1), left)]), _symbolic_value(theta, right)
+    )
+
+
+def _random_non_unit(rng, space):
+    while True:
+        vec = tuple(Fraction(rng.randrange(-2, 3)) for _ in range(space.dim))
+        if sum(1 for c in vec if c) >= 2:
+            return vec
+
+
+@pytest.mark.parametrize("model_index", range(4))
+@pytest.mark.parametrize("r", [0, 1])
+def test_der_boundary_matrix_matches_commutator_oracle(seeded_models, model_index, r):
+    model = seeded_models[model_index]
+    dgla = model.dgla
+    src, dst = der_space(model, r), der_space(model, r - 1)
+    if src.dim < 2:
+        pytest.skip("Der_r has no non-unit derivation")
+    boundary = der_boundary_matrix(model, r)
+    rng = random.Random(7 * model_index + r)
+    sign = -1 if r % 2 else 1
+    for _ in range(3):
+        theta = src.unpack(_random_non_unit(rng, src))
+        images = {}
+        for g in model.fiber_generators:
+            out_deg = g.degree + r - 1
+            if out_deg < 1:
+                continue
+            d_theta = dgla.d_matrix(g.degree + r).apply(theta.image(g.name).coords)
+            d_g = dgla.differential.get(g.name, LiePoly.zero())
+            theta_d = theta.value_poly(d_g, g.degree - 1)
+            symbolic = LiePoly.zero()
+            for coeff, tree in d_g.terms:
+                symbolic = symbolic + coeff * _symbolic_value(theta, tree)
+            assert theta_d == dgla.element(symbolic, out_deg)
+            images[g.name] = Element(
+                out_deg, tuple(a - sign * b for a, b in zip(d_theta, theta_d.coords))
+            )
+        expected = dst.pack(RelDerivation(model, r - 1, images))
+        assert boundary.apply(src.pack(theta)) == expected
+
+
+@pytest.mark.parametrize("model_index", range(4))
+@pytest.mark.parametrize("r", [0, 1])
+def test_der_boundary_squares_to_zero(seeded_models, model_index, r):
+    model = seeded_models[model_index]
+    assert der_boundary_matrix(model, r).mul(der_boundary_matrix(model, r + 1)).is_zero()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgla.errors import NotSurjective
 from dgla.linalg import (
@@ -188,3 +190,54 @@ def test_exactness_no_rounding():
     reduced, _ = rref(m)
     assert reduced == Matrix.identity(2)
     assert invert(m).mul(m) == Matrix.identity(2)
+
+
+def test_apply_zero_vector_gives_fraction_zeros():
+    m = Matrix([["1/2", 3], [-1, "2/3"]])
+    out = m.apply((Fraction(0), Fraction(0)))
+    assert out == (Fraction(0), Fraction(0))
+    assert all(type(c) is Fraction for c in out)
+
+
+def test_apply_one_nonzero_entry_picks_a_scaled_column():
+    m = Matrix([["1/2", 3, 0], [-1, "2/3", 5]])
+    assert m.apply((0, Fraction(3), 0)) == (Fraction(9), Fraction(2))
+
+
+def test_apply_empty_shapes():
+    assert Matrix.zero(0, 3).apply((Fraction(1), Fraction(0), Fraction(2))) == ()
+    assert Matrix.zero(3, 0).apply(()) == (Fraction(0),) * 3
+
+
+def test_apply_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        Matrix.identity(2).apply((Fraction(1),))
+    with pytest.raises(ValueError):
+        Matrix.zero(3, 0).apply((Fraction(0),))
+
+
+_small_rational = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def _matrix_and_sparse_vector(draw):
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 6))
+    data = [[draw(_small_rational) for _ in range(cols)] for _ in range(rows)]
+    vec = tuple(
+        draw(st.one_of(st.just(Fraction(0)), _small_rational)) for _ in range(cols)
+    )
+    return Matrix(data, cols=cols), vec
+
+
+@given(_matrix_and_sparse_vector())
+@settings(max_examples=100, deadline=None)
+def test_apply_matches_dense_sum(case):
+    m, v = case
+    dense = tuple(
+        sum((m.data[i][k] * v[k] for k in range(m.cols)), Fraction(0))
+        for i in range(m.rows)
+    )
+    out = m.apply(v)
+    assert out == dense
+    assert all(type(c) is Fraction for c in out)
