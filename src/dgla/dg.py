@@ -76,13 +76,12 @@ class HomologyData:
                 raise ArithmeticError("boundary is not a cycle: d*d != 0?")
             in_cycle_coords.append(coords)
         self._b_in_z = Subspace(self.cycles.dim, in_cycle_coords)
-        self._proj, qreps = quotient_data(self.cycles.dim, self._b_in_z)
+        self._proj, _ = quotient_data(self.cycles.dim, self._b_in_z)
+        # The coset representatives of quotient_data are the unit vectors e_c
+        # of the non-pivot coordinates c, so each lifts to cycle-basis row c.
+        pivots = set(self._b_in_z.pivots)
         self.reps = tuple(
-            tuple(
-                sum((qr[i] * self.cycles.basis[i][j] for i in range(self.cycles.dim)), Fraction(0))
-                for j in range(self.cycles.ambient_dim)
-            )
-            for qr in qreps
+            row for c, row in enumerate(self.cycles.basis) if c not in pivots
         )
 
     @property

@@ -385,10 +385,18 @@ def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
     if not isinstance(raw_stages, list):
         raise FormatError(f"{context}: missing stages list")
     stages = []
-    for entry in raw_stages:
+    for i, entry in enumerate(raw_stages):
         if not isinstance(entry, dict):
             raise FormatError(f"{context}: stage entries must be objects")
-        stages.append(Stage(tuple(entry.get("A", ())), tuple(entry.get("B", ()))))
+        parts = []
+        for part in ("A", "B"):
+            raw = entry.get(part, [])
+            if not isinstance(raw, list) or not all(isinstance(n, str) for n in raw):
+                raise FormatError(
+                    f"{context}: stages[{i}].{part}: must be a list of generator names"
+                )
+            parts.append(tuple(raw))
+        stages.append(Stage(*parts))
     smap = doc.get("structureMap")
     if not isinstance(smap, dict) or "target" not in smap:
         raise FormatError(f"{context}: missing structureMap with target")
@@ -397,7 +405,10 @@ def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
         smap.get("images", {}), dgla, target, f"{context}: structureMap"
     )
     q = DGLAMorphism(dgla, target, images)
-    return RelativeModel(dgla, tuple(base), tuple(stages), q)
+    try:
+        return RelativeModel(dgla, tuple(base), tuple(stages), q)
+    except FormatError as exc:
+        raise FormatError(f"{context}: base/stages: {exc}") from None
 
 
 # -- endomorphisms --------------------------------------------------------------

@@ -8,7 +8,10 @@ which in characteristic zero is a faithful embedding, so equality of Lie
 polynomials reduces to equality of tensor coordinates and all Koszul signs
 take care of themselves.  A canonical basis of each homogeneous piece is
 extracted by row-reducing the embedded left-normed bracket monomials in a
-fixed enumeration order, so every answer is reproducible bit for bit.
+fixed enumeration order, so every answer is reproducible bit for bit.  One
+tracked echelon does the reduction and later serves as the coordinate
+solver, and the enumeration stops once the rank reaches the dimension the
+PBW series predicts, since no later word can add to the span.
 
 Tensor-space vectors are sparse dicts keyed by words (tuples of generator
 indices); words are ordered by (length, tuple), and that order drives every
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
@@ -279,6 +283,7 @@ class FreeGLA:
         self._embed_cache: dict = {}
         self._tree_coords: dict = {}
         self._basis: dict[int, DegreeBasis] = {}
+        self._pbw: dict[int, int] = {}
         self._oracle: dict[int, list[TVec]] = {}
         self._brackets: dict[tuple[int, int], tuple] = {}
         self._atoms: dict[str, tuple[int, int]] = {}
@@ -307,10 +312,7 @@ class FreeGLA:
 
     def words(self, k: int) -> tuple[Word, ...]:
         """All degree-k words over the generators, in (length, lex) order."""
-        out: list[Word] = []
-        for length in range(1, k + 1):
-            out.extend(self._index_tuples(length, k))
-        return tuple(out)
+        return tuple(self._iter_words(k))
 
     def tensor_coords(self, p: LiePoly, degree: int | None = None) -> tuple[int | None, Vector]:
         """Dense coordinates of p in the word basis of its degree."""
@@ -379,6 +381,10 @@ class FreeGLA:
 
         yield from rec((), degree, length)
 
+    def _iter_words(self, k: int):
+        for length in range(1, k + 1):
+            yield from self._index_tuples(length, k)
+
     def _left_normed(self, indices: Word):
         tree = self.generators[indices[0]].name
         for i in indices[1:]:
@@ -386,26 +392,38 @@ class FreeGLA:
         return tree
 
     def degree_basis(self, k: int) -> DegreeBasis:
-        """Canonical basis of the degree-k piece (k >= 1)."""
+        """Canonical basis of the degree-k piece (k >= 1).
+
+        Left-normed words are enumerated by (length, lex) and a word joins
+        the basis when its embedding is independent of the earlier ones in
+        the single tracked echelon that becomes the basis's solver.  The
+        enumeration stops once the rank reaches pbw_dim(k), which leaves the
+        basis of the full enumeration unchanged; running out of words below
+        that rank raises ArithmeticError.
+        """
         if k < 1:
             raise ValueError("degrees start at 1")
         hit = self._basis.get(k)
         if hit is not None:
             return hit
-        echelon = _Echelon()
+        dim = self.pbw_dim(k)
         solver = _Echelon(track=True)
         monos = []
         vecs = []
-        for length in range(1, k + 1):
-            for indices in self._index_tuples(length, k):
-                tree = self._left_normed(indices)
-                _, vec = self.embed_tree(tree)
-                if not vec:
-                    continue
-                if echelon.insert(vec):
-                    solver.insert(vec, tag=len(monos))
-                    monos.append(tree)
-                    vecs.append(vec)
+        for indices in self._iter_words(k):
+            if solver.rank == dim:
+                break
+            tree = self._left_normed(indices)
+            _, vec = self.embed_tree(tree)
+            if vec and solver.insert(vec, tag=len(monos)):
+                monos.append(tree)
+                vecs.append(vec)
+        if solver.rank != dim:
+            raise ArithmeticError(
+                f"left-normed words span {solver.rank} dimensions in degree "
+                f"{k}, the PBW series gives {dim}; "
+                "this indicates an internal basis bug"
+            )
         basis = DegreeBasis(k, tuple(monos), tuple(vecs), solver)
         return self._basis.setdefault(k, basis)
 
@@ -413,6 +431,42 @@ class FreeGLA:
         if k < 1:
             return 0
         return self.degree_basis(k).dim
+
+    def pbw_dim(self, k: int) -> int:
+        """dim of the degree-k piece from the PBW series, in exact integers.
+
+        The tensor algebra is the enveloping algebra of the free Lie algebra,
+        so by Poincare-Birkhoff-Witt with l_n = dim L_n
+
+            1/(1 - V(t)) = prod_{n odd} (1 + t^n)^{l_n}
+                           * prod_{n even} (1 - t^n)^{-l_n},
+
+        V(t) being the generating polynomial of the generator degrees.  The
+        t^k coefficient of the factor for n = k is l_k, so l_k is the t^k
+        coefficient on the left minus that of the product over n < k.
+        """
+        if k < 1:
+            return 0
+        hit = self._pbw.get(k)
+        if hit is not None:
+            return hit
+        lower = [self.pbw_dim(n) for n in range(1, k)]
+        tensor = [1] + [0] * k
+        for m in range(1, k + 1):
+            tensor[m] = sum(tensor[m - d] for d in self._degrees if d <= m)
+        product = [1] + [0] * k
+        for n, l in enumerate(lower, start=1):
+            if l == 0:
+                continue  # the factor is 1; math.comb(l - 1, 0) would raise
+            if n % 2:
+                factor = [comb(l, j) for j in range(k // n + 1)]
+            else:
+                factor = [comb(l + j - 1, j) for j in range(k // n + 1)]
+            product = [
+                sum(product[m - n * j] * factor[j] for j in range(m // n + 1))
+                for m in range(k + 1)
+            ]
+        return self._pbw.setdefault(k, tensor[k] - product[k])
 
     def normalize(self, p: LiePoly, degree: int | None = None) -> tuple[int | None, Vector]:
         """Unique coordinates of p in the canonical basis of its degree.

@@ -445,3 +445,34 @@ def test_wrong_degree_map_image_names_file_and_field(files, capsys, tmp_path):
         str(tmp_path / "nope.json"),
     )
     _assert_one_line_error(code, err, f"{bad_map}: images[a]: expected degree 1, found 2")
+
+
+def _model_with(files, **changes):
+    doc = json.loads(Path(files["model"]).read_text(encoding="utf-8"))
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "stages, field",
+    [
+        ([{"A": [], "B": []}, {"A": "w", "B": ["v"]}], "stages[1].A"),
+        ([{"A": [], "B": []}, {"A": ["w"], "B": [3]}], "stages[1].B"),
+        ([{"A": {}, "B": []}, {"A": ["w"], "B": ["v"]}], "stages[0].A"),
+    ],
+    ids=["string-A", "number-in-B", "object-A"],
+)
+def test_stage_parts_must_be_lists_of_names(files, capsys, tmp_path, stages, field):
+    path = write(tmp_path, "bad_stages.json", _model_with(files, stages=stages))
+    code, out, err = run(capsys, "pi0", path, "--max-degree", "3")
+    assert code == 2
+    _assert_one_line_error(code, err, f"{path}: {field}: must be a list of generator names")
+    assert out == ""
+
+
+def test_generator_order_error_names_file(files, capsys, tmp_path):
+    path = write(tmp_path, "bad_order.json", _model_with(files, base=["q"]))
+    code, out, err = run(capsys, "pi0", path, "--max-degree", "3")
+    assert code == 2
+    _assert_one_line_error(code, err, f"{path}: base/stages: generator order must list the base")
+    assert out == ""

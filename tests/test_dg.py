@@ -14,7 +14,8 @@ from dgla.dg import (
 from dgla.errors import NotAChainMap
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
-from dgla.linalg import Matrix
+from dgla.linalg import Matrix, Subspace, membership, quotient_data
+from helpers import rand_quasifree
 
 
 def make(gens, diff):
@@ -233,3 +234,47 @@ def test_chain_map_matrix_identity():
         lhs = f.matrix(k - 1).mul(src.d_matrix(k))
         rhs = tgt.d_matrix(k).mul(f.matrix(k))
         assert lhs == rhs
+
+
+def _reps_by_old_formula(h):
+    """Coset reps lifted as sum_i qr[i] * cycles.basis[i], from public data."""
+    in_cycle_coords = [membership(b, h.cycles) for b in h.boundaries.basis]
+    _, qreps = quotient_data(h.cycles.dim, Subspace(h.cycles.dim, in_cycle_coords))
+    return tuple(
+        tuple(
+            sum((qr[i] * h.cycles.basis[i][j] for i in range(h.cycles.dim)), Fraction(0))
+            for j in range(h.cycles.ambient_dim)
+        )
+        for qr in qreps
+    )
+
+
+def _assert_reps_match_old_formula(algebra, degrees):
+    for k in degrees:
+        h = algebra.homology(k)
+        assert h.reps == _reps_by_old_formula(h), k
+        for i, rep in enumerate(h.reps):
+            unit = tuple(Fraction(int(j == i)) for j in range(h.dim))
+            assert h.class_coords(rep) == unit, (k, i)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_homology_reps_match_old_formula_quasifree(seed):
+    algebra = rand_quasifree(random.Random(seed), max_gens=4)
+    _assert_reps_match_old_formula(algebra, range(1, 5))
+
+
+def test_homology_reps_match_old_formula_findim():
+    # d_2 has rank 1 with a dense row, d_3 lands in its kernel: the cycle
+    # basis of degree 2 is not made of unit vectors
+    g = FiniteDimDGLA(
+        {1: 2, 2: 3, 3: 1},
+        {},
+        {
+            2: Matrix([[1, 2, -1], [2, 4, -2]]),
+            3: Matrix([[1], [-1], [-1]]),
+        },
+    )
+    assert validate(g).ok
+    assert [g.homology(k).dim for k in (1, 2, 3)] == [1, 1, 0]
+    _assert_reps_match_old_formula(g, (1, 2, 3))

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgla.errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
-from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, bracket
+from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, _Echelon, bracket
 
 
 def L(*degrees):
@@ -284,3 +287,66 @@ def test_dimensions_satisfy_enveloping_series_identity():
                 denom[d] -= 1
         words = _geometric_inverse(denom, cap)
         assert series == words, (degrees, dims, series, words)
+
+
+def _exhaustive_basis(alg, k):
+    """Basis of degree k from every left-normed word, with no early stop.
+
+    Words run by length, then lexicographically; a word's embedding joins
+    the basis when it is independent of the ones before it.
+    """
+    degrees = [g.degree for g in alg.generators]
+    names = [g.name for g in alg.generators]
+    echelon = _Echelon()
+    monos, vecs = [], []
+    for length in range(1, k + 1):
+        for word in itertools.product(range(len(names)), repeat=length):
+            if sum(degrees[i] for i in word) != k:
+                continue
+            tree = names[word[0]]
+            for i in word[1:]:
+                tree = (tree, names[i])
+            _, vec = alg.embed_tree(tree)
+            if vec and echelon.insert(vec):
+                monos.append(tree)
+                vecs.append(vec)
+    return tuple(monos), tuple(vecs)
+
+
+def _assert_basis_is_exhaustive(degrees, top):
+    alg, ref = L(*degrees), L(*degrees)
+    for k in range(1, top + 1):
+        monos, vecs = _exhaustive_basis(ref, k)
+        basis = alg.degree_basis(k)
+        assert basis.monomials == monos, (degrees, k)
+        assert basis.vectors == vecs, (degrees, k)
+        assert alg.pbw_dim(k) == alg.dim_oracle(k) == len(monos), (degrees, k)
+
+
+@pytest.mark.parametrize(
+    "degrees, top",
+    [((1, 1, 1), 7), ((1, 3), 8), ((2, 2), 8), ((1, 2, 3), 7), ((2,), 8), ((3, 3), 9), ((), 4)],
+)
+def test_early_stop_keeps_the_exhaustive_basis(degrees, top):
+    _assert_basis_is_exhaustive(degrees, top)
+
+
+@settings(max_examples=25, deadline=None)
+@given(degrees=st.lists(st.integers(1, 4), max_size=3), top=st.integers(1, 5))
+def test_early_stop_keeps_the_exhaustive_basis_random(degrees, top):
+    _assert_basis_is_exhaustive(tuple(degrees), top)
+
+
+def test_pbw_dim_of_even_and_empty_generators():
+    # all-even generators leave every odd l_n = 0, the empty set every l_n
+    assert [L(2).pbw_dim(k) for k in range(1, 7)] == [0, 1, 0, 0, 0, 0]
+    assert [L(2, 4).pbw_dim(k) for k in range(1, 7)] == [0, 1, 0, 1, 0, 1]
+    assert [L().pbw_dim(k) for k in range(0, 4)] == [0, 0, 0, 0]
+    assert L(1).pbw_dim(0) == L(1).pbw_dim(-3) == 0
+
+
+def test_degree_basis_refuses_a_short_span(monkeypatch):
+    alg = L(1, 1)
+    monkeypatch.setattr(alg, "pbw_dim", lambda k: 4)
+    with pytest.raises(ArithmeticError, match="internal basis bug"):
+        alg.degree_basis(2)
