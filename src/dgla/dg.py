@@ -3,7 +3,9 @@
 Two kinds of dg Lie algebras are first class:
 
 * quasi-free ones, where the differential is given on generators and
-  extended by the graded Leibniz rule  d[a,b] = [da,b] + (-1)^{|a|}[a,db];
+  extended by the graded Leibniz rule  d[a,b] = [da,b] + (-1)^{|a|}[a,db],
+  applied as the degree -1 derivation of the tensor algebra with the same
+  generator values (`FreeGLA.apply_derivation`);
 * finite-dimensional ones, given by per-degree dimensions, bracket structure
   constants and differential matrices.
 
@@ -31,7 +33,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .exprs import Terms, format_terms
-from .freelie import FreeGLA, GradedGenerator, LiePoly, bracket
+from .freelie import FreeGLA, GradedGenerator, LiePoly, TVec
 from .linalg import (
     Matrix,
     Subspace,
@@ -122,6 +124,7 @@ class QuasiFreeDGLA:
             name: p for name, p in differential.items() if not p.is_zero()
         }
         self._algebra: FreeGLA | None = None
+        self._d_images: dict[int, TVec] | None = None
         self._d: dict[int, Matrix] = {}
         self._homology: dict[int, HomologyData] = {}
         self._validation: ValidationReport | None = None
@@ -138,41 +141,29 @@ class QuasiFreeDGLA:
     def zero(self, k: int) -> Element:
         return Element(k, zero_vector(self.dim(k)))
 
-    def d_poly(self, p: LiePoly) -> LiePoly:
-        out = LiePoly.zero()
-        for coeff, tree in p.terms:
-            out = out + coeff * self._d_tree(tree)
-        return out
-
-    def _d_tree(self, tree) -> LiePoly:
-        if isinstance(tree, str):
-            return self.differential.get(tree, LiePoly.zero())
-        left, right = tree
-        lp = LiePoly([(Fraction(1), left)])
-        rp = LiePoly([(Fraction(1), right)])
-        sign = Fraction(-1 if self.algebra.tree_degree(left) % 2 else 1)
-        return bracket(self._d_tree(left), rp) + sign * bracket(lp, self._d_tree(right))
+    def d_images(self) -> dict[int, TVec]:
+        """d on the generators in tensor form, keyed by generator index."""
+        if self._d_images is None:
+            algebra = self.algebra
+            images = {}
+            for name, p in self.differential.items():
+                _, vec = algebra.embed(p)
+                if vec:
+                    images[algebra.index_of(name)] = vec
+            self._d_images = images
+        return self._d_images
 
     def d_matrix(self, k: int) -> Matrix:
         """Matrix of d: degree k -> degree k-1 in the canonical bases."""
         hit = self._d.get(k)
         if hit is not None:
             return hit
-        rows = self.dim(k - 1)
-        if k < 1 or self.dim(k) == 0:
-            return self._d.setdefault(k, Matrix.zero(rows, self.dim(k) if k >= 1 else 0))
+        algebra, images = self.algebra, self.d_images()
         cols = []
-        for tree in self.algebra.degree_basis(k).monomials:
-            image = self._d_tree(tree)
-            if k - 1 < 1:
-                _, vec = self.algebra.embed(image)
-                if vec:
-                    raise MixedDegrees("differential image below degree 1 is nonzero")
-                cols.append(())
-            else:
-                _, coords = self.algebra.normalize(image, k - 1)
-                cols.append(coords)
-        return self._d.setdefault(k, Matrix.from_columns(cols, rows))
+        if k >= 1:
+            for vec in algebra.degree_basis(k).vectors:
+                cols.append(algebra.basis_coords(k - 1, algebra.apply_derivation(-1, images, vec)))
+        return self._d.setdefault(k, Matrix.from_columns(cols, self.dim(k - 1)))
 
     def bracket(self, a: Element, b: Element) -> Element:
         coords = self.algebra.bracket_coords(a.degree, a.coords, b.degree, b.coords)
@@ -417,6 +408,9 @@ class DGLAMorphism:
     def identity(cls, algebra: QuasiFreeDGLA) -> "DGLAMorphism":
         return cls(algebra, algebra, {g.name: algebra.atom(g.name) for g in algebra.generators})
 
+    def image(self, name: str) -> Element:
+        return self.images[name]
+
     def eval_tree(self, tree) -> Element:
         if isinstance(tree, str):
             return self.images[tree]
@@ -463,7 +457,7 @@ class DGLAMorphism:
         defects = []
         for g in self.source.generators:
             lhs = self.target.d_matrix(g.degree).apply(self.images[g.name].coords)
-            dsrc = self.source.d_poly(LiePoly.gen(g.name))
+            dsrc = self.source.differential.get(g.name, LiePoly.zero())
             rhs = self.eval_poly(dsrc, g.degree - 1).coords
             if g.degree - 1 < 1:
                 if not vec_is_zero(lhs):
@@ -577,10 +571,9 @@ def _validate_quasifree(a: QuasiFreeDGLA) -> ValidationReport:
             )
     if violations:
         return ValidationReport(tuple(violations))
-    for g in a.generators:
-        dd = a.d_poly(a.d_poly(LiePoly.gen(g.name)))
-        _, vec = a.algebra.embed(dd)
-        if vec:
+    images = a.d_images()
+    for i, g in enumerate(a.generators):
+        if a.algebra.apply_derivation(-1, images, images.get(i, {})):
             violations.append(f"d^2 is nonzero on generator {g.name!r}")
     return ValidationReport(tuple(violations))
 
@@ -620,10 +613,6 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                         "in even degree"
                     )
     maxdeg = max(degrees, default=0)
-
-    def brk(el1: Element, el2: Element) -> Element:
-        return a.bracket(el1, el2)
-
     for p in degrees:
         for q in degrees:
             for r in degrees:
@@ -633,13 +622,13 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                     ei = a.atom(_atom_name(p, i))
                     for j in range(a.dims[q]):
                         ej = a.atom(_atom_name(q, j))
-                        eij = brk(ei, ej)
+                        eij = a.bracket(ei, ej)
                         for l in range(a.dims[r]):
                             el = a.atom(_atom_name(r, l))
-                            lhs = brk(ei, brk(ej, el)).coords
+                            lhs = a.bracket(ei, a.bracket(ej, el)).coords
                             sign = Fraction(-1 if (p * q) % 2 else 1)
-                            rhs1 = brk(eij, el).coords
-                            rhs2 = brk(ej, brk(ei, el)).coords
+                            rhs1 = a.bracket(eij, el).coords
+                            rhs2 = a.bracket(ej, a.bracket(ei, el)).coords
                             total = tuple(
                                 x - y - sign * z for x, y, z in zip(lhs, rhs1, rhs2)
                             )

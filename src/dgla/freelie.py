@@ -13,6 +13,14 @@ tracked echelon does the reduction and later serves as the coordinate
 solver, and the enumeration stops once the rank reaches the dimension the
 PBW series predicts, since no later word can add to the span.
 
+The tensor algebra is the enveloping algebra of the free Lie algebra, and a
+degree-r derivation of L(V) is the restriction of the unique derivation of
+T(V) with the same values on V.  So `apply_derivation` is the one rule that
+extends d (r = -1) and every relative derivation from generators to
+brackets: it replaces one letter of each word by that letter's image, with
+Koszul sign (-1)^{r |prefix|}, and `basis_coords` reads the result back into
+the degree basis.
+
 Tensor-space vectors are sparse dicts keyed by words (tuples of generator
 indices); words are ordered by (length, tuple), and that order drives every
 pivot choice.
@@ -123,6 +131,16 @@ def bracket(p: LiePoly, q: LiePoly) -> LiePoly:
     return LiePoly(
         [(cp * cq, (tp, tq)) for cp, tp in p.terms for cq, tq in q.terms]
     )
+
+
+def _add_scaled(out: TVec, scale: Fraction, vec: TVec) -> None:
+    """out += scale * vec, dropping entries that cancel."""
+    for w, a in vec.items():
+        nv = out.get(w, 0) + scale * a
+        if nv:
+            out[w] = nv
+        else:
+            out.pop(w, None)
 
 
 def _word_key(w: Word) -> tuple[int, Word]:
@@ -281,7 +299,6 @@ class FreeGLA:
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
         self._embed_cache: dict = {}
-        self._tree_coords: dict = {}
         self._basis: dict[int, DegreeBasis] = {}
         self._pbw: dict[int, int] = {}
         self._oracle: dict[int, list[TVec]] = {}
@@ -353,12 +370,7 @@ class FreeGLA:
                 raise MixedDegrees(
                     f"terms of degree {degree} and {d} in one polynomial"
                 )
-            for w, a in vec.items():
-                nv = out.get(w, Fraction(0)) + coeff * a
-                if nv:
-                    out[w] = nv
-                else:
-                    out.pop(w, None)
+            _add_scaled(out, coeff, vec)
         if not out:
             return (None, {}) if degree is None else (degree, {})
         return degree, out
@@ -482,24 +494,65 @@ class FreeGLA:
             d = degree
         elif degree is not None and d != degree:
             raise MixedDegrees(f"expected degree {degree}, found {d}")
-        basis = self.degree_basis(d)
+        return d, self.basis_coords(d, vec)
+
+    def basis_coords(self, k: int, vec: TVec) -> Vector:
+        """Coordinates in the degree-k basis of a Lie element in tensor form.
+
+        Below degree 1 the piece is zero, so only the empty vector is allowed.
+        """
+        if vec:
+            found = sum(self._degrees[i] for i in next(iter(vec)))
+            if found != k:
+                raise MixedDegrees(f"expected degree {k}, found {found}")
+        elif k < 1:
+            return ()
+        basis = self.degree_basis(k)
         if not vec:
-            return d, (Fraction(0),) * basis.dim
+            return (Fraction(0),) * basis.dim
         combo = basis.solver.coords(vec)
         if combo is None:
             raise ArithmeticError(
-                "embedded polynomial escaped the bracket span; "
+                "tensor vector escaped the bracket span; "
                 "this indicates an internal basis bug"
             )
-        return d, tuple(combo.get(i, Fraction(0)) for i in range(basis.dim))
+        return tuple(combo.get(i, Fraction(0)) for i in range(basis.dim))
 
-    def tree_coords(self, tree) -> tuple[int, Vector]:
-        """(degree, coords) of one bracket tree, normalized once per tree."""
-        hit = self._tree_coords.get(tree)
-        if hit is not None:
-            return hit
-        result = self.normalize(LiePoly([(Fraction(1), tree)]))
-        return self._tree_coords.setdefault(tree, result)
+    def tensor_of(self, k: int, coords: Sequence[Fraction]) -> TVec:
+        """Tensor coordinates of the element with degree-k basis coords."""
+        out: TVec = {}
+        for c, vec in zip(coords, self.degree_basis(k).vectors):
+            if c:
+                _add_scaled(out, c, vec)
+        return out
+
+    def apply_derivation(self, r: int, images: dict[int, TVec], vec: TVec) -> TVec:
+        """The degree-r derivation with the given generator values, on vec.
+
+        `images` maps generator indices to tensor vectors (absent ones map to
+        zero).  On a word x_1...x_n the derivation of the tensor algebra is
+        the sum over positions i of x_1...image(x_i)...x_n with sign
+        (-1)^{r (|x_1| + ... + |x_{i-1}|)}; on Lie elements it agrees with
+        the graded rule  theta[a,b] = [theta a, b] + (-1)^{r|a|} [a, theta b].
+        """
+        degrees = self._degrees
+        out: TVec = {}
+        for word, c in vec.items():
+            prefix = 0
+            for pos, letter in enumerate(word):
+                image = images.get(letter)
+                if image:
+                    scale = -c if (r * prefix) % 2 else c
+                    head, tail = word[:pos], word[pos + 1:]
+                    for w, a in image.items():
+                        key = head + w + tail
+                        nv = out.get(key, 0) + scale * a
+                        if nv:
+                            out[key] = nv
+                        else:
+                            out.pop(key, None)
+                prefix += degrees[letter]
+        return out
 
     def atom(self, name: str) -> tuple[int, int]:
         """(degree, basis index) of a generator inside its degree basis."""
@@ -529,21 +582,11 @@ class FreeGLA:
         if hit is not None:
             return hit
         bp, bq = self.degree_basis(p), self.degree_basis(q)
-        target = self.degree_basis(p + q)
-        table = []
-        for vi in bp.vectors:
-            row = []
-            for vj in bq.vectors:
-                vec = tensor_bracket(p, vi, q, vj)
-                if not vec:
-                    row.append((Fraction(0),) * target.dim)
-                    continue
-                combo = target.solver.coords(vec)
-                if combo is None:
-                    raise ArithmeticError("bracket escaped the degree basis")
-                row.append(tuple(combo.get(t, Fraction(0)) for t in range(target.dim)))
-            table.append(tuple(row))
-        return self._brackets.setdefault((p, q), tuple(table))
+        table = tuple(
+            tuple(self.basis_coords(p + q, tensor_bracket(p, vi, q, vj)) for vj in bq.vectors)
+            for vi in bp.vectors
+        )
+        return self._brackets.setdefault((p, q), table)
 
     def bracket_coords(self, p: int, vp: Sequence[Fraction], q: int, vq: Sequence[Fraction]) -> Vector:
         table = self.bracket_table(p, q)

@@ -1,7 +1,9 @@
 """The algebraic group side: relative derivations, exp/log, equivalence.
 
 Derivations vanishing on the base are stored by their fiber generator
-images and extended by the graded derivation rule.  Degree-zero cycles of
+images and extended by the graded derivation rule, applied as the
+tensor-algebra derivation with the same generator values
+(`FreeGLA.apply_derivation`), as is d itself.  Degree-zero cycles of
 the complex (with differential the graded commutator with d) form the Lie
 algebra of the relative automorphism group; the degree-zero boundaries
 exponentiate onto the subgroup of automorphisms homotopic to the identity
@@ -41,62 +43,10 @@ from .linalg import (
     Vector,
     kernel_basis,
     solve_pivot,
-    unit_vector,
     vec_is_zero,
+    vec_sub,
 )
 from .minimal import RelativeModel, is_minimal
-
-
-def _extend_tree(algebra, r: int, tree, leaf, memo: dict):
-    """Values on one bracket tree of a batch of degree-r derivations.
-
-    `leaf(name)` gives the batch's values on a generator, one coordinate
-    vector of degree |name| + r per member, or None where all of them
-    vanish; the result has the same shape for the tree.  Values that are
-    not None are nonzero, so their degree is at least 1.  Brackets follow
-    the graded rule  delta[a,b] = [delta a, b] + (-1)^{r |a|} [a, delta b]
-    through `bracket_coords`, with subtree coordinates from the algebra's
-    `tree_coords` memo; `memo` holds the batch's values per subtree.
-    """
-    if isinstance(tree, str):
-        return leaf(tree)
-    if tree in memo:
-        return memo[tree]
-    left, right = tree
-    dl = _extend_tree(algebra, r, left, leaf, memo)
-    dr = _extend_tree(algebra, r, right, leaf, memo)
-    out = None
-    if dl or dr:
-        pl, cl = algebra.tree_coords(left)
-        pr, cr = algebra.tree_coords(right)
-        sign = -1 if (r * pl) % 2 else 1
-        dim = algebra.dim(pl + pr + r)
-        values = []
-        for i in range(len(dl or dr)):
-            acc = [Fraction(0)] * dim
-            if dl:
-                for t, c in enumerate(algebra.bracket_coords(pl + r, dl[i], pr, cr)):
-                    acc[t] += c
-            if dr:
-                for t, c in enumerate(algebra.bracket_coords(pl, cl, pr + r, dr[i])):
-                    acc[t] += sign * c
-            values.append(tuple(acc))
-        if any(any(v) for v in values):
-            out = tuple(values)
-    memo[tree] = out
-    return out
-
-
-def _add_extension(acc, scale, algebra, r: int, p: LiePoly, leaf, memo: dict) -> None:
-    """acc[i] += scale * (batch member i applied to p), term by term."""
-    for coeff, tree in p.terms:
-        values = _extend_tree(algebra, r, tree, leaf, memo)
-        if values is None:
-            continue
-        for row, val in zip(acc, values):
-            for t, c in enumerate(val):
-                if c:
-                    row[t] += scale * coeff * c
 
 
 class RelDerivation:
@@ -125,7 +75,11 @@ class RelDerivation:
                 )
             if not el.is_zero():
                 self.images[name] = el
-        self._tree_cache: dict = {}
+        algebra = model.dgla.algebra
+        self._letters = {
+            algebra.index_of(name): algebra.tensor_of(el.degree, el.coords)
+            for name, el in self.images.items()
+        }
         self._matrices: dict[int, Matrix] = {}
 
     @classmethod
@@ -141,22 +95,14 @@ class RelDerivation:
     def is_zero(self) -> bool:
         return not self.images
 
-    def _leaf(self, name: str):
-        el = self.images.get(name)
-        return None if el is None else (el.coords,)
-
-    def value_tree(self, tree) -> Element:
-        dgla = self.model.dgla
-        out_deg = dgla.algebra.tree_degree(tree) + self.degree
-        values = _extend_tree(dgla.algebra, self.degree, tree, self._leaf, self._tree_cache)
-        return dgla.zero(out_deg) if values is None else Element(out_deg, values[0])
+    def _value(self, out_deg: int, vec) -> Vector:
+        algebra = self.model.dgla.algebra
+        return algebra.basis_coords(out_deg, algebra.apply_derivation(self.degree, self._letters, vec))
 
     def value_poly(self, p: LiePoly, source_degree: int) -> Element:
-        dgla = self.model.dgla
         out_deg = source_degree + self.degree
-        acc = [[Fraction(0)] * dgla.dim(out_deg)]
-        _add_extension(acc, 1, dgla.algebra, self.degree, p, self._leaf, self._tree_cache)
-        return Element(out_deg, tuple(acc[0]))
+        _, vec = self.model.dgla.algebra.embed(p)
+        return Element(out_deg, self._value(out_deg, vec))
 
     def matrix(self, k: int) -> Matrix:
         """The extension of the derivation as a map M_k -> M_{k+degree}."""
@@ -164,12 +110,11 @@ class RelDerivation:
         if hit is not None:
             return hit
         out_deg = k + self.degree
-        rows = self.model.dgla.dim(out_deg) if out_deg >= 1 else 0
         cols = []
         if k >= 1:
-            for tree in self.model.dgla.algebra.degree_basis(k).monomials:
-                cols.append(self.value_tree(tree).coords)
-        return self._matrices.setdefault(k, Matrix.from_columns(cols, rows))
+            for vec in self.model.dgla.algebra.degree_basis(k).vectors:
+                cols.append(self._value(out_deg, vec))
+        return self._matrices.setdefault(k, Matrix.from_columns(cols, self.model.dgla.dim(out_deg)))
 
     def linear_fiber_defects(self) -> list[str]:
         """Fiber generators whose image has a nonzero linear fiber part."""
@@ -200,7 +145,6 @@ class DerSpace:
     model: RelativeModel
     degree: int
     pairs: tuple[tuple[str, int], ...]
-    offsets: dict
 
     @property
     def dim(self) -> int:
@@ -229,50 +173,48 @@ class DerSpace:
 
 def der_space(model: RelativeModel, r: int) -> DerSpace:
     pairs = []
-    offsets = {}
     for g in model.fiber_generators:
-        deg = g.degree + r
-        start = len(pairs)
-        if deg >= 1:
-            for j in range(model.dgla.dim(deg)):
-                pairs.append((g.name, j))
-        offsets[g.name] = (start, len(pairs) - start)
-    return DerSpace(model, r, tuple(pairs), offsets)
+        for j in range(model.dgla.dim(g.degree + r)):
+            pairs.append((g.name, j))
+    return DerSpace(model, r, tuple(pairs))
 
 
 def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
     """Matrix of [d, -]: Der_r -> Der_{r-1} in the canonical charts.
 
     Built by linearity, [d, theta](g) = d(theta g) - (-1)^r theta(d g).
-    Column (w, j) is the derivation sending w to the basis vector e_j of
-    degree |w| + r.  In w's own block it holds column j of
-    d_matrix(|w| + r); in every block g it loses (-1)^r * del_w(d g) e_j,
-    where del_w(d g) applies the derivation rule to the trees of d(g) with
-    w's leaf replaced by e_j.  del_w is computed once per source generator
-    w, for all j together.
+    Column (w, j) is the derivation theta sending w to the basis vector e_j
+    of degree |w| + r.  In w's own block it holds column j of
+    d_matrix(|w| + r); every block g adds the derivation sending w to
+    -(-1)^r e_j, applied to d g.
     """
     dgla = model.dgla
+    algebra = dgla.algebra
+    d_images = dgla.d_images()
     sign = -1 if r % 2 else 1
-    blocks = [g for g in model.fiber_generators if g.degree + r - 1 >= 1]
+    blocks = [
+        (g, d_images.get(algebra.index_of(g.name), {}))
+        for g in model.fiber_generators
+        if g.degree + r - 1 >= 1
+    ]
     cols = []
     for w in model.fiber_generators:
-        n = dgla.dim(w.degree + r)
-        if not n:
+        k = w.degree + r
+        if dgla.dim(k) == 0:
             continue
-        leaf = {w.name: tuple(unit_vector(n, j) for j in range(n))}.get
-        memo: dict = {}
-        parts = []
-        for g in blocks:
-            if g.name == w.name:
-                block = [list(c) for c in dgla.d_matrix(w.degree + r).columns()]
-            else:
-                block = [[Fraction(0)] * dgla.dim(g.degree + r - 1) for _ in range(n)]
-            d_g = dgla.differential.get(g.name, LiePoly.zero())
-            _add_extension(block, -sign, dgla.algebra, r, d_g, leaf, memo)
-            parts.append(block)
-        cols.extend(
-            tuple(c for block in parts for c in block[j]) for j in range(n)
-        )
+        d_cols = dgla.d_matrix(k).columns()
+        letter = algebra.index_of(w.name)
+        for j, e_j in enumerate(algebra.degree_basis(k).vectors):
+            theta = {letter: {word: -sign * a for word, a in e_j.items()}}
+            col = []
+            for g, d_g in blocks:
+                value = algebra.basis_coords(
+                    g.degree + r - 1, algebra.apply_derivation(r, theta, d_g)
+                )
+                if g.name == w.name:
+                    value = [a + b for a, b in zip(d_cols[j], value)]
+                col.extend(value)
+            cols.append(tuple(col))
     return Matrix.from_columns(cols, der_space(model, r - 1).dim)
 
 
@@ -387,7 +329,7 @@ def log_unipotent(u: FilteredEndo, bound: int) -> RelDerivation:
     for g in model.fiber_generators:
         fiber_atom.setdefault(g.degree, model.fiber_atom_indices(g.degree))
     for g in model.fiber_generators:
-        diff = vec_sub_elements(u.image(g.name), dgla.atom(g.name))
+        diff = vec_sub(u.image(g.name).coords, dgla.atom(g.name).coords)
         for _, idx in fiber_atom[g.degree]:
             if diff[idx] != 0:
                 raise NotUnipotentRelative(
@@ -422,10 +364,6 @@ def log_unipotent(u: FilteredEndo, bound: int) -> RelDerivation:
                 )
         images[g.name] = Element(k, tuple(acc))
     return RelDerivation(model, 0, images)
-
-
-def vec_sub_elements(a: Element, b: Element) -> Vector:
-    return tuple(x - y for x, y in zip(a.coords, b.coords))
 
 
 @dataclass(frozen=True)
@@ -470,7 +408,7 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
 
     dgla = model.dgla
     for w in model.fiber_generators:
-        diff = vec_sub_elements(u.image(w.name), dgla.atom(w.name))
+        diff = vec_sub(u.image(w.name).coords, dgla.atom(w.name).coords)
         for _, idx in model.fiber_atom_indices(w.degree):
             if diff[idx] != 0:
                 return Verdict(

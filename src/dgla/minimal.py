@@ -113,13 +113,6 @@ class RelativeModel:
     def max_generator_degree(self) -> int:
         return self.dgla.max_generator_degree()
 
-    def stage_of(self, name: str) -> int:
-        """Stage number (1-based) that introduced a fiber generator."""
-        for n, stage in enumerate(self.stages, start=1):
-            if name in stage.A or name in stage.B:
-                return n
-        raise KeyError(name)
-
     def fiber_atom_indices(self, k: int) -> tuple[tuple[str, int], ...]:
         """(fiber generator, its basis index) pairs in the degree-k basis."""
         base = set(self.base_names)

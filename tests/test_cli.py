@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgla.cli import main
 from dgla.formats import canonical_json
@@ -476,3 +481,65 @@ def test_generator_order_error_names_file(files, capsys, tmp_path):
     assert code == 2
     _assert_one_line_error(code, err, f"{path}: base/stages: generator order must list the base")
     assert out == ""
+
+
+def _fuzz_tree(names):
+    return st.recursive(
+        st.sampled_from(names),
+        lambda inner: st.tuples(inner, inner).map(lambda t: f"[{t[0]},{t[1]}]"),
+        max_leaves=3,
+    )
+
+
+@st.composite
+def _fuzz_dgla_doc(draw):
+    """A small quasi-free dgla document, often invalid on purpose.
+
+    Names may repeat, degrees may be 0, negative or boolean, and
+    differentials may name unknown generators ("q"), mix degrees, cancel
+    or divide by zero; valid values are drawn more often so that the later
+    checks (homogeneity, degree, d^2) and homology are reached too.
+    """
+    degree = st.sampled_from([1, 2, 3] * 3 + [0, -1, True, False])
+    gens = draw(
+        st.lists(
+            st.fixed_dictionaries({"name": st.sampled_from("abc"), "degree": degree}),
+            max_size=3,
+        )
+    )
+    names = [g["name"] for g in gens] + ["q"]
+    coeff = st.sampled_from(["", "", "2*", "-1*", "1/2*", "0*", "1/0*"])
+    term = st.tuples(coeff, _fuzz_tree(names)).map("".join)
+    expr = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    cancelling = _fuzz_tree(names).map(lambda t: f"{t} - {t}")
+    differential = draw(
+        st.dictionaries(st.sampled_from(names), st.one_of(expr, cancelling), max_size=3)
+    )
+    return {"kind": "dgla", "generators": gens, "differential": differential}
+
+
+def _run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_fuzz_dgla_doc())
+@example(
+    doc={
+        "kind": "dgla",
+        "generators": [{"name": n, "degree": k} for n, k in (("a", 1), ("b", 2), ("c", 3))],
+        "differential": {"b": "a", "c": "b + [a,a]"},
+    }
+)  # d^2 c = a, a violation that random documents rarely reach
+def test_fuzzed_dgla_documents_never_crash(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.json")
+        Path(path).write_text(canonical_json(doc), encoding="utf-8")
+        for argv in (("validate", path), ("homology", path, "--max-degree", "3")):
+            code, _, err = _run_quiet(*argv)
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert len(err.splitlines()) <= 1, err
+            assert "Traceback" not in err

@@ -278,3 +278,39 @@ def test_homology_reps_match_old_formula_findim():
     assert validate(g).ok
     assert [g.homology(k).dim for k in (1, 2, 3)] == [1, 1, 0]
     _assert_reps_match_old_formula(g, (1, 2, 3))
+
+
+def _symbolic_d(a, tree) -> LiePoly:
+    """d on a bracket tree by the Leibniz rule, expanded as a Lie polynomial."""
+    if isinstance(tree, str):
+        return a.differential.get(tree, LiePoly.zero())
+    left, right = tree
+    sign = -1 if a.algebra.tree_degree(left) % 2 else 1
+    return bracket(_symbolic_d(a, left), LiePoly([(Fraction(1), right)])) + sign * bracket(
+        LiePoly([(Fraction(1), left)]), _symbolic_d(a, right)
+    )
+
+
+def _symbolic_d_matrix(a, k) -> Matrix:
+    cols = [
+        a.algebra.normalize(_symbolic_d(a, tree), k - 1)[1]
+        for tree in a.algebra.degree_basis(k).monomials
+    ]
+    return Matrix.from_columns(cols, a.dim(k - 1))
+
+
+def _reference_algebras():
+    algebras = [make([("x", 1), ("y", 1), ("z", 1), ("w", 3)], {"w": "[x,y]"})]
+    rng = random.Random(4)
+    while len(algebras) < 7:
+        a = rand_quasifree(rng, max_gens=4)
+        if a.differential:
+            algebras.append(a)
+    return algebras
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_d_matrix_matches_symbolic_leibniz(index):
+    a = _reference_algebras()[index]
+    for k in range(1, 6):
+        assert a.d_matrix(k) == _symbolic_d_matrix(a, k), k

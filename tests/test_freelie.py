@@ -61,6 +61,16 @@ def test_embed_mixed_degrees():
         alg.embed(LiePoly.gen("g0") + LiePoly.gen("g1"))
 
 
+def test_basis_coords_rejects_a_vector_of_another_degree():
+    alg = L(1, 2)
+    _, vec = alg.embed(bracket(LiePoly.gen("g0"), LiePoly.gen("g1")))
+    assert alg.basis_coords(3, vec) == (Fraction(1),)
+    for k in (2, 0):
+        with pytest.raises(MixedDegrees, match=f"expected degree {k}, found 3"):
+            alg.basis_coords(k, vec)
+    assert alg.basis_coords(0, {}) == ()
+
+
 def test_degree_zero_generator_rejected():
     with pytest.raises(NotSimplyConnected):
         L(0)

@@ -487,3 +487,41 @@ def test_der_boundary_matrix_matches_commutator_oracle(seeded_models, model_inde
 def test_der_boundary_squares_to_zero(seeded_models, model_index, r):
     model = seeded_models[model_index]
     assert der_boundary_matrix(model, r).mul(der_boundary_matrix(model, r + 1)).is_zero()
+
+
+@pytest.fixture(scope="module")
+def mixed_parity_model():
+    # base x (odd), y (even); fiber w (even), v (odd); d = 0 is enough here,
+    # since only the derivation rule is under test
+    return make_model(
+        [("x", 1), ("y", 2), ("w", 2), ("v", 3)],
+        {},
+        ("x", "y"),
+        (Stage((), ()), Stage(("w",), ("v",))),
+    )
+
+
+@pytest.mark.parametrize("r", [-1, 0, 1, 2])
+def test_apply_derivation_matches_symbolic_rule(mixed_parity_model, r):
+    model = mixed_parity_model
+    dgla, algebra = model.dgla, model.dgla.algebra
+    rng = random.Random(100 + r)
+    images = {}
+    for g in model.fiber_generators:
+        out_deg = g.degree + r
+        if out_deg >= 1:
+            coords = tuple(Fraction(rng.randrange(-2, 3)) for _ in range(dgla.dim(out_deg)))
+            images[g.name] = Element(out_deg, coords)
+    theta = RelDerivation(model, r, images)
+    assert not theta.is_zero()
+    letters = {
+        algebra.index_of(name): algebra.tensor_of(el.degree, el.coords)
+        for name, el in theta.images.items()
+    }
+    for k in range(1, 7):
+        basis = algebra.degree_basis(k)
+        for j, (tree, vec) in enumerate(zip(basis.monomials, basis.vectors)):
+            got = algebra.basis_coords(k + r, algebra.apply_derivation(r, letters, vec))
+            _, want = algebra.normalize(_symbolic_value(theta, tree), k + r)
+            assert got == want, (k, tree)
+            assert theta.matrix(k).column(j) == want, (k, tree)
