@@ -9,12 +9,13 @@ DGLA_COLOR=0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
 
 from .dg import QuasiFreeDGLA, validate
-from .errors import DglaError, FormatError, ParseError
+from .errors import DglaError, FormatError, ParseError, TargetNotFiniteType
 from .formats import (
     canonical_json,
     dgla_from_doc,
@@ -42,9 +43,19 @@ def _emit(text: str):
         sys.stdout.write("\n")
 
 
+@contextlib.contextmanager
+def _within_max_degree(path: str):
+    """Name the file and its maxDegree field when work reaches above it."""
+    try:
+        yield
+    except TargetNotFiniteType as e:
+        raise TargetNotFiniteType(f"{path}: maxDegree: {e}") from None
+
+
 def _load_validated_algebra(path: str):
     algebra = dgla_from_doc(load_document(path), context=path)
-    report = validate(algebra)
+    with _within_max_degree(path):
+        report = validate(algebra)
     if not report.ok:
         raise FormatError(f"{path}: {report.first}")
     return algebra
@@ -63,7 +74,8 @@ def _load_model(path: str):
 
 def cmd_validate(args) -> int:
     algebra = dgla_from_doc(load_document(args.file), context=args.file)
-    report = validate(algebra)
+    with _within_max_degree(args.file):
+        report = validate(algebra)
     if report.ok:
         _emit(_style("ok", "32") + f": valid {algebra.kind} dg Lie algebra")
         return 0
@@ -74,7 +86,8 @@ def cmd_validate(args) -> int:
 
 def cmd_homology(args) -> int:
     algebra = _load_validated_algebra(args.file)
-    dims = {str(k): algebra.homology(k).dim for k in range(1, args.max_degree + 1)}
+    with _within_max_degree(args.file):
+        dims = {str(k): algebra.homology(k).dim for k in range(1, args.max_degree + 1)}
     if args.format == "table":
         _emit(_style("degree  dim H", "1"))
         for k in range(1, args.max_degree + 1):
@@ -101,7 +114,8 @@ def cmd_minimal_model(args) -> int:
         target=target,
         context=args.map,
     )
-    model = build_minimal_model(f, args.max_degree)
+    with _within_max_degree(args.target):
+        model = build_minimal_model(f, args.max_degree)
     Path(args.out).write_text(canonical_json(model_to_doc(model)), encoding="utf-8")
     return 0
 

@@ -17,10 +17,18 @@ be evaluated into either kind of target.
 Everything is computed over Q; a degree bound is always explicit in the
 callers, never stored here.  Homology data is memoized single-assignment per
 (algebra, degree).
+
+The graded Jacobi and Leibniz checks of a finite-dimensional algebra run on
+Python ints: the structure constants are put over one common denominator D
+and the columns of d over one common denominator E, once per validation.
+The Jacobiator is quadratic in the structure constants and Leibniz is
+bilinear in (brackets, d), so the scaled identities are D^2 and D*E times
+the rational ones and vanish exactly when they do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -612,27 +620,44 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                         f"[{_atom_name(p, i)},{_atom_name(p, i)}] is nonzero "
                         "in even degree"
                     )
+    # Integer structure constants (times D, see the module docstring).  Each
+    # bracket is read from its own key, never from its mirror, since an
+    # even-degree violation leaves the table not antisymmetric.
+    brk = _integer_cells(table)
     maxdeg = max(degrees, default=0)
     for p in degrees:
         for q in degrees:
             for r in degrees:
-                if p + q + r > maxdeg:
+                s = p + q + r
+                if s > maxdeg:
                     continue
+                # above maxDegree, name the first degree the brackets reach:
+                # e_i, e_j, [e_i,e_j], e_l, [e_j,e_l], then the Jacobiator
+                for k in (p, q, p + q, r, q + r, s):
+                    a.dim(k)
+                n = a.dims.get(s, 0)
+                if not n:
+                    continue
+                sign = -1 if (p * q) % 2 else 1
                 for i in range(a.dims[p]):
-                    ei = a.atom(_atom_name(p, i))
                     for j in range(a.dims[q]):
-                        ej = a.atom(_atom_name(q, j))
-                        eij = a.bracket(ei, ej)
+                        eij = brk.get((p, q, i, j), ())
                         for l in range(a.dims[r]):
-                            el = a.atom(_atom_name(r, l))
-                            lhs = a.bracket(ei, a.bracket(ej, el)).coords
-                            sign = Fraction(-1 if (p * q) % 2 else 1)
-                            rhs1 = a.bracket(eij, el).coords
-                            rhs2 = a.bracket(ej, a.bracket(ei, el)).coords
-                            total = tuple(
-                                x - y - sign * z for x, y, z in zip(lhs, rhs1, rhs2)
-                            )
-                            if not vec_is_zero(total):
+                            total = [0] * n
+                            # [e_i,[e_j,e_l]]
+                            for m, c in brk.get((q, r, j, l), ()):
+                                for t, v in brk.get((p, q + r, i, m), ()):
+                                    total[t] += c * v
+                            # - [[e_i,e_j],e_l]
+                            for m, c in eij:
+                                for t, v in brk.get((p + q, r, m, l), ()):
+                                    total[t] -= c * v
+                            # - (-1)^{pq} [e_j,[e_i,e_l]]
+                            for m, c in brk.get((p, r, i, l), ()):
+                                c *= sign
+                                for t, v in brk.get((q, p + r, j, m), ()):
+                                    total[t] -= c * v
+                            if any(total):
                                 violations.append(
                                     "graded Jacobi fails on "
                                     f"({_atom_name(p, i)}, {_atom_name(q, j)}, "
@@ -655,30 +680,53 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
         prod = a.d_matrix(k).mul(a.d_matrix(k + 1))
         if not prod.is_zero():
             violations.append(f"d^2 is nonzero from degree {k + 1}")
+    # integer columns of d (times E, see the module docstring)
+    dcol = _integer_cells(
+        {(k, c): m.column(c) for k, m in a.d_mats.items() for c in range(m.cols)}
+    )
     for p in degrees:
         for q in degrees:
             if p + q - 1 < 1:
                 continue
             if a.max_degree is not None and p + q > a.max_degree:
                 continue
+            n = a.dims.get(p + q - 1, 0)
+            sign = -1 if p % 2 else 1
             for i in range(a.dims[p]):
-                ei = a.atom(_atom_name(p, i))
-                dei = Element(p - 1, a.d_matrix(p).apply(ei.coords)) if p >= 1 else None
+                dei = dcol.get((p, i), ()) if p - 1 >= 1 else ()
                 for j in range(a.dims[q]):
-                    ej = a.atom(_atom_name(q, j))
-                    dej = Element(q - 1, a.d_matrix(q).apply(ej.coords))
-                    lhs = a.d_matrix(p + q).apply(a.bracket(ei, ej).coords)
-                    sign = Fraction(-1 if p % 2 else 1)
-                    rhs = [Fraction(0)] * a.dims.get(p + q - 1, 0)
-                    if p - 1 >= 1:
-                        for t, c in enumerate(a.bracket(dei, ej).coords):
-                            rhs[t] += c
+                    total = [0] * n
+                    # d[e_i,e_j]
+                    for m, c in brk.get((p, q, i, j), ()):
+                        for t, v in dcol.get((p + q, m), ()):
+                            total[t] += c * v
+                    # - [de_i,e_j]
+                    for m, c in dei:
+                        for t, v in brk.get((p - 1, q, m, j), ()):
+                            total[t] -= c * v
+                    # - (-1)^p [e_i,de_j]
                     if q - 1 >= 1:
-                        for t, c in enumerate(a.bracket(ei, dej).coords):
-                            rhs[t] += sign * c
-                    if tuple(lhs) != tuple(rhs):
+                        for m, c in dcol.get((q, j), ()):
+                            c *= sign
+                            for t, v in brk.get((p, q - 1, i, m), ()):
+                                total[t] -= c * v
+                    if any(total):
                         violations.append(
                             "graded Leibniz fails on "
                             f"({_atom_name(p, i)}, {_atom_name(q, j)})"
                         )
     return ValidationReport(tuple(violations))
+
+
+def _integer_cells(cells: dict) -> dict:
+    """Rational vectors over one common denominator, as sparse int vectors.
+
+    Every vector is multiplied by the lcm of all denominators, so a form of
+    degree n in the cells scales by that lcm to the n and keeps its zeros.
+    The result maps each key to its nonzero (index, numerator) pairs.
+    """
+    den = math.lcm(*(c.denominator for vec in cells.values() for c in vec))
+    return {
+        key: [(t, c.numerator * (den // c.denominator)) for t, c in enumerate(vec) if c]
+        for key, vec in cells.items()
+    }

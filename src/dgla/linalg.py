@@ -109,17 +109,18 @@ class Matrix:
         return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """self * other, multiplying only the nonzero entries of each row."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
         out = []
-        for i in range(self.rows):
-            row = self.data[i]
-            out.append(
-                [
-                    sum((row[k] * other.data[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                ]
-            )
+        for row in self.data:
+            acc = [Fraction(0)] * other.cols
+            for c, orow in zip(row, other.data):
+                if c:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += c * b
+            out.append(acc)
         return Matrix(out, cols=other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:

@@ -11,10 +11,10 @@ with nonzero fiber differentials not every such factor is a chain map.
 from fractions import Fraction
 
 from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
-from dgla.freelie import GradedGenerator, LiePoly
+from dgla.freelie import FreeGLA, GradedGenerator, LiePoly
 from dgla.homotopy import derivation_basis
 from dgla.invert import FilteredEndo, is_relative_automorphism
-from dgla.linalg import Matrix, kernel_basis, zero_vector
+from dgla.linalg import Matrix, invert, kernel_basis, zero_vector
 from dgla.minimal import build_minimal_model
 
 
@@ -81,6 +81,62 @@ def rand_findim(rng, max_cells=4, max_degree=3) -> FiniteDimDGLA:
     algebra = FiniteDimDGLA(dims, {}, d_mats)
     assert validate(algebra).ok
     return algebra
+
+
+def _rand_invertible(rng, n: int) -> tuple[Matrix, Matrix]:
+    while True:
+        m = Matrix([[rand_coeff(rng) for _ in range(n)] for _ in range(n)], cols=n)
+        try:
+            return m, invert(m)
+        except ValueError:
+            continue
+
+
+def rand_conjugated_findim(
+    rng, free_degrees=(1, 1), top=4, complex_dims=None, max_degree=None
+) -> FiniteDimDGLA:
+    """Truncated free algebra plus a disk complex, conjugated to dense form.
+
+    The free graded Lie algebra on generators of `free_degrees`, cut off
+    above `top` (d = 0), is summed with an abelian complex of disjoint disks
+    with `complex_dims[k]` cells in degree k.  Each degree then changes basis
+    by a random invertible integer matrix g_k: [x,y] becomes
+    g[g^-1 x, g^-1 y] and d_k becomes g_{k-1} d_k g_k^-1.  A direct sum of
+    dg Lie algebras is one and conjugation is an isomorphism, so the result
+    is valid, with dense structure constants and d that have denominators.
+    Brackets are stored once per unordered pair of basis vectors.
+    """
+    complex_dims = complex_dims or {}
+    free = FreeGLA([GradedGenerator(f"g{i}", d) for i, d in enumerate(free_degrees)])
+    fdim = {k: free.dim(k) for k in range(1, top + 1)}
+    dims = {k: fdim[k] + complex_dims.get(k, 0) for k in range(1, top + 1)}
+    change = {k: _rand_invertible(rng, dims[k]) for k in range(1, top + 1)}
+    brackets = {}
+    for p in range(1, top + 1):
+        for q in range(p, top + 1 - p):
+            table = free.bracket_table(p, q)
+            g_pq, inv_p, inv_q = change[p + q][0], change[p][1], change[q][1]
+            for i in range(dims[p]):
+                for j in range(i if p == q else 0, dims[q]):
+                    acc = [Fraction(0)] * dims[p + q]
+                    for a in range(fdim[p]):
+                        for b in range(fdim[q]):
+                            c = inv_p.data[a][i] * inv_q.data[b][j]
+                            if c:
+                                for t, v in enumerate(table[a][b]):
+                                    acc[t] += c * v
+                    value = g_pq.apply(acc)
+                    if any(value):
+                        brackets[(p, q, i, j)] = value
+    d_mats = {}
+    unpaired = {k: list(range(fdim[k], dims[k])) for k in dims}
+    for k in range(top, 1, -1):
+        body = [[Fraction(0)] * dims[k] for _ in range(dims[k - 1])]
+        for _ in range(min(len(unpaired[k]), len(unpaired[k - 1]))):
+            body[unpaired[k - 1].pop(0)][unpaired[k].pop()] = Fraction(1)
+        d = Matrix(body, cols=dims[k])
+        d_mats[k] = change[k - 1][0].mul(d).mul(change[k][1])
+    return FiniteDimDGLA(dims, brackets, d_mats, max_degree)
 
 
 def rand_base(rng) -> QuasiFreeDGLA:

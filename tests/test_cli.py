@@ -483,6 +483,56 @@ def test_generator_order_error_names_file(files, capsys, tmp_path):
     assert out == ""
 
 
+_LOW_MAX_DEGREE = {
+    "kind": "findim_dgla",
+    "dims": {"1": 1, "2": 1},
+    "brackets": [],
+    "differential": {"2": [["1"]]},
+    "maxDegree": 2,
+}
+_ABOVE_MAX_DEGREE = "maxDegree: degree 3 exceeds the declared maximum degree 2"
+
+
+def test_homology_above_max_degree_names_file_and_field(capsys, tmp_path):
+    path = write(tmp_path, "low.json", _LOW_MAX_DEGREE)
+    code, out, err = run(capsys, "homology", path, "--max-degree", "2")
+    assert code == 2
+    _assert_one_line_error(code, err, f"{path}: {_ABOVE_MAX_DEGREE}")
+    assert out == ""
+
+
+def test_minimal_model_above_max_degree_names_file_and_field(files, capsys, tmp_path):
+    target = write(tmp_path, "low.json", _LOW_MAX_DEGREE)
+    f = write(tmp_path, "map.json", {"kind": "dgla_morphism", "images": {"a": "e_1_0"}})
+    out_path = tmp_path / "model_out.json"
+    code, out, err = run(
+        capsys,
+        "minimal-model",
+        files["sphere"],
+        target,
+        f,
+        "--max-degree",
+        "2",
+        "--out",
+        str(out_path),
+    )
+    assert code == 2
+    _assert_one_line_error(code, err, f"{target}: {_ABOVE_MAX_DEGREE}")
+    assert out == "" and not out_path.exists()
+
+
+def test_validate_above_max_degree_names_file_and_field(capsys, tmp_path):
+    # the degree-2 basis vector is the first thing the axioms reach above 1
+    doc = {"kind": "findim_dgla", "dims": {"2": 1, "6": 1}, "maxDegree": 1}
+    path = write(tmp_path, "low.json", doc)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    _assert_one_line_error(
+        code, err, f"{path}: maxDegree: degree 2 exceeds the declared maximum degree 1"
+    )
+    assert out == ""
+
+
 def _fuzz_tree(names):
     return st.recursive(
         st.sampled_from(names),
@@ -535,6 +585,84 @@ def _run_quiet(*argv):
     }
 )  # d^2 c = a, a violation that random documents rarely reach
 def test_fuzzed_dgla_documents_never_crash(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.json")
+        Path(path).write_text(canonical_json(doc), encoding="utf-8")
+        for argv in (("validate", path), ("homology", path, "--max-degree", "3")):
+            code, _, err = _run_quiet(*argv)
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert len(err.splitlines()) <= 1, err
+            assert "Traceback" not in err
+
+
+@st.composite
+def _fuzz_findim_doc(draw):
+    """A small findim_dgla document, often invalid on purpose.
+
+    Basis names may point past a degree's dimension or into degree 0,
+    bracket values may name vectors of the wrong degree (a value of the
+    wrong length), entries may be fractions, "1/0" or not numbers at all,
+    matrices may have the wrong shape, and maxDegree may be small or absent.
+    Names inside the declared dimensions are drawn more often, so that the
+    axiom checks and homology are reached too.
+    """
+    dims = draw(st.dictionaries(st.sampled_from("012345"), st.integers(0, 2), max_size=4))
+    declared = [(int(k), i) for k, n in sorted(dims.items()) for i in range(n)]
+    wild = st.tuples(st.integers(0, 5), st.integers(0, 2))
+    basis = st.sampled_from(declared * 3) | wild if declared else wild
+
+    def name(pair):
+        return f"e_{pair[0]}_{pair[1]}"
+
+    coeff = st.sampled_from(["", "", "2*", "-1*", "1/2*", "-3/2*", "0*"] * 3 + ["1/0*"])
+
+    @st.composite
+    def bracket(draw):
+        (p, i), (q, j) = draw(basis), draw(basis)
+        in_degree = [(k, t) for k, t in declared if k == p + q]
+        target = st.sampled_from(in_degree * 6) | wild if in_degree else wild
+        term = st.tuples(coeff, target).map(lambda ct: ct[0] + name(ct[1]))
+        terms = st.lists(term, min_size=1, max_size=3)
+        value = draw(terms.map(" + ".join) if in_degree else st.just("0") | terms.map(" + ".join))
+        return {"left": name((p, i)), "right": name((q, j)), "value": value}
+
+    entry = st.sampled_from([0, 0, 1, -1, 2, "1/2", "-3/4"] * 3 + ["1/0", "x", 1.5, True])
+
+    @st.composite
+    def matrix(draw):
+        k = draw(st.integers(1, 5))
+        rows, cols = dims.get(str(k - 1), 0), dims.get(str(k), 0)
+        if draw(st.booleans()):
+            rows, cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        return str(k), [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    doc = {
+        "kind": "findim_dgla",
+        "dims": dims,
+        "brackets": draw(st.lists(bracket(), max_size=3)),
+        "differential": dict(draw(st.lists(matrix(), max_size=3))),
+    }
+    max_degree = draw(st.sampled_from([None, None, 0, 1, 2, 3, 5]))
+    if max_degree is not None:
+        doc["maxDegree"] = max_degree
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_fuzz_findim_doc())
+@example(doc=_LOW_MAX_DEGREE)
+@example(
+    doc={
+        "kind": "findim_dgla",
+        "dims": {"1": 1, "2": 1, "3": 1},
+        "brackets": [
+            {"left": "e_1_0", "right": "e_1_0", "value": "e_2_0"},
+            {"left": "e_1_0", "right": "e_2_0", "value": "1/2*e_3_0"},
+        ],
+        "differential": {},
+    }
+)  # a Jacobi violation, which random documents rarely reach
+def test_fuzzed_findim_documents_never_crash(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "fuzz.json")
         Path(path).write_text(canonical_json(doc), encoding="utf-8")

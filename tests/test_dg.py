@@ -8,14 +8,15 @@ from dgla.dg import (
     Element,
     FiniteDimDGLA,
     QuasiFreeDGLA,
+    ValidationReport,
     induced_map_on_homology,
     validate,
 )
-from dgla.errors import NotAChainMap
+from dgla.errors import DglaError, NotAChainMap
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
-from dgla.linalg import Matrix, Subspace, membership, quotient_data
-from helpers import rand_quasifree
+from dgla.linalg import Matrix, Subspace, membership, quotient_data, vec_is_zero
+from helpers import rand_conjugated_findim, rand_quasifree
 
 
 def make(gens, diff):
@@ -314,3 +315,225 @@ def test_d_matrix_matches_symbolic_leibniz(index):
     a = _reference_algebras()[index]
     for k in range(1, 6):
         assert a.d_matrix(k) == _symbolic_d_matrix(a, k), k
+
+
+def test_findim_jacobi_violation_message():
+    # [e1,e1] = e2 and [e1,e2] = e3: the Jacobiator on (e1,e1,e1) is 3*e3
+    g = FiniteDimDGLA({1: 1, 2: 1, 3: 1}, {(1, 1, 0, 0): (1,), (1, 2, 0, 0): (1,)}, {})
+    assert validate(g).violations == ("graded Jacobi fails on (e_1_0, e_1_0, e_1_0)",)
+
+
+def _name(k, i):
+    return f"e_{k}_{i}"
+
+
+def _reference_validate_findim(a):
+    """The axiom check over Fractions, one `FiniteDimDGLA.bracket` per term."""
+    violations = []
+    for k in sorted(a.dims):
+        if k < 1:
+            violations.append(f"degree {k} piece declared: not simply connected")
+        if a.dims[k] < 0:
+            violations.append(f"negative dimension in degree {k}")
+    if violations:
+        return ValidationReport(tuple(violations))
+    for (p, q, i, j), vec in sorted(a.raw_brackets.items()):
+        if not (0 <= i < a.dims.get(p, 0) and 0 <= j < a.dims.get(q, 0)):
+            violations.append(
+                f"bracket entry references missing basis vector ({_name(p, i)}, {_name(q, j)})"
+            )
+        elif len(vec) != a.dims.get(p + q, 0):
+            violations.append(
+                f"bracket of {_name(p, i)} and {_name(q, j)} has "
+                f"{len(vec)} coordinates, expected {a.dims.get(p + q, 0)}"
+            )
+    if violations:
+        return ValidationReport(tuple(violations))
+    table = a._bracket_table()
+    violations.extend(a._conflicts)
+    degrees = sorted(a.dims)
+    for p in degrees:
+        if p % 2 == 0:
+            for i in range(a.dims[p]):
+                cell = table.get((p, p, i, i))
+                if cell and not vec_is_zero(cell):
+                    violations.append(f"[{_name(p, i)},{_name(p, i)}] is nonzero in even degree")
+    maxdeg = max(degrees, default=0)
+    for p in degrees:
+        for q in degrees:
+            for r in degrees:
+                if p + q + r > maxdeg:
+                    continue
+                for i in range(a.dims[p]):
+                    ei = a.atom(_name(p, i))
+                    for j in range(a.dims[q]):
+                        ej = a.atom(_name(q, j))
+                        eij = a.bracket(ei, ej)
+                        for l in range(a.dims[r]):
+                            el = a.atom(_name(r, l))
+                            lhs = a.bracket(ei, a.bracket(ej, el)).coords
+                            sign = Fraction(-1 if (p * q) % 2 else 1)
+                            rhs1 = a.bracket(eij, el).coords
+                            rhs2 = a.bracket(ej, a.bracket(ei, el)).coords
+                            total = tuple(x - y - sign * z for x, y, z in zip(lhs, rhs1, rhs2))
+                            if not vec_is_zero(total):
+                                violations.append(
+                                    "graded Jacobi fails on "
+                                    f"({_name(p, i)}, {_name(q, j)}, {_name(r, l)})"
+                                )
+    if violations:
+        return ValidationReport(tuple(violations))
+    for k in sorted(a.d_mats):
+        m = a.d_mats[k]
+        if m.shape != (a.dims.get(k - 1, 0), a.dims.get(k, 0)):
+            violations.append(
+                f"differential matrix at degree {k} has shape {m.shape}, "
+                f"expected ({a.dims.get(k - 1, 0)}, {a.dims.get(k, 0)})"
+            )
+    if violations:
+        return ValidationReport(tuple(violations))
+    for k in degrees:
+        if a.max_degree is not None and k + 1 > a.max_degree:
+            continue
+        if not a.d_matrix(k).mul(a.d_matrix(k + 1)).is_zero():
+            violations.append(f"d^2 is nonzero from degree {k + 1}")
+    for p in degrees:
+        for q in degrees:
+            if p + q - 1 < 1:
+                continue
+            if a.max_degree is not None and p + q > a.max_degree:
+                continue
+            for i in range(a.dims[p]):
+                ei = a.atom(_name(p, i))
+                dei = Element(p - 1, a.d_matrix(p).apply(ei.coords))
+                for j in range(a.dims[q]):
+                    ej = a.atom(_name(q, j))
+                    dej = Element(q - 1, a.d_matrix(q).apply(ej.coords))
+                    lhs = a.d_matrix(p + q).apply(a.bracket(ei, ej).coords)
+                    sign = Fraction(-1 if p % 2 else 1)
+                    rhs = [Fraction(0)] * a.dims.get(p + q - 1, 0)
+                    if p - 1 >= 1:
+                        for t, c in enumerate(a.bracket(dei, ej).coords):
+                            rhs[t] += c
+                    if q - 1 >= 1:
+                        for t, c in enumerate(a.bracket(ei, dej).coords):
+                            rhs[t] += sign * c
+                    if tuple(lhs) != tuple(rhs):
+                        violations.append(
+                            f"graded Leibniz fails on ({_name(p, i)}, {_name(q, j)})"
+                        )
+    return ValidationReport(tuple(violations))
+
+
+def _outcome(check, g):
+    try:
+        return check(g).violations
+    except DglaError as e:
+        return (type(e).__name__, str(e))
+
+
+def _copy(g, brackets=None, d_mats=None, max_degree=None):
+    return FiniteDimDGLA(
+        g.dims,
+        g.raw_brackets if brackets is None else brackets,
+        g.d_mats if d_mats is None else d_mats,
+        g.max_degree if max_degree is None else max_degree,
+    )
+
+
+def _nudge_bracket(rng, g):
+    raw = dict(g.raw_brackets)
+    key = rng.choice(sorted(raw))
+    vec = list(raw[key])
+    vec[rng.randrange(len(vec))] += Fraction(1, 2)
+    raw[key] = tuple(vec)
+    return _copy(g, brackets=raw)
+
+
+def _drop_bracket(rng, g):
+    raw = dict(g.raw_brackets)
+    del raw[rng.choice(sorted(raw))]
+    return _copy(g, brackets=raw)
+
+
+def _mirror_conflict(rng, g):
+    raw = dict(g.raw_brackets)
+    p, q, i, j = rng.choice(sorted(k for k in raw if k[0] != k[1] or k[2] != k[3]))
+    raw[(q, p, j, i)] = tuple(c + 1 for c in raw[(p, q, i, j)])
+    return _copy(g, brackets=raw)
+
+
+def _even_self_bracket(rng, g):
+    p = rng.choice([k for k in sorted(g.dims) if k % 2 == 0 and 2 * k in g.dims])
+    raw = dict(g.raw_brackets)
+    i = rng.randrange(g.dims[p])
+    raw[(p, p, i, i)] = tuple(Fraction(rng.randrange(1, 4), 3) for _ in range(g.dims[2 * p]))
+    return _copy(g, brackets=raw)
+
+
+def _nudge_d(rng, g):
+    d_mats = dict(g.d_mats)
+    k = rng.choice(sorted(k for k, m in d_mats.items() if m.rows and m.cols))
+    rows = [list(row) for row in d_mats[k].data]
+    rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += Fraction(1, 3)
+    d_mats[k] = Matrix(rows)
+    return _copy(g, d_mats=d_mats)
+
+
+def _low_max_degree(rng, g):
+    return _copy(g, max_degree=rng.randrange(1, max(g.dims)))
+
+
+_PERTURBATIONS = {
+    "valid": lambda rng, g: _copy(g),
+    "bracket-nudged": _nudge_bracket,
+    "bracket-dropped": _drop_bracket,
+    "mirror-conflict": _mirror_conflict,
+    "even-self-bracket": _even_self_bracket,
+    "d-nudged": _nudge_d,
+    "low-max-degree": _low_max_degree,
+}
+
+_CONJUGATED_SHAPES = [
+    ((1, 1), 4, {2: 1, 3: 2, 4: 1}),
+    ((1, 2), 4, {1: 1, 3: 1}),
+    ((1, 1), 5, {3: 1}),
+    ((1, 2), 5, {2: 1, 4: 1}),
+    ((1, 2, 2), 4, {2: 1, 3: 1}),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(_PERTURBATIONS))
+@pytest.mark.parametrize("shape", range(len(_CONJUGATED_SHAPES)))
+def test_findim_validate_matches_fraction_reference(shape, kind):
+    free_degrees, top, complex_dims = _CONJUGATED_SHAPES[shape]
+    rng = random.Random(100 * shape + sorted(_PERTURBATIONS).index(kind))
+    g = _PERTURBATIONS[kind](rng, rand_conjugated_findim(rng, free_degrees, top, complex_dims))
+    expected = _outcome(_reference_validate_findim, g)
+    assert _outcome(validate, g) == expected
+    if kind == "valid":
+        assert expected == ()
+    elif kind != "low-max-degree":
+        assert expected, "the perturbation should break an axiom"
+
+
+@pytest.mark.parametrize(
+    "dims, max_degree, first_above",
+    [
+        ({2: 1, 6: 1}, 1, 2),
+        ({1: 1, 3: 1}, 2, 3),
+        ({1: 1, 5: 1}, 4, None),
+        ({1: 2, 2: 1, 3: 1}, 3, None),
+    ],
+)
+def test_findim_small_max_degree_matches_reference(dims, max_degree, first_above):
+    # the first degree above maxDegree that the axioms reach is the one named
+    g = FiniteDimDGLA(dims, {}, {}, max_degree=max_degree)
+    expected = ()
+    if first_above is not None:
+        expected = (
+            "TargetNotFiniteType",
+            f"degree {first_above} exceeds the declared maximum degree {max_degree}",
+        )
+    assert _outcome(_reference_validate_findim, g) == expected
+    assert _outcome(validate, g) == expected

@@ -241,3 +241,36 @@ def test_apply_matches_dense_sum(case):
     out = m.apply(v)
     assert out == dense
     assert all(type(c) is Fraction for c in out)
+
+
+@st.composite
+def _sparse_matrix_pair(draw):
+    rows, inner, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)), _small_rational)
+    left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return Matrix(left, cols=inner), Matrix(right, cols=cols)
+
+
+@given(_sparse_matrix_pair())
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_dense_triple_sum(case):
+    a, b = case
+    dense = Matrix(
+        [
+            [
+                sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Fraction(0))
+                for j in range(b.cols)
+            ]
+            for i in range(a.rows)
+        ],
+        cols=b.cols,
+    )
+    out = a.mul(b)
+    assert out == dense
+    assert all(type(c) is Fraction for row in out.data for c in row)
+
+
+def test_mul_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        Matrix.identity(2).mul(Matrix.zero(3, 1))
