@@ -44,12 +44,18 @@ def _emit(text: str):
 
 
 @contextlib.contextmanager
-def _within_max_degree(path: str):
-    """Name the file and its maxDegree field when work reaches above it."""
+def _within_max_degree(path: str, field: str = "maxDegree"):
+    """Name the file and its maxDegree field when work reaches above it.
+
+    An error that already names the file, such as one from an image
+    expression, passes unchanged.
+    """
     try:
         yield
     except TargetNotFiniteType as e:
-        raise TargetNotFiniteType(f"{path}: maxDegree: {e}") from None
+        if str(e).startswith(f"{path}: "):
+            raise
+        raise TargetNotFiniteType(f"{path}: {field}: {e}") from None
 
 
 def _load_validated_algebra(path: str):
@@ -62,11 +68,13 @@ def _load_validated_algebra(path: str):
 
 
 def _load_model(path: str):
-    model = model_from_doc(load_document(path), context=path)
-    report = validate(model.dgla)
-    if not report.ok:
-        raise FormatError(f"{path}: {report.first}")
-    treport = validate(model.target)
+    doc = load_document(path)
+    with _within_max_degree(path, "structureMap.target.maxDegree"):
+        model = model_from_doc(doc, context=path)
+        report = validate(model.dgla)
+        if not report.ok:
+            raise FormatError(f"{path}: {report.first}")
+        treport = validate(model.target)
     if not treport.ok:
         raise FormatError(f"{path}: structure-map target: {treport.first}")
     return model

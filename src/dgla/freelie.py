@@ -8,10 +8,23 @@ which in characteristic zero is a faithful embedding, so equality of Lie
 polynomials reduces to equality of tensor coordinates and all Koszul signs
 take care of themselves.  A canonical basis of each homogeneous piece is
 extracted by row-reducing the embedded left-normed bracket monomials in a
-fixed enumeration order, so every answer is reproducible bit for bit.  One
-tracked echelon does the reduction and later serves as the coordinate
-solver, and the enumeration stops once the rank reaches the dimension the
-PBW series predicts, since no later word can add to the span.
+fixed enumeration order, so every answer is reproducible bit for bit.
+
+The content of a word is the multiset of its letters.  The embedding of a
+bracket monomial only has words of the monomial's content, so the span
+splits into one independent block per content, and the greedy basis of the
+whole enumeration is the union of the blocks' greedy bases.  Each block is
+one echelon of primitive integer rows (all embedding coefficients are
+integers), reduced fraction-free in pivot order.  Reducing a vector tracks
+an integer combination gamma of the block's basis vectors and a scale s,
+and a vector in the span has coordinates -gamma/s.  That echelon then serves as the content's
+coordinate solver.  Fractions appear only at the boundary, in
+`basis_coords` and so in `bracket_table` and the d-matrices built from it.
+The enumeration stops once the total rank reaches the dimension the PBW
+series predicts, since no later word can add to the span.  There is no
+per-content stop: it would need a multigraded form of that series, and it
+could only skip dependent words, whose inserts take under a tenth of a
+model-building pass.
 
 The tensor algebra is the enveloping algebra of the free Lie algebra, and a
 degree-r derivation of L(V) is the restriction of the unique derivation of
@@ -22,15 +35,16 @@ Koszul sign (-1)^{r |prefix|}, and `basis_coords` reads the result back into
 the degree basis.
 
 Tensor-space vectors are sparse dicts keyed by words (tuples of generator
-indices); words are ordered by (length, tuple), and that order drives every
-pivot choice.
+indices), with int or Fraction values; words are ordered by (length,
+tuple), and that order drives every pivot choice.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
@@ -38,7 +52,9 @@ from .exprs import Terms, format_terms, tree_sort_key
 from .linalg import Vector
 
 Word = tuple[int, ...]
-TVec = dict[Word, Fraction]
+TVec = dict[Word, int | Fraction]
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -143,91 +159,93 @@ def _add_scaled(out: TVec, scale: Fraction, vec: TVec) -> None:
             out.pop(w, None)
 
 
+def _escaped() -> ArithmeticError:
+    return ArithmeticError(
+        "tensor vector escaped the bracket span; this indicates an internal basis bug"
+    )
+
+
 def _word_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
 
 
 class _Echelon:
-    """Mutually reduced sparse rows with deterministic pivots.
+    """Triangular rows of primitive integers with deterministic pivots.
 
-    Rows are kept fully reduced against each other (pivot keys appear in one
-    row only) and scaled to unit pivot; pivot of a row is its minimal word in
-    (length, lex) order.  Optionally tracks how each row combines the
-    inserted vectors, which turns reduction into a coordinate solver.
+    The pivot of a row is its minimal word in (length, lex) order and rows
+    are kept sorted by pivot, so a row holds no smaller pivot.  Reducing a
+    vector is then one pass in pivot order with fraction-free steps
+    v <- (r_p/g) v - (v_p/g) row, where g = gcd(r_p, v_p); nothing is ever
+    back-substituted into the existing rows.  Each row carries an integer
+    combination rho of the tagged vectors inserted so far, with
+    row = sum_t rho_t vec_t, and the row and rho are divided by their common
+    gcd together, pivot entry positive.
     """
 
-    __slots__ = ("rows", "track")
+    __slots__ = ("rows",)
 
-    def __init__(self, track: bool = False):
-        self.rows: list[tuple[Word, TVec, dict[int, Fraction] | None]] = []
-        self.track = track
+    def __init__(self):
+        self.rows: list[tuple[tuple[int, Word], Word, dict[Word, int], dict[int, int]]] = []
 
-    def reduce(self, vec: TVec) -> tuple[TVec, dict[int, Fraction]]:
+    def reduce(self, vec: dict[Word, int]) -> tuple[dict[Word, int], dict[int, int], int]:
+        """(v, gamma, s) with v = s*vec + sum_t gamma_t vec_t and s > 0.
+
+        v holds no pivot, so it is empty exactly when vec lies in the span;
+        then vec has coordinates -gamma_t/s over the tagged vectors.
+        """
         v = dict(vec)
-        combo: dict[int, Fraction] = {}
-        for pivot, row, rcombo in self.rows:
+        gamma: dict[int, int] = {}
+        s = 1
+        for _, pivot, row, rho in self.rows:
             c = v.get(pivot)
             if not c:
                 continue
-            for w, a in row.items():
-                newval = v.get(w, Fraction(0)) - c * a
-                if newval:
-                    v[w] = newval
+            r = row[pivot]
+            g = gcd(r, c)
+            a, b = r // g, c // g
+            if a != 1:
+                for w in v:
+                    v[w] *= a
+                for t in gamma:
+                    gamma[t] *= a
+                s *= a
+            for w, x in row.items():
+                nv = v.get(w, 0) - b * x
+                if nv:
+                    v[w] = nv
                 else:
-                    v.pop(w, None)
-            if self.track and rcombo:
-                for i, a in rcombo.items():
-                    newval = combo.get(i, Fraction(0)) + c * a
-                    if newval:
-                        combo[i] = newval
-                    else:
-                        combo.pop(i, None)
-        return v, combo
+                    del v[w]
+            for t, x in rho.items():
+                nv = gamma.get(t, 0) - b * x
+                if nv:
+                    gamma[t] = nv
+                else:
+                    del gamma[t]
+            if a != 1:
+                g = gcd(s, *v.values(), *gamma.values())
+                if g != 1:
+                    v = {w: x // g for w, x in v.items()}
+                    gamma = {t: x // g for t, x in gamma.items()}
+                    s //= g
+        return v, gamma, s
 
-    def insert(self, vec: TVec, tag: int | None = None) -> bool:
+    def insert(self, vec: dict[Word, int], tag: int | None = None) -> bool:
         """Insert a vector; returns False when it was already in the span."""
-        v, combo = self.reduce(vec)
+        v, rho, s = self.reduce(vec)
         if not v:
             return False
-        pivot = min(v, key=_word_key)
-        inv = 1 / v[pivot]
-        v = {w: a * inv for w, a in v.items()}
-        if self.track:
-            combo = {i: -a * inv for i, a in combo.items()}
-            if tag is not None:
-                combo[tag] = combo.get(tag, Fraction(0)) + inv
-        # back-substitute into existing rows so pivots stay exclusive
-        for idx, (rp, row, rcombo) in enumerate(self.rows):
-            c = row.get(pivot)
-            if not c:
-                continue
-            newrow = dict(row)
-            for w, a in v.items():
-                nv = newrow.get(w, Fraction(0)) - c * a
-                if nv:
-                    newrow[w] = nv
-                else:
-                    newrow.pop(w, None)
-            newcombo = rcombo
-            if self.track:
-                newcombo = dict(rcombo or {})
-                for i, a in combo.items():
-                    nv = newcombo.get(i, Fraction(0)) - c * a
-                    if nv:
-                        newcombo[i] = nv
-                    else:
-                        newcombo.pop(i, None)
-            self.rows[idx] = (rp, newrow, newcombo)
-        self.rows.append((pivot, v, combo if self.track else None))
-        self.rows.sort(key=lambda r: _word_key(r[0]))
+        if tag is not None:
+            rho[tag] = s
+        key = min(map(_word_key, v))
+        pivot = key[1]
+        g = gcd(*v.values(), *rho.values())
+        if v[pivot] < 0:
+            g = -g
+        if g != 1:
+            v = {w: x // g for w, x in v.items()}
+            rho = {t: x // g for t, x in rho.items()}
+        insort(self.rows, (key, pivot, v, rho))
         return True
-
-    def coords(self, vec: TVec) -> dict[int, Fraction] | None:
-        """Express vec over the inserted (tagged) vectors; None if outside."""
-        v, combo = self.reduce(vec)
-        if v:
-            return None
-        return combo
 
     @property
     def rank(self) -> int:
@@ -236,19 +254,19 @@ class _Echelon:
 
 def tensor_bracket(d1: int, v1: TVec, d2: int, v2: TVec) -> TVec:
     """[v1, v2] in tensor coordinates for homogeneous degrees d1, d2."""
-    sign = Fraction(-1 if (d1 * d2) % 2 else 1)
+    sign = -1 if (d1 * d2) % 2 else 1
     out: TVec = {}
     for w1, c1 in v1.items():
         for w2, c2 in v2.items():
             prod = c1 * c2
             k = w1 + w2
-            nv = out.get(k, Fraction(0)) + prod
+            nv = out.get(k, 0) + prod
             if nv:
                 out[k] = nv
             else:
                 out.pop(k, None)
             k = w2 + w1
-            nv = out.get(k, Fraction(0)) - sign * prod
+            nv = out.get(k, 0) - sign * prod
             if nv:
                 out[k] = nv
             else:
@@ -260,15 +278,17 @@ def tensor_bracket(d1: int, v1: TVec, d2: int, v2: TVec) -> TVec:
 class DegreeBasis:
     """Canonical ordered basis of one homogeneous piece.
 
-    monomials[i] is a left-normed bracket word (as a tree); vectors[i] its
-    tensor coordinates; the solver expresses arbitrary tensor vectors over
-    them.
+    monomials[i] is a left-normed bracket word (as a tree) and vectors[i]
+    its tensor coordinates, in integers.  blocks maps each content (the
+    sorted tuple of a word's letters) to the integer echelon of the basis
+    vectors of that content, tagged by their basis index; together they
+    solve for the coordinates of any tensor vector in the span.
     """
 
     degree: int
     monomials: tuple
     vectors: tuple
-    solver: _Echelon
+    blocks: dict
 
     @property
     def dim(self) -> int:
@@ -346,7 +366,7 @@ class FreeGLA:
             return cached
         if isinstance(tree, str):
             i = self.index_of(tree)
-            return self._degrees[i], {(i,): Fraction(1)}
+            return self._degrees[i], {(i,): 1}
         left, right = tree
         dl, vl = self.embed_tree(left)
         dr, vr = self.embed_tree(right)
@@ -407,11 +427,12 @@ class FreeGLA:
         """Canonical basis of the degree-k piece (k >= 1).
 
         Left-normed words are enumerated by (length, lex) and a word joins
-        the basis when its embedding is independent of the earlier ones in
-        the single tracked echelon that becomes the basis's solver.  The
-        enumeration stops once the rank reaches pbw_dim(k), which leaves the
-        basis of the full enumeration unchanged; running out of words below
-        that rank raises ArithmeticError.
+        the basis when its embedding is independent of the earlier words of
+        its content, in that content's echelon, which is also the solver for
+        the content.  The enumeration stops once the rank reaches
+        pbw_dim(k), which leaves the basis of the full enumeration
+        unchanged; running out of words below that rank raises
+        ArithmeticError.
         """
         if k < 1:
             raise ValueError("degrees start at 1")
@@ -419,24 +440,30 @@ class FreeGLA:
         if hit is not None:
             return hit
         dim = self.pbw_dim(k)
-        solver = _Echelon(track=True)
+        blocks: dict[Word, _Echelon] = {}
         monos = []
         vecs = []
         for indices in self._iter_words(k):
-            if solver.rank == dim:
+            if len(monos) == dim:
                 break
             tree = self._left_normed(indices)
             _, vec = self.embed_tree(tree)
-            if vec and solver.insert(vec, tag=len(monos)):
+            if not vec:
+                continue
+            content = tuple(sorted(indices))
+            block = blocks.get(content)
+            if block is None:
+                block = blocks[content] = _Echelon()
+            if block.insert(vec, len(monos)):
                 monos.append(tree)
                 vecs.append(vec)
-        if solver.rank != dim:
+        if len(monos) != dim:
             raise ArithmeticError(
-                f"left-normed words span {solver.rank} dimensions in degree "
+                f"left-normed words span {len(monos)} dimensions in degree "
                 f"{k}, the PBW series gives {dim}; "
                 "this indicates an internal basis bug"
             )
-        basis = DegreeBasis(k, tuple(monos), tuple(vecs), solver)
+        basis = DegreeBasis(k, tuple(monos), tuple(vecs), blocks)
         return self._basis.setdefault(k, basis)
 
     def dim(self, k: int) -> int:
@@ -508,15 +535,24 @@ class FreeGLA:
         elif k < 1:
             return ()
         basis = self.degree_basis(k)
-        if not vec:
-            return (Fraction(0),) * basis.dim
-        combo = basis.solver.coords(vec)
-        if combo is None:
-            raise ArithmeticError(
-                "tensor vector escaped the bracket span; "
-                "this indicates an internal basis bug"
+        coords = [_ZERO] * basis.dim
+        parts: dict[Word, TVec] = {}
+        for w, a in vec.items():
+            parts.setdefault(tuple(sorted(w)), {})[w] = a
+        for content, part in parts.items():
+            block = basis.blocks.get(content)
+            if block is None:
+                raise _escaped()
+            den = lcm(*[a.denominator for a in part.values()])
+            v, gamma, s = block.reduce(
+                {w: a.numerator * (den // a.denominator) for w, a in part.items()}
             )
-        return tuple(combo.get(i, Fraction(0)) for i in range(basis.dim))
+            if v:
+                raise _escaped()
+            s *= den
+            for t, x in gamma.items():
+                coords[t] = Fraction(-x, s)
+        return tuple(coords)
 
     def tensor_of(self, k: int, coords: Sequence[Fraction]) -> TVec:
         """Tensor coordinates of the element with degree-k basis coords."""
@@ -614,7 +650,7 @@ class FreeGLA:
         echelon = _Echelon()
         for i, g in enumerate(self.generators):
             if g.degree == k:
-                echelon.insert({(i,): Fraction(1)})
+                echelon.insert({(i,): 1})
         for p in range(1, k):
             q = k - p
             if q < 1:
@@ -624,7 +660,7 @@ class FreeGLA:
                     vec = tensor_bracket(p, u, q, v)
                     if vec:
                         echelon.insert(vec)
-        rows = [row for _, row, _ in echelon.rows]
+        rows = [row for _, _, row, _ in echelon.rows]
         return self._oracle.setdefault(k, rows)
 
     def dim_oracle(self, k: int) -> int:

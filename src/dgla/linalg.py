@@ -41,16 +41,8 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -104,9 +96,6 @@ class Matrix:
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         """self * other, multiplying only the nonzero entries of each row."""

@@ -276,3 +276,125 @@ def rand_relative_automorphism(rng, model, bound, max_factors=3) -> FilteredEndo
         result = candidate.compose(result)
         accepted += 1
     return result
+
+
+# -- reference Fraction echelon -----------------------------------------------
+#
+# One echelon over all words, in Fractions, with unit pivots and
+# back-substitution: independent of the integer content blocks of
+# `dgla.freelie`, it is the reference for their bases and coordinates.  It
+# wants Fraction entries: `1 / v[pivot]` on an int pivot would be a float.
+
+Word = tuple[int, ...]
+TVec = dict[Word, Fraction]
+
+
+def _word_key(w: Word) -> tuple[int, Word]:
+    return (len(w), w)
+
+
+class _Echelon:
+    """Mutually reduced sparse rows with deterministic pivots.
+
+    Rows are kept fully reduced against each other (pivot keys appear in one
+    row only) and scaled to unit pivot; pivot of a row is its minimal word in
+    (length, lex) order.  Optionally tracks how each row combines the
+    inserted vectors, which turns reduction into a coordinate solver.
+    """
+
+    __slots__ = ("rows", "track")
+
+    def __init__(self, track: bool = False):
+        self.rows: list[tuple[Word, TVec, dict[int, Fraction] | None]] = []
+        self.track = track
+
+    def reduce(self, vec: TVec) -> tuple[TVec, dict[int, Fraction]]:
+        v = dict(vec)
+        combo: dict[int, Fraction] = {}
+        for pivot, row, rcombo in self.rows:
+            c = v.get(pivot)
+            if not c:
+                continue
+            for w, a in row.items():
+                newval = v.get(w, Fraction(0)) - c * a
+                if newval:
+                    v[w] = newval
+                else:
+                    v.pop(w, None)
+            if self.track and rcombo:
+                for i, a in rcombo.items():
+                    newval = combo.get(i, Fraction(0)) + c * a
+                    if newval:
+                        combo[i] = newval
+                    else:
+                        combo.pop(i, None)
+        return v, combo
+
+    def insert(self, vec: TVec, tag: int | None = None) -> bool:
+        """Insert a vector; returns False when it was already in the span."""
+        v, combo = self.reduce(vec)
+        if not v:
+            return False
+        pivot = min(v, key=_word_key)
+        inv = 1 / v[pivot]
+        v = {w: a * inv for w, a in v.items()}
+        if self.track:
+            combo = {i: -a * inv for i, a in combo.items()}
+            if tag is not None:
+                combo[tag] = combo.get(tag, Fraction(0)) + inv
+        # back-substitute into existing rows so pivots stay exclusive
+        for idx, (rp, row, rcombo) in enumerate(self.rows):
+            c = row.get(pivot)
+            if not c:
+                continue
+            newrow = dict(row)
+            for w, a in v.items():
+                nv = newrow.get(w, Fraction(0)) - c * a
+                if nv:
+                    newrow[w] = nv
+                else:
+                    newrow.pop(w, None)
+            newcombo = rcombo
+            if self.track:
+                newcombo = dict(rcombo or {})
+                for i, a in combo.items():
+                    nv = newcombo.get(i, Fraction(0)) - c * a
+                    if nv:
+                        newcombo[i] = nv
+                    else:
+                        newcombo.pop(i, None)
+            self.rows[idx] = (rp, newrow, newcombo)
+        self.rows.append((pivot, v, combo if self.track else None))
+        self.rows.sort(key=lambda r: _word_key(r[0]))
+        return True
+
+    def coords(self, vec: TVec) -> dict[int, Fraction] | None:
+        """Express vec over the inserted (tagged) vectors; None if outside."""
+        v, combo = self.reduce(vec)
+        if v:
+            return None
+        return combo
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def as_fractions(vec) -> TVec:
+    return {w: Fraction(a) for w, a in vec.items()}
+
+
+def reference_solver(vectors) -> _Echelon:
+    """Tracked reference echelon with the i-th vector tagged i."""
+    echelon = _Echelon(track=True)
+    for i, vec in enumerate(vectors):
+        assert echelon.insert(as_fractions(vec), tag=i)
+    return echelon
+
+
+def reference_coords(solver: _Echelon, dim: int, vec) -> tuple | None:
+    """Coordinates of vec over the tagged vectors; None if outside their span."""
+    combo = solver.coords(as_fractions(vec))
+    if combo is None:
+        return None
+    return tuple(combo.get(i, Fraction(0)) for i in range(dim))

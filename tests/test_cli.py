@@ -521,6 +521,52 @@ def test_minimal_model_above_max_degree_names_file_and_field(files, capsys, tmp_
     assert out == "" and not out_path.exists()
 
 
+def _model_with_low_target(files):
+    # the target declares maxDegree 2 but has a degree-3 cell, and the
+    # degree-3 generator v has no explicit image, so its zero image is the
+    # first thing to reach above the bound
+    doc = _model_with(files)
+    doc["structureMap"] = {
+        "target": {
+            "kind": "findim_dgla",
+            "dims": {"1": 1, "3": 1},
+            "brackets": [],
+            "maxDegree": 2,
+        },
+        "images": {"x": "e_1_0", "w": "0"},
+    }
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, endos", [("invert", 1), ("equivalent", 2), ("pi0", 0)]
+)
+def test_model_target_above_max_degree_names_file_and_field(files, capsys, tmp_path, command, endos):
+    path = write(tmp_path, "low_model.json", _model_with_low_target(files))
+    argv = [command, path] + [files["endo_id"]] * endos + ["--max-degree", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    _assert_one_line_error(
+        code,
+        err,
+        f"{path}: structureMap.target.maxDegree: degree 3 exceeds the declared maximum degree 2",
+    )
+    assert out == ""
+
+
+def test_model_image_above_max_degree_keeps_its_own_field(files, capsys, tmp_path):
+    doc = _model_with_low_target(files)
+    doc["structureMap"]["images"]["v"] = "0"
+    path = write(tmp_path, "low_model.json", doc)
+    code, out, err = run(capsys, "pi0", path, "--max-degree", "2")
+    _assert_one_line_error(
+        code,
+        err,
+        f"{path}: structureMap: images[v]: degree 3 exceeds the declared maximum degree 2",
+    )
+    assert code == 2 and out == ""
+
+
 def test_validate_above_max_degree_names_file_and_field(capsys, tmp_path):
     # the degree-2 basis vector is the first thing the axioms reach above 1
     doc = {"kind": "findim_dgla", "dims": {"2": 1, "6": 1}, "maxDegree": 1}

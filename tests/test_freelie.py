@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgla.errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
-from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, _Echelon, bracket
+from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, bracket, tensor_bracket
+from helpers import (
+    _Echelon,
+    as_fractions,
+    rand_quasifree,
+    reference_coords,
+    reference_solver,
+)
 
 
 def L(*degrees):
@@ -317,7 +324,7 @@ def _exhaustive_basis(alg, k):
             for i in word[1:]:
                 tree = (tree, names[i])
             _, vec = alg.embed_tree(tree)
-            if vec and echelon.insert(vec):
+            if vec and echelon.insert(as_fractions(vec)):
                 monos.append(tree)
                 vecs.append(vec)
     return tuple(monos), tuple(vecs)
@@ -360,3 +367,129 @@ def test_degree_basis_refuses_a_short_span(monkeypatch):
     monkeypatch.setattr(alg, "pbw_dim", lambda k: 4)
     with pytest.raises(ArithmeticError, match="internal basis bug"):
         alg.degree_basis(2)
+
+
+# -- the integer content-block solver against the reference echelon -----------
+
+
+def _rand_rational(rng):
+    return Fraction(rng.randrange(-6, 7), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def _rand_combination(rng, alg, k):
+    """A random rational combination of degree-k basis vectors, as coordinates
+    and in tensor form (it mixes contents and has non-unit denominators)."""
+    coords = tuple(
+        _rand_rational(rng) if rng.random() < 0.6 else Fraction(0)
+        for _ in range(alg.dim(k))
+    )
+    return coords, alg.tensor_of(k, coords)
+
+
+def _assert_solver_matches_reference(alg, k, vec, expected=None):
+    basis = alg.degree_basis(k)
+    ref = reference_coords(reference_solver(basis.vectors), basis.dim, vec)
+    got = alg.basis_coords(k, vec)
+    assert got == ref, (k, vec)
+    assert all(type(c) is Fraction for c in got)
+    if expected is not None:
+        assert got == expected
+    assert alg.tensor_of(k, got) == {w: a for w, a in vec.items() if a}
+
+
+def test_basis_coords_match_the_reference_on_combinations_and_brackets():
+    rng = random.Random(41)
+    for degrees, top in [((1, 1, 1), 5), ((1, 2), 6), ((1, 1, 2), 5), ((2, 3), 8)]:
+        alg = L(*degrees)
+        for k in range(1, top + 1):
+            for _ in range(4):
+                coords, vec = _rand_combination(rng, alg, k)
+                _assert_solver_matches_reference(alg, k, vec, coords)
+            for p in range(1, k):
+                cp, vp = _rand_combination(rng, alg, p)
+                cq, vq = _rand_combination(rng, alg, k - p)
+                vec = tensor_bracket(p, vp, k - p, vq)
+                _assert_solver_matches_reference(alg, k, vec)
+                assert alg.basis_coords(k, vec) == alg.bracket_coords(p, cp, k - p, cq)
+
+
+def test_basis_coords_of_a_probe_with_many_contents_and_denominators():
+    # every coordinate nonzero, with denominators 5, 7, 9 and 11
+    alg = L(1, 1, 1)
+    basis = alg.degree_basis(4)
+    coords = tuple(Fraction(7 * i + 1, 5 + 2 * (i % 4)) for i in range(basis.dim))
+    vec = alg.tensor_of(4, coords)
+    assert len({tuple(sorted(w)) for w in vec}) > 3
+    _assert_solver_matches_reference(alg, 4, vec, coords)
+
+
+def test_d_matrix_matches_the_reference_solver():
+    rng = random.Random(7)
+    for _ in range(4):
+        algebra = rand_quasifree(rng, max_gens=4, max_degree=3)
+        gla, images = algebra.algebra, algebra.d_images()
+        for k in range(2, 6):
+            source = gla.degree_basis(k)
+            target = gla.degree_basis(k - 1)
+            solver = reference_solver(target.vectors)
+            expected = []
+            for vec in source.vectors:
+                image = gla.apply_derivation(-1, images, vec)
+                expected.append(reference_coords(solver, target.dim, image))
+            d = algebra.d_matrix(k)
+            assert [d.column(j) for j in range(d.cols)] == expected, k
+
+
+def test_a_non_lie_tensor_vector_escapes_the_span():
+    alg = L(1, 1)
+    # a single word of a content that has Lie elements: [g0,g1] = 01 + 10
+    with pytest.raises(ArithmeticError, match="escaped the bracket span"):
+        alg.basis_coords(2, {(0, 1): Fraction(1)})
+    # a half-Lie vector: the Lie part of content (0,0) plus a stray word
+    with pytest.raises(ArithmeticError, match="escaped the bracket span"):
+        alg.basis_coords(2, {(0, 0): 2, (0, 1): Fraction(1, 3)})
+    # a content with no Lie element at all: g0 g0 for an even generator
+    with pytest.raises(ArithmeticError, match="escaped the bracket span"):
+        L(2).basis_coords(4, {(0, 0): 1})
+
+
+def test_basis_coords_keeps_letter_multiplicities_apart():
+    # contents (0,0,1) and (0,1,1) share their set of letters
+    alg = L(1, 1)
+    x, y = LiePoly.gen("g0"), LiePoly.gen("g1")
+    _, xxy = alg.embed(bracket(bracket(x, y), x))
+    _, xyy = alg.embed(bracket(bracket(x, y), y))
+    vec = {w: 3 * a for w, a in xxy.items()}
+    for w, a in xyy.items():
+        vec[w] = vec.get(w, 0) - Fraction(a, 2)
+    _assert_solver_matches_reference(alg, 3, vec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    degrees=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_basis_coords_match_the_reference_random(degrees, k, seed):
+    alg = L(*degrees)
+    rng = random.Random(seed)
+    coords, vec = _rand_combination(rng, alg, k)
+    _assert_solver_matches_reference(alg, k, vec, coords)
+    if k > 1:
+        p = rng.randrange(1, k)
+        _, vp = _rand_combination(rng, alg, p)
+        _, vq = _rand_combination(rng, alg, k - p)
+        _assert_solver_matches_reference(alg, k, tensor_bracket(p, vp, k - p, vq))
+
+
+@pytest.mark.parametrize("degrees, k", [((1, 1), 5), ((1, 1, 2), 5), ((2, 1, 1), 6)])
+def test_each_content_block_holds_only_its_own_words(degrees, k):
+    alg = L(*degrees)
+    basis = alg.degree_basis(k)
+    contents = {tuple(sorted(w)) for vec in basis.vectors for w in vec}
+    assert set(basis.blocks) == contents
+    for content, block in basis.blocks.items():
+        for _, _, row, _ in block.rows:
+            assert {tuple(sorted(w)) for w in row} == {content}
+    assert sum(block.rank for block in basis.blocks.values()) == basis.dim

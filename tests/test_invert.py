@@ -12,7 +12,7 @@ from dgla.errors import (
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
 from dgla.invert import FilteredEndo, invert_relative_quasi_iso, is_relative_automorphism
-from dgla.minimal import RelativeModel, Stage
+from dgla.minimal import RelativeModel, Stage, verify_model
 
 from helpers import rand_minimal_model, rand_relative_automorphism
 
@@ -180,3 +180,23 @@ def test_double_inversion_returns_original():
     h = invert_relative_quasi_iso(g, bound)
     for gen in model.dgla.generators:
         assert h.image(gen.name) == f.image(gen.name)
+
+
+def test_structure_map_after_a_relative_automorphism_is_still_a_model():
+    # q o f is again a relative quasi-isomorphism that agrees with q on the base
+    rng = random.Random(404)
+    done = 0
+    while done < 3:
+        model, original = rand_minimal_model(rng, 3)
+        if not model.fiber_names:
+            continue
+        bound = model.max_generator_degree()
+        f = rand_relative_automorphism(rng, model, bound)
+        twisted = RelativeModel(model.dgla, model.base_names, model.stages, model.q.compose(f))
+        report = verify_model(twisted, 3, against=original)
+        assert report.ok, (done, report.failed())
+        # control: killing the fiber is no quasi-isomorphism, and it shows
+        kill = FilteredEndo(model, {n: model.dgla.zero(model.degree_of(n)) for n in model.fiber_names})
+        killed = RelativeModel(model.dgla, model.base_names, model.stages, model.q.compose(kill))
+        assert not verify_model(killed, 3, against=original).ok
+        done += 1
