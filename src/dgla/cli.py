@@ -15,7 +15,13 @@ import sys
 from pathlib import Path
 
 from .dg import QuasiFreeDGLA, validate
-from .errors import DglaError, FormatError, ParseError, TargetNotFiniteType
+from .errors import (
+    DegreeBoundExceeded,
+    DglaError,
+    FormatError,
+    ParseError,
+    TargetNotFiniteType,
+)
 from .formats import (
     canonical_json,
     dgla_from_doc,
@@ -44,18 +50,21 @@ def _emit(text: str):
 
 
 @contextlib.contextmanager
-def _within_max_degree(path: str, field: str = "maxDegree"):
-    """Name the file and its maxDegree field when work reaches above it.
+def _within_max_degree(
+    path: str, field: str = "maxDegree", error: type[DglaError] = TargetNotFiniteType
+):
+    """Name the file and the bound (a maxDegree field or the --max-degree
+    flag) when work reaches above it.
 
     An error that already names the file, such as one from an image
     expression, passes unchanged.
     """
     try:
         yield
-    except TargetNotFiniteType as e:
+    except error as e:
         if str(e).startswith(f"{path}: "):
             raise
-        raise TargetNotFiniteType(f"{path}: {field}: {e}") from None
+        raise error(f"{path}: {field}: {e}") from None
 
 
 def _load_validated_algebra(path: str):
@@ -157,7 +166,8 @@ def cmd_equivalent(args) -> int:
     model = _load_model(args.model)
     f = endo_from_doc(load_document(args.endo1), model, context=args.endo1)
     g = endo_from_doc(load_document(args.endo2), model, context=args.endo2)
-    verdict = are_homotopic_rel(f, g, args.max_degree)
+    with _within_max_degree(args.model, "--max-degree", DegreeBoundExceeded):
+        verdict = are_homotopic_rel(f, g, args.max_degree)
     witness = None
     if verdict.witness is not None:
         witness = {
@@ -184,7 +194,8 @@ def cmd_equivalent(args) -> int:
 
 def cmd_pi0(args) -> int:
     model = _load_model(args.model)
-    report = pi0_report(model, args.max_degree)
+    with _within_max_degree(args.model, "--max-degree", DegreeBoundExceeded):
+        report = pi0_report(model, args.max_degree)
     if args.format == "table":
         _emit(_style("pi0 report", "1"))
         _emit(f"truncation degree  {report['truncationDegree']}")

@@ -45,6 +45,7 @@ from .linalg import (
     solve_pivot,
     vec_is_zero,
     vec_sub,
+    zero_vector,
 )
 from .minimal import RelativeModel, is_minimal
 
@@ -186,17 +187,20 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
     Column (w, j) is the derivation theta sending w to the basis vector e_j
     of degree |w| + r.  In w's own block it holds column j of
     d_matrix(|w| + r); every block g adds the derivation sending w to
-    -(-1)^r e_j, applied to d g.
+    -(-1)^r e_j, applied to d g.  That term is zero when no word of d g
+    contains the letter w, and is then not computed.
     """
     dgla = model.dgla
     algebra = dgla.algebra
     d_images = dgla.d_images()
     sign = -1 if r % 2 else 1
-    blocks = [
-        (g, d_images.get(algebra.index_of(g.name), {}))
-        for g in model.fiber_generators
-        if g.degree + r - 1 >= 1
-    ]
+    blocks = []
+    for g in model.fiber_generators:
+        k = g.degree + r - 1
+        if k >= 1:
+            d_g = d_images.get(algebra.index_of(g.name), {})
+            letters = {x for word in d_g for x in word}
+            blocks.append((g, k, d_g, letters, zero_vector(dgla.dim(k))))
     cols = []
     for w in model.fiber_generators:
         k = w.degree + r
@@ -207,10 +211,13 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
         for j, e_j in enumerate(algebra.degree_basis(k).vectors):
             theta = {letter: {word: -sign * a for word, a in e_j.items()}}
             col = []
-            for g, d_g in blocks:
-                value = algebra.basis_coords(
-                    g.degree + r - 1, algebra.apply_derivation(r, theta, d_g)
-                )
+            for g, k_g, d_g, letters, zero in blocks:
+                if letter in letters:
+                    value = algebra.basis_coords(
+                        k_g, algebra.apply_derivation(r, theta, d_g)
+                    )
+                else:
+                    value = zero
                 if g.name == w.name:
                     value = [a + b for a, b in zip(d_cols[j], value)]
                 col.extend(value)

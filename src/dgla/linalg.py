@@ -1,21 +1,27 @@
 """Exact dense linear algebra over the rationals.
 
 Everything downstream (homology ranks, sections, quotients) reduces to the
-operations in this module, so the contract is strict: entries are
-`fractions.Fraction` in lowest terms, results are exact and reproducible
-bit-for-bit, and every "choice" (sections, coset representatives) is pinned
-to the reduced-row-echelon pivot rule.  Matrices and subspaces are immutable
-after construction and safe to share between threads.
+operations in this module, so the contract is strict: at every public
+boundary entries are `fractions.Fraction` in lowest terms, results are exact
+and reproducible bit-for-bit, and every "choice" (sections, coset
+representatives) is pinned to the reduced-row-echelon pivot rule.  Inside,
+`Matrix.rref` eliminates on primitive integer rows and divides by each pivot
+only once the rows are reduced; kernels, spans, solutions and inverses all
+read its result.  Matrices and subspaces are immutable after construction
+and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotSurjective
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
@@ -49,6 +55,20 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+def _primitive_row(row: Vector) -> list[int]:
+    """row scaled to coprime integers: times the lcm of its denominators,
+    divided by the gcd of the resulting numerators."""
+    den = lcm(*[e.denominator for e in row])
+    if den == 1:
+        ints = [e.numerator for e in row]
+    else:
+        ints = [e.numerator * (den // e.denominator) for e in row]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints
+
+
 class Matrix:
     """Immutable dense matrix of exact rationals."""
 
@@ -70,6 +90,20 @@ class Matrix:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "data", rows)
         object.__setattr__(self, "_rref", None)
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[Vector, ...], cols: int) -> "Matrix":
+        """Trusted constructor for rows of Fractions this module computed.
+
+        Skips the coercion and the shape checks of `Matrix(...)`; the rows
+        must be tuples of `Fraction`s, each of length `cols`.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", rows)
+        object.__setattr__(m, "_rref", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -103,14 +137,14 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
         out = []
         for row in self.data:
-            acc = [Fraction(0)] * other.cols
+            acc = [_ZERO] * other.cols
             for c, orow in zip(row, other.data):
                 if c:
                     for j, b in enumerate(orow):
                         if b:
                             acc[j] += c * b
-            out.append(acc)
-        return Matrix(out, cols=other.cols)
+            out.append(tuple(acc))
+        return Matrix._of_rows(tuple(out), other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """M v, multiplying only the nonzero entries of v."""
@@ -146,34 +180,56 @@ class Matrix:
         """Reduced row echelon form with its pivot columns.
 
         Pivot rule: scan columns left to right, take the first row (top to
-        bottom) with a nonzero entry.  The result is the unique RREF, cached
-        on first use.
+        bottom) at or below the current pivot row with a nonzero entry.  The
+        elimination runs on primitive integer rows: each row is scaled once
+        by the lcm of its denominators, a row operation is
+        (p/g)*row - (c/g)*pivot_row with g = gcd(p, c), and the changed row is
+        divided by the gcd of its entries.  Only the finished rows are
+        divided by their pivots.  The RREF is unique, so the result is the
+        one Fraction elimination gives; it is cached on first use.
         """
         if self._rref is not None:
             return self._rref
-        work = [list(r) for r in self.data]
+        nrows, ncols = self.rows, self.cols
+        work = [_primitive_row(r) for r in self.data]
         pivots: list[int] = []
         prow = 0
-        for pcol in range(self.cols):
-            if prow >= self.rows:
+        for pcol in range(ncols):
+            if prow >= nrows:
                 break
             hit = None
-            for i in range(prow, self.rows):
-                if work[i][pcol] != 0:
+            for i in range(prow, nrows):
+                if work[i][pcol]:
                     hit = i
                     break
             if hit is None:
                 continue
             work[prow], work[hit] = work[hit], work[prow]
-            inv = 1 / work[prow][pcol]
-            work[prow] = [e * inv for e in work[prow]]
-            for i in range(self.rows):
-                if i != prow and work[i][pcol] != 0:
-                    c = work[i][pcol]
-                    work[i] = [a - c * b for a, b in zip(work[i], work[prow])]
+            pivot_row = work[prow]
+            p = pivot_row[pcol]
+            support = [(j, b) for j, b in enumerate(pivot_row) if b]
+            for i in range(nrows):
+                row = work[i]
+                c = row[pcol]
+                if c and i != prow:
+                    g = gcd(p, c)
+                    a, c = p // g, c // g
+                    if a != 1:
+                        row = [a * x for x in row]
+                    for j, b in support:
+                        row[j] -= c * b
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+                    work[i] = row
             pivots.append(pcol)
             prow += 1
-        result = (Matrix(work, cols=self.cols), tuple(pivots))
+        out = []
+        for row, pcol in zip(work, pivots):
+            p = row[pcol]
+            out.append(tuple(Fraction(x, p) if x else _ZERO for x in row))
+        out.extend([(_ZERO,) * ncols] * (nrows - prow))
+        result = (Matrix._of_rows(tuple(out), ncols), tuple(pivots))
         object.__setattr__(self, "_rref", result)
         return result
 
@@ -192,7 +248,7 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
         if vecs:
-            reduced, pivots = Matrix(vecs, cols=ambient_dim).rref()
+            reduced, pivots = Matrix._of_rows(tuple(vecs), ambient_dim).rref()
             rows = [reduced.row(i) for i in range(len(pivots))]
         else:
             rows, pivots = [], ()
@@ -272,13 +328,14 @@ def section_of_surjection(m: Matrix) -> Matrix:
         raise NotSurjective(
             f"matrix has row rank {len(pivots)} < {m.rows}: not a surjection"
         )
-    square = Matrix.from_columns([m.column(p) for p in pivots], m.rows)
+    square = Matrix._of_rows(
+        tuple(tuple(row[p] for p in pivots) for row in m.data), m.rows
+    )
     inv = invert(square)
-    out = [[Fraction(0)] * m.rows for _ in range(m.cols)]
+    out = [(_ZERO,) * m.rows] * m.cols
     for r, p in enumerate(pivots):
-        for j in range(m.rows):
-            out[p][j] = inv.data[r][j]
-    return Matrix(out, cols=m.rows)
+        out[p] = inv.data[r]
+    return Matrix._of_rows(tuple(out), m.rows)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -286,11 +343,13 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = Matrix([list(m.data[i]) + list(unit_vector(n, i)) for i in range(n)], cols=2 * n)
+    aug = Matrix._of_rows(
+        tuple(m.data[i] + unit_vector(n, i) for i in range(n)), 2 * n
+    )
     reduced, pivots = aug.rref()
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([reduced.row(i)[n:] for i in range(n)], cols=n)
+    return Matrix._of_rows(tuple(reduced.row(i)[n:] for i in range(n)), n)
 
 
 def quotient_data(ambient: int, sub: Subspace) -> tuple[Matrix, list[Vector]]:
@@ -307,12 +366,12 @@ def quotient_data(ambient: int, sub: Subspace) -> tuple[Matrix, list[Vector]]:
     complement = [j for j in range(ambient) if j not in pivot_set]
     rows = []
     for c in complement:
-        row = [Fraction(0)] * ambient
+        row = [_ZERO] * ambient
         row[c] = Fraction(1)
         for bvec, p in zip(sub.basis, sub.pivots):
             row[p] = -bvec[c]
-        rows.append(row)
-    projection = Matrix(rows, cols=ambient)
+        rows.append(tuple(row))
+    projection = Matrix._of_rows(tuple(rows), ambient)
     reps = [unit_vector(ambient, c) for c in complement]
     return projection, reps
 
@@ -330,13 +389,13 @@ def solve_pivot(m: Matrix, v: Sequence[Fraction]) -> Vector | None:
     v = vector(v)
     if len(v) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = Matrix(
-        [list(m.data[i]) + [v[i]] for i in range(m.rows)], cols=m.cols + 1
+    aug = Matrix._of_rows(
+        tuple(row + (b,) for row, b in zip(m.data, v)), m.cols + 1
     )
     reduced, pivots = aug.rref()
     if m.cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
+    x = [_ZERO] * m.cols
     for r, p in enumerate(pivots):
         x[p] = reduced.data[r][m.cols]
     return tuple(x)

@@ -8,7 +8,9 @@ filtered through the real chain-map/automorphism checks, because on models
 with nonzero fiber differentials not every such factor is a chain map.
 """
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
 from dgla.freelie import FreeGLA, GradedGenerator, LiePoly
@@ -398,3 +400,43 @@ def reference_coords(solver: _Echelon, dim: int, vec) -> tuple | None:
     if combo is None:
         return None
     return tuple(combo.get(i, Fraction(0)) for i in range(dim))
+
+
+# -- reference Fraction Gauss-Jordan elimination -----------------------------
+#
+# The elimination `Matrix.rref` ran on Fractions before its integer kernel,
+# without the cache.  Installed in place of `Matrix.rref`, it gives every
+# function of `dgla.linalg` that reduces a matrix its reference result.
+
+
+def reference_rref(self: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    work = [list(r) for r in self.data]
+    pivots: list[int] = []
+    prow = 0
+    for pcol in range(self.cols):
+        if prow >= self.rows:
+            break
+        hit = None
+        for i in range(prow, self.rows):
+            if work[i][pcol] != 0:
+                hit = i
+                break
+        if hit is None:
+            continue
+        work[prow], work[hit] = work[hit], work[prow]
+        inv = 1 / work[prow][pcol]
+        work[prow] = [e * inv for e in work[prow]]
+        for i in range(self.rows):
+            if i != prow and work[i][pcol] != 0:
+                c = work[i][pcol]
+                work[i] = [a - c * b for a, b in zip(work[i], work[prow])]
+        pivots.append(pcol)
+        prow += 1
+    return (Matrix(work, cols=self.cols), tuple(pivots))
+
+
+@contextlib.contextmanager
+def reference_elimination():
+    """Run `Matrix.rref`, and all of linalg through it, on the reference."""
+    with mock.patch.object(Matrix, "rref", reference_rref):
+        yield

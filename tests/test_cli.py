@@ -554,6 +554,38 @@ def test_model_target_above_max_degree_names_file_and_field(files, capsys, tmp_p
     assert out == ""
 
 
+def test_pi0_below_model_degree_names_file_and_flag(files, capsys):
+    code, out, err = run(capsys, "pi0", files["model"], "--max-degree", "2")
+    assert code == 2
+    _assert_one_line_error(
+        code,
+        err,
+        f"{files['model']}: --max-degree: model has generators of degree 3, "
+        "beyond the bound 2",
+    )
+    assert out == ""
+
+
+def test_equivalent_below_model_degree_names_file_and_flag(files, capsys):
+    code, out, err = run(
+        capsys,
+        "equivalent",
+        files["model"],
+        files["endo_id"],
+        files["endo_shift"],
+        "--max-degree",
+        "2",
+    )
+    assert code == 2
+    _assert_one_line_error(
+        code,
+        err,
+        f"{files['model']}: --max-degree: derivations of degree 0 need bases "
+        "up to degree 3, beyond the bound 2",
+    )
+    assert out == ""
+
+
 def test_model_image_above_max_degree_keeps_its_own_field(files, capsys, tmp_path):
     doc = _model_with_low_target(files)
     doc["structureMap"]["images"]["v"] = "0"

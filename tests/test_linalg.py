@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgla.errors import NotSurjective
+from helpers import reference_elimination
 from dgla.linalg import (
     Matrix,
     Subspace,
@@ -274,3 +275,111 @@ def test_mul_matches_dense_triple_sum(case):
 def test_mul_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         Matrix.identity(2).mul(Matrix.zero(3, 1))
+
+
+# -- the integer kernel against the Fraction reference and sympy --------------
+
+_entry = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+)
+
+
+@st.composite
+def _rational_matrix(draw):
+    """Shapes 0-7 x 0-7, mostly zero entries, repeated, scaled and zero rows."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    sparsity = draw(st.integers(0, 4))
+    data = []
+    for i in range(rows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "scaled"]))
+        if kind in ("copy", "scaled") and data:
+            source = data[draw(st.integers(0, len(data) - 1))]
+            c = draw(_entry) if kind == "scaled" else Fraction(1)
+            data.append([c * e for e in source])
+        elif kind == "zero":
+            data.append([Fraction(0)] * cols)
+        else:
+            data.append(
+                [
+                    draw(_entry) if draw(st.integers(0, sparsity)) == 0 else Fraction(0)
+                    for _ in range(cols)
+                ]
+            )
+    return data, cols
+
+
+def _linalg_results(data, cols, x, rhs):
+    """What every rref-backed function of linalg gives on one matrix."""
+    m = Matrix(data, cols=cols)
+    out = {"rref": m.rref()}
+    kernel = kernel_basis(m)
+    out["kernel"] = (kernel.basis, kernel.pivots)
+    span = Subspace(cols, data)
+    out["span"] = (span.basis, span.pivots)
+    out["solve consistent"] = solve_pivot(m, m.apply(x))
+    out["solve"] = solve_pivot(m, rhs)
+    if m.rows == m.cols:
+        try:
+            out["invert"] = invert(m)
+        except ValueError:
+            out["invert"] = "singular"
+    try:
+        out["section"] = section_of_surjection(m)
+    except NotSurjective:
+        out["section"] = "not surjective"
+    return out
+
+
+def _rational_entries(results):
+    """Every rational entry of the results: matrices, bases and solutions."""
+    reduced, _ = results["rref"]
+    yield from (e for row in reduced.data for e in row)
+    for key in ("kernel", "span"):
+        yield from (e for vec in results[key][0] for e in vec)
+    for key in ("solve consistent", "solve"):
+        yield from results[key] or ()
+    for key in ("invert", "section"):
+        if isinstance(results.get(key), Matrix):
+            yield from (e for row in results[key].data for e in row)
+
+
+@given(_rational_matrix(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_kernel_matches_fraction_reference(case, data):
+    rows, cols = case
+    x = tuple(data.draw(st.lists(_entry, min_size=cols, max_size=cols)))
+    rhs = tuple(data.draw(st.lists(_entry, min_size=len(rows), max_size=len(rows))))
+    with reference_elimination():
+        expected = _linalg_results(rows, cols, x, rhs)
+    got = _linalg_results(rows, cols, x, rhs)
+    assert got == expected
+    assert got["solve consistent"] is not None
+    # an int here would turn a later 1 / e into a float
+    assert all(type(e) is Fraction for e in _rational_entries(got))
+
+
+def test_rref_rank_and_nullity_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @given(_rational_matrix())
+    @settings(max_examples=150, deadline=None)
+    def check(case):
+        rows, cols = case
+        m = Matrix(rows, cols=cols)
+        reduced, pivots = m.rref()
+        theirs = sympy.Matrix(
+            len(rows),
+            cols,
+            [sympy.Rational(e.numerator, e.denominator) for row in rows for e in row],
+        )
+        their_reduced, their_pivots = theirs.rref()
+        assert pivots == tuple(their_pivots)
+        assert len(pivots) == theirs.rank()
+        assert reduced.data == tuple(
+            tuple(Fraction(int(e.p), int(e.q)) for e in their_reduced.row(i))
+            for i in range(len(rows))
+        )
+        assert len(kernel_basis(m).basis) == len(theirs.nullspace())
+
+    check()
