@@ -116,7 +116,26 @@ class HomologyData:
         return tuple(out)
 
 
-class QuasiFreeDGLA:
+class _DGLA:
+    """Zero elements and homology, memoized single-assignment per degree,
+    for both kinds of dg Lie algebra, plus the slot of `validate`'s memo;
+    subclasses define `dim` and `d_matrix`."""
+
+    def __init__(self):
+        self._homology: dict[int, HomologyData] = {}
+        self._validation: ValidationReport | None = None
+
+    def zero(self, k: int) -> Element:
+        return Element(k, zero_vector(self.dim(k)))
+
+    def homology(self, k: int) -> HomologyData:
+        hit = self._homology.get(k)
+        if hit is not None:
+            return hit
+        return self._homology.setdefault(k, HomologyData(self, k))
+
+
+class QuasiFreeDGLA(_DGLA):
     """A free graded Lie algebra with a generator-specified differential.
 
     The constructor stores data without heavy checks so that `validate` can
@@ -127,6 +146,7 @@ class QuasiFreeDGLA:
     kind = "quasi-free"
 
     def __init__(self, generators: Sequence[GradedGenerator], differential: dict[str, LiePoly]):
+        super().__init__()
         self.generators = tuple(generators)
         self.differential = {
             name: p for name, p in differential.items() if not p.is_zero()
@@ -134,8 +154,6 @@ class QuasiFreeDGLA:
         self._algebra: FreeGLA | None = None
         self._d_images: dict[int, TVec] | None = None
         self._d: dict[int, Matrix] = {}
-        self._homology: dict[int, HomologyData] = {}
-        self._validation: ValidationReport | None = None
 
     @property
     def algebra(self) -> FreeGLA:
@@ -145,9 +163,6 @@ class QuasiFreeDGLA:
 
     def dim(self, k: int) -> int:
         return self.algebra.dim(k) if k >= 1 else 0
-
-    def zero(self, k: int) -> Element:
-        return Element(k, zero_vector(self.dim(k)))
 
     def d_images(self) -> dict[int, TVec]:
         """d on the generators in tensor form, keyed by generator index."""
@@ -177,9 +192,6 @@ class QuasiFreeDGLA:
         coords = self.algebra.bracket_coords(a.degree, a.coords, b.degree, b.coords)
         return Element(a.degree + b.degree, coords)
 
-    def atoms(self) -> tuple[tuple[str, int], ...]:
-        return tuple((g.name, g.degree) for g in self.generators)
-
     def atom(self, name: str) -> Element:
         d, i = self.algebra.atom(name)
         coords = [Fraction(0)] * self.dim(d)
@@ -201,15 +213,6 @@ class QuasiFreeDGLA:
     def eval_terms(self, terms: Terms, expected_degree: int | None = None) -> Element:
         return self.element(LiePoly.from_terms(terms), expected_degree)
 
-    def homology(self, k: int) -> HomologyData:
-        hit = self._homology.get(k)
-        if hit is not None:
-            return hit
-        return self._homology.setdefault(k, HomologyData(self, k))
-
-    def degrees_with_generators(self) -> tuple[int, ...]:
-        return tuple(sorted({g.degree for g in self.generators}))
-
     def max_generator_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
 
@@ -218,7 +221,7 @@ def _atom_name(k: int, i: int) -> str:
     return f"e_{k}_{i}"
 
 
-class FiniteDimDGLA:
+class FiniteDimDGLA(_DGLA):
     """Graded Lie algebra given by dimensions, structure constants and d.
 
     Basis vectors are addressed as e_<degree>_<index>.  Structure constants
@@ -237,6 +240,7 @@ class FiniteDimDGLA:
         d_mats: dict[int, Matrix] | None = None,
         max_degree: int | None = None,
     ):
+        super().__init__()
         self.dims = {int(k): int(n) for k, n in dims.items() if int(n) != 0}
         self.raw_brackets = dict(brackets or {})
         self.d_mats = {}
@@ -252,8 +256,6 @@ class FiniteDimDGLA:
         self.max_degree = max_degree
         self._table: dict[tuple[int, int, int, int], Vector] | None = None
         self._conflicts: list[str] = []
-        self._homology: dict[int, HomologyData] = {}
-        self._validation: ValidationReport | None = None
 
     def dim(self, k: int) -> int:
         if k < 1:
@@ -263,12 +265,6 @@ class FiniteDimDGLA:
                 f"degree {k} exceeds the declared maximum degree {self.max_degree}"
             )
         return self.dims.get(k, 0)
-
-    def zero(self, k: int) -> Element:
-        return Element(k, zero_vector(self.dim(k)))
-
-    def degrees_with_generators(self) -> tuple[int, ...]:
-        return tuple(sorted(self.dims))
 
     def max_generator_degree(self) -> int:
         return max(self.dims, default=0)
@@ -321,13 +317,6 @@ class FiniteDimDGLA:
                         out[t] += c * val
         return Element(k, tuple(out))
 
-    def atoms(self) -> tuple[tuple[str, int], ...]:
-        out = []
-        for k in sorted(self.dims):
-            for i in range(self.dims[k]):
-                out.append((_atom_name(k, i), k))
-        return tuple(out)
-
     def atom(self, name: str) -> Element:
         parts = name.split("_")
         if len(parts) == 3 and parts[0] == "e":
@@ -378,12 +367,6 @@ class FiniteDimDGLA:
             (c, _atom_name(el.degree, i)) for i, c in enumerate(el.coords) if c != 0
         ]
         return format_terms(terms)
-
-    def homology(self, k: int) -> HomologyData:
-        hit = self._homology.get(k)
-        if hit is not None:
-            return hit
-        return self._homology.setdefault(k, HomologyData(self, k))
 
 
 class DGLAMorphism:

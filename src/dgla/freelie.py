@@ -14,11 +14,13 @@ The content of a word is the multiset of its letters.  The embedding of a
 bracket monomial only has words of the monomial's content, so the span
 splits into one independent block per content, and the greedy basis of the
 whole enumeration is the union of the blocks' greedy bases.  Each block is
-one echelon of primitive integer rows (all embedding coefficients are
-integers), reduced fraction-free in pivot order.  Reducing a vector tracks
+one `linalg._Echelon`, the package's one elimination engine, on sparse rows
+of primitive integers keyed by words (all embedding coefficients are
+integers); a row's pivot is its least word, and since all words of a content
+have the same length, plain lexicographic order.  Reducing a vector tracks
 an integer combination gamma of the block's basis vectors and a scale s,
-and a vector in the span has coordinates -gamma/s.  That echelon then serves as the content's
-coordinate solver.  Fractions appear only at the boundary, in
+and a vector in the span has coordinates -gamma/s, so the echelon is also
+the content's coordinate solver.  Fractions appear only at the boundary, in
 `basis_coords` and so in `bracket_table` and the d-matrices built from it.
 The enumeration stops once the total rank reaches the dimension the PBW
 series predicts, since no later word can add to the span.  There is no
@@ -35,21 +37,21 @@ Koszul sign (-1)^{r |prefix|}, and `basis_coords` reads the result back into
 the degree basis.
 
 Tensor-space vectors are sparse dicts keyed by words (tuples of generator
-indices), with int or Fraction values; words are ordered by (length,
-tuple), and that order drives every pivot choice.
+indices), with int or Fraction values.  Words are enumerated by (length,
+tuple), which fixes which monomials join a basis; within a content block
+the pivots follow tuple order.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
 from .exprs import Terms, format_terms, tree_sort_key
-from .linalg import Vector
+from .linalg import Vector, _clear_denominators, _Echelon
 
 Word = tuple[int, ...]
 TVec = dict[Word, int | Fraction]
@@ -163,93 +165,6 @@ def _escaped() -> ArithmeticError:
     return ArithmeticError(
         "tensor vector escaped the bracket span; this indicates an internal basis bug"
     )
-
-
-def _word_key(w: Word) -> tuple[int, Word]:
-    return (len(w), w)
-
-
-class _Echelon:
-    """Triangular rows of primitive integers with deterministic pivots.
-
-    The pivot of a row is its minimal word in (length, lex) order and rows
-    are kept sorted by pivot, so a row holds no smaller pivot.  Reducing a
-    vector is then one pass in pivot order with fraction-free steps
-    v <- (r_p/g) v - (v_p/g) row, where g = gcd(r_p, v_p); nothing is ever
-    back-substituted into the existing rows.  Each row carries an integer
-    combination rho of the tagged vectors inserted so far, with
-    row = sum_t rho_t vec_t, and the row and rho are divided by their common
-    gcd together, pivot entry positive.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: list[tuple[tuple[int, Word], Word, dict[Word, int], dict[int, int]]] = []
-
-    def reduce(self, vec: dict[Word, int]) -> tuple[dict[Word, int], dict[int, int], int]:
-        """(v, gamma, s) with v = s*vec + sum_t gamma_t vec_t and s > 0.
-
-        v holds no pivot, so it is empty exactly when vec lies in the span;
-        then vec has coordinates -gamma_t/s over the tagged vectors.
-        """
-        v = dict(vec)
-        gamma: dict[int, int] = {}
-        s = 1
-        for _, pivot, row, rho in self.rows:
-            c = v.get(pivot)
-            if not c:
-                continue
-            r = row[pivot]
-            g = gcd(r, c)
-            a, b = r // g, c // g
-            if a != 1:
-                for w in v:
-                    v[w] *= a
-                for t in gamma:
-                    gamma[t] *= a
-                s *= a
-            for w, x in row.items():
-                nv = v.get(w, 0) - b * x
-                if nv:
-                    v[w] = nv
-                else:
-                    del v[w]
-            for t, x in rho.items():
-                nv = gamma.get(t, 0) - b * x
-                if nv:
-                    gamma[t] = nv
-                else:
-                    del gamma[t]
-            if a != 1:
-                g = gcd(s, *v.values(), *gamma.values())
-                if g != 1:
-                    v = {w: x // g for w, x in v.items()}
-                    gamma = {t: x // g for t, x in gamma.items()}
-                    s //= g
-        return v, gamma, s
-
-    def insert(self, vec: dict[Word, int], tag: int | None = None) -> bool:
-        """Insert a vector; returns False when it was already in the span."""
-        v, rho, s = self.reduce(vec)
-        if not v:
-            return False
-        if tag is not None:
-            rho[tag] = s
-        key = min(map(_word_key, v))
-        pivot = key[1]
-        g = gcd(*v.values(), *rho.values())
-        if v[pivot] < 0:
-            g = -g
-        if g != 1:
-            v = {w: x // g for w, x in v.items()}
-            rho = {t: x // g for t, x in rho.items()}
-        insort(self.rows, (key, pivot, v, rho))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def tensor_bracket(d1: int, v1: TVec, d2: int, v2: TVec) -> TVec:
@@ -543,10 +458,8 @@ class FreeGLA:
             block = basis.blocks.get(content)
             if block is None:
                 raise _escaped()
-            den = lcm(*[a.denominator for a in part.values()])
-            v, gamma, s = block.reduce(
-                {w: a.numerator * (den // a.denominator) for w, a in part.items()}
-            )
+            ints, den = _clear_denominators(part)
+            v, gamma, s = block.reduce(ints)
             if v:
                 raise _escaped()
             s *= den
@@ -660,7 +573,7 @@ class FreeGLA:
                     vec = tensor_bracket(p, u, q, v)
                     if vec:
                         echelon.insert(vec)
-        rows = [row for _, _, row, _ in echelon.rows]
+        rows = [row for _, row, _ in echelon.rows]
         return self._oracle.setdefault(k, rows)
 
     def dim_oracle(self, k: int) -> int:

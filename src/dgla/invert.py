@@ -145,10 +145,11 @@ def invert_relative_quasi_iso(f: FilteredEndo, bound: int) -> FilteredEndo:
         raise DegreeBoundTooSmall("the degree bound must be at least 1")
     model = f.model
     dgla = model.dgla
-    if not is_minimal(model).is_minimal:
+    minimality = is_minimal(model)
+    if not minimality.is_minimal:
         raise NotMinimal(
             "inversion requires a minimal model; offending generators: "
-            + ", ".join(name for name, _ in is_minimal(model).witnesses)
+            + ", ".join(name for name, _ in minimality.witnesses)
         )
     if not f.is_chain_map():
         raise NotAChainMap(

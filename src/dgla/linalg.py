@@ -1,18 +1,26 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, on one integer echelon.
 
 Everything downstream (homology ranks, sections, quotients) reduces to the
 operations in this module, so the contract is strict: at every public
 boundary entries are `fractions.Fraction` in lowest terms, results are exact
 and reproducible bit-for-bit, and every "choice" (sections, coset
-representatives) is pinned to the reduced-row-echelon pivot rule.  Inside,
-`Matrix.rref` eliminates on primitive integer rows and divides by each pivot
-only once the rows are reduced; kernels, spans, solutions and inverses all
-read its result.  Matrices and subspaces are immutable after construction
-and safe to share between threads.
+representatives) is pinned to the pivots of the reduced row echelon form,
+its leading columns.  Matrices and subspaces are immutable after
+construction and safe to share between threads.
+
+The package has one elimination engine, the private `_Echelon`: sparse
+rows of primitive integers, each with its minimal key as pivot, reduced
+fraction-free (Bareiss-style, with the gcd divided out) in pivot order.
+`Matrix.rref` clears each row's denominators, inserts it, back-substitutes
+and divides each row by its pivot only at the end; kernels, spans,
+solutions and inverses all read that result.  `freelie` keys the same rows
+by words, with one echelon per letter content that both selects the basis
+and solves for coordinates.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -55,18 +63,116 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def _primitive_row(row: Vector) -> list[int]:
-    """row scaled to coprime integers: times the lcm of its denominators,
-    divided by the gcd of the resulting numerators."""
-    den = lcm(*[e.denominator for e in row])
-    if den == 1:
-        ints = [e.numerator for e in row]
-    else:
-        ints = [e.numerator * (den // e.denominator) for e in row]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def _clear_denominators(entries: dict) -> tuple[dict, int]:
+    """(ints, den): the rational values times the lcm den of their
+    denominators, as ints under the same keys."""
+    den = lcm(*[a.denominator for a in entries.values()])
+    return {k: a.numerator * (den // a.denominator) for k, a in entries.items()}, den
+
+
+class _Echelon:
+    """Triangular sparse rows of primitive integers with deterministic pivots.
+
+    A row is a dict from keys (column indices, words) to nonzero ints; its
+    pivot is its minimal key, and rows are kept sorted by pivot, so a row
+    holds no smaller pivot.  The one row operation clears v's entry c at a
+    row's pivot, whose entry is r: v <- (r/g) v - (c/g) row with
+    g = gcd(r, c).  Reducing a vector is one pass of it in pivot order.
+    Each row carries an integer combination rho of the tagged vectors
+    inserted so far, with row = sum_t rho_t vec_t, and the row and rho are
+    divided by their common gcd together, pivot entry positive.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: list[tuple[object, dict, dict[int, int]]] = []
+
+    def reduce(self, vec: dict, start: int = 0) -> tuple[dict, dict[int, int], int]:
+        """(v, gamma, s) with v = s*vec + sum_t gamma_t vec_t and s > 0.
+
+        vec is reduced by the rows from index `start` on.  When that is all
+        of them, v holds no pivot, so it is empty exactly when vec lies in
+        the span; then vec has coordinates -gamma_t/s over the tagged vectors.
+        """
+        v = dict(vec)
+        gamma: dict[int, int] = {}
+        s = 1
+        for pivot, row, rho in self.rows[start:]:
+            c = v.get(pivot)
+            if not c:
+                continue
+            r = row[pivot]
+            g = gcd(r, c)
+            a, b = r // g, c // g
+            if a != 1:
+                for k in v:
+                    v[k] *= a
+                for t in gamma:
+                    gamma[t] *= a
+                s *= a
+            for k, x in row.items():
+                nv = v.get(k, 0) - b * x
+                if nv:
+                    v[k] = nv
+                else:
+                    del v[k]
+            for t, x in rho.items():
+                nv = gamma.get(t, 0) - b * x
+                if nv:
+                    gamma[t] = nv
+                else:
+                    del gamma[t]
+            if a != 1:
+                g = gcd(s, *v.values(), *gamma.values())
+                if g != 1:
+                    v = {k: x // g for k, x in v.items()}
+                    gamma = {t: x // g for t, x in gamma.items()}
+                    s //= g
+        return v, gamma, s
+
+    def insert(self, vec: dict, tag: int | None = None) -> bool:
+        """Insert a vector; returns False when it was already in the span."""
+        v, rho, s = self.reduce(vec)
+        if not v:
+            return False
+        if tag is not None:
+            rho[tag] = s
+        insort(self.rows, _primitive(min(v), v, rho))
+        return True
+
+    def back_substitute(self) -> None:
+        """Clear every pivot from the rows above its own, last row first.
+
+        Each row is reduced by the rows below it, which are already clear,
+        so afterwards every pivot column is zero outside its own row.
+        """
+        rows = self.rows
+        for i in range(len(rows) - 2, -1, -1):
+            pivot, row, rho = rows[i]
+            v, gamma, s = self.reduce(row, i + 1)
+            for t, x in rho.items():
+                nv = gamma.get(t, 0) + s * x
+                if nv:
+                    gamma[t] = nv
+                else:
+                    del gamma[t]
+            rows[i] = _primitive(pivot, v, gamma)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def _primitive(pivot, v: dict, rho: dict[int, int]) -> tuple[object, dict, dict[int, int]]:
+    """The row (pivot, v, rho) divided by the gcd of v and rho, v[pivot] > 0."""
+    g = gcd(*v.values(), *rho.values())
+    if v[pivot] < 0:
+        g = -g
+    if g != 1:
+        v = {k: x // g for k, x in v.items()}
+        rho = {t: x // g for t, x in rho.items()}
+    return pivot, v, rho
 
 
 class Matrix:
@@ -179,57 +285,33 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form with its pivot columns.
 
-        Pivot rule: scan columns left to right, take the first row (top to
-        bottom) at or below the current pivot row with a nonzero entry.  The
-        elimination runs on primitive integer rows: each row is scaled once
-        by the lcm of its denominators, a row operation is
-        (p/g)*row - (c/g)*pivot_row with g = gcd(p, c), and the changed row is
-        divided by the gcd of its entries.  Only the finished rows are
-        divided by their pivots.  The RREF is unique, so the result is the
-        one Fraction elimination gives; it is cached on first use.
+        The pivots are the leading columns of the RREF, left to right.  Each
+        nonzero row is scaled once to integers and inserted into one sparse
+        integer echelon (`_Echelon`, pivot = leftmost column); the echelon is
+        back-substituted and only then is each row divided by its pivot
+        entry, which is where `Fraction`s come back.  The RREF is unique, so
+        the result is the one Fraction Gauss-Jordan elimination gives; it is
+        cached on first use.
         """
         if self._rref is not None:
             return self._rref
-        nrows, ncols = self.rows, self.cols
-        work = [_primitive_row(r) for r in self.data]
-        pivots: list[int] = []
-        prow = 0
-        for pcol in range(ncols):
-            if prow >= nrows:
-                break
-            hit = None
-            for i in range(prow, nrows):
-                if work[i][pcol]:
-                    hit = i
-                    break
-            if hit is None:
-                continue
-            work[prow], work[hit] = work[hit], work[prow]
-            pivot_row = work[prow]
-            p = pivot_row[pcol]
-            support = [(j, b) for j, b in enumerate(pivot_row) if b]
-            for i in range(nrows):
-                row = work[i]
-                c = row[pcol]
-                if c and i != prow:
-                    g = gcd(p, c)
-                    a, c = p // g, c // g
-                    if a != 1:
-                        row = [a * x for x in row]
-                    for j, b in support:
-                        row[j] -= c * b
-                    g = gcd(*row)
-                    if g > 1:
-                        row = [x // g for x in row]
-                    work[i] = row
-            pivots.append(pcol)
-            prow += 1
+        ncols = self.cols
+        echelon = _Echelon()
+        for row in self.data:
+            ints, _ = _clear_denominators({j: e for j, e in enumerate(row) if e})
+            if ints:
+                echelon.insert(ints)
+        echelon.back_substitute()
         out = []
-        for row, pcol in zip(work, pivots):
+        for pcol, row, _ in echelon.rows:
             p = row[pcol]
-            out.append(tuple(Fraction(x, p) if x else _ZERO for x in row))
-        out.extend([(_ZERO,) * ncols] * (nrows - prow))
-        result = (Matrix._of_rows(tuple(out), ncols), tuple(pivots))
+            dense = [_ZERO] * ncols
+            for j, x in row.items():
+                dense[j] = Fraction(x, p)
+            out.append(tuple(dense))
+        pivots = tuple(pcol for pcol, _, _ in echelon.rows)
+        out.extend([(_ZERO,) * ncols] * (self.rows - len(out)))
+        result = (Matrix._of_rows(tuple(out), ncols), pivots)
         object.__setattr__(self, "_rref", result)
         return result
 

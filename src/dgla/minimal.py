@@ -89,6 +89,7 @@ class RelativeModel:
             )
         self._by_name = {g.name: g for g in dgla.generators}
         self._sub_algebras: dict[tuple[str, ...], FreeGLA] = {}
+        self._minimality: MinimalityReport | None = None
 
     @property
     def target(self):
@@ -145,8 +146,12 @@ def is_minimal(model: RelativeModel) -> MinimalityReport:
     """Project each fiber differential onto the linear span of the fiber.
 
     Linear base terms are fine (the projection kills them); a witness is a
-    fiber generator whose differential has a nonzero linear fiber part.
+    fiber generator whose differential has a nonzero linear fiber part.  The
+    report is memoized single-assignment on the model, so a command that
+    checks minimality on several paths computes it once.
     """
+    if model._minimality is not None:
+        return model._minimality
     witnesses = []
     for g in model.fiber_generators:
         image = model.dgla.differential.get(g.name)
@@ -160,7 +165,8 @@ def is_minimal(model: RelativeModel) -> MinimalityReport:
         ]
         if offending:
             witnesses.append((g.name, LiePoly(offending)))
-    return MinimalityReport(tuple(witnesses))
+    model._minimality = MinimalityReport(tuple(witnesses))
+    return model._minimality
 
 
 def _require_valid(algebra) -> None:

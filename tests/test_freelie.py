@@ -490,6 +490,6 @@ def test_each_content_block_holds_only_its_own_words(degrees, k):
     contents = {tuple(sorted(w)) for vec in basis.vectors for w in vec}
     assert set(basis.blocks) == contents
     for content, block in basis.blocks.items():
-        for _, _, row, _ in block.rows:
+        for _, row, _ in block.rows:
             assert {tuple(sorted(w)) for w in row} == {content}
     assert sum(block.rank for block in basis.blocks.values()) == basis.dim

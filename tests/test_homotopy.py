@@ -19,6 +19,7 @@ from dgla.homotopy import (
     pi0_report,
 )
 from dgla.invert import FilteredEndo, invert_relative_quasi_iso
+from dgla import minimal
 from dgla.minimal import RelativeModel, Stage, build_minimal_model
 
 from helpers import rand_minimal_model, rand_relative_automorphism, sample_exp_candidate
@@ -235,6 +236,21 @@ def test_boundary_twist_is_equivalent(cycle_model):
     u = f.compose(invert_relative_quasi_iso(twisted, 3))
     logu = log_unipotent(u, 3)
     assert der_space(cycle_model, 0).pack(logu) == theta_vec
+
+
+def test_equivalence_checks_minimality_once(cycle_model, monkeypatch):
+    # are_homotopic_rel and the inversion it runs read one memoized report
+    reports = []
+    report = minimal.MinimalityReport
+
+    def counted(witnesses):
+        reports.append(witnesses)
+        return report(witnesses)
+
+    monkeypatch.setattr(minimal, "MinimalityReport", counted)
+    f = FilteredEndo.identity(cycle_model)
+    assert are_homotopic_rel(f, f, 3).equivalent
+    assert len(reports) == 1
 
 
 def test_scaling_is_not_equivalent(cycle_model):

@@ -9,6 +9,7 @@ from dgla.errors import NotSurjective
 from helpers import reference_elimination
 from dgla.linalg import (
     Matrix,
+    _Echelon,
     Subspace,
     invert,
     kernel_basis,
@@ -277,6 +278,29 @@ def test_mul_rejects_shape_mismatch():
         Matrix.identity(2).mul(Matrix.zero(3, 1))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_back_substitution_keeps_rows_tagged_combinations(seed):
+    rng = random.Random(seed)
+    vecs = []
+    for _ in range(6):
+        vec = {j: rng.randint(-4, 4) for j in rng.sample(range(8), 4)}
+        vecs.append({j: x for j, x in vec.items() if x} or {0: 1})
+    echelon = _Echelon()
+    for t, vec in enumerate(vecs):
+        echelon.insert(vec, t)
+    echelon.back_substitute()
+    pivots = [pivot for pivot, _, _ in echelon.rows]
+    assert pivots == sorted(pivots)
+    for pivot, row, rho in echelon.rows:
+        combination = {}
+        for t, c in rho.items():
+            for j, x in vecs[t].items():
+                combination[j] = combination.get(j, 0) + c * x
+        assert {j: x for j, x in combination.items() if x} == row
+        assert row[pivot] > 0 and min(row) == pivot
+        assert not any(p in row for p in pivots if p != pivot)
+
+
 # -- the integer kernel against the Fraction reference and sympy --------------
 
 _entry = st.one_of(
@@ -287,8 +311,14 @@ _entry = st.one_of(
 
 @st.composite
 def _rational_matrix(draw):
-    """Shapes 0-7 x 0-7, mostly zero entries, repeated, scaled and zero rows."""
-    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    """Repeated, scaled and zero rows among fresh ones, which are either
+    mostly zero in shapes 0-7 x 0-7 or, in wide shapes 0-4 x 8-40, hold at
+    most 3 nonzero entries each."""
+    wide = draw(st.booleans())
+    if wide:
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(8, 40))
+    else:
+        rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     sparsity = draw(st.integers(0, 4))
     data = []
     for i in range(rows):
@@ -299,6 +329,11 @@ def _rational_matrix(draw):
             data.append([c * e for e in source])
         elif kind == "zero":
             data.append([Fraction(0)] * cols)
+        elif wide:
+            row = [Fraction(0)] * cols
+            for j in draw(st.lists(st.integers(0, cols - 1), max_size=3, unique=True)):
+                row[j] = draw(_entry)
+            data.append(row)
         else:
             data.append(
                 [
