@@ -24,6 +24,23 @@ and the columns of d over one common denominator E, once per validation.
 The Jacobiator is quadratic in the structure constants and Leibniz is
 bilinear in (brackets, d), so the scaled identities are D^2 and D*E times
 the rational ones and vanish exactly when they do.
+
+Most of those checks are skipped by symmetry.  The table is antisymmetric,
+[y,x] = -(-1)^{|x||y|}[x,y] on every pair of basis vectors, exactly when
+no conflicting pair of entries and no nonzero [x,x] in even degree was
+recorded; only then is the symmetry used.  In that case the checked
+Jacobiator
+    J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]]
+is (-1)^{|x||z|} times the cyclic graded Jacobiator, which is graded
+antisymmetric under every permutation of its arguments; and the Leibniz
+defect L(x,y) = d[x,y] - [dx,y] - (-1)^{|x|}[x,dy] satisfies
+L(y,x) = -(-1)^{|x||y|} L(x,y).  So each vanishes on a tuple of basis
+vectors exactly when it vanishes on the sorted tuple, with (degree, index)
+pairs in lexicographic order.  The checks evaluate sorted tuples only and
+give every other tuple the verdict of its sorted form, which the loops
+over degrees and then indices have already visited; they keep the set of
+failing sorted tuples, not a verdict per tuple, and report violations for
+every ordered tuple in loop order, as the full loops would.
 """
 
 from __future__ import annotations
@@ -280,8 +297,8 @@ class FiniteDimDGLA(_DGLA):
         table: dict[tuple[int, int, int, int], Vector] = {}
         conflicts: list[str] = []
         for (p, q, i, j), vec in sorted(self.raw_brackets.items()):
-            sign = Fraction(-1 if (p * q) % 2 else 1)
-            mirrored = tuple(-sign * c for c in vec)
+            # [e_j,e_i] = -(-1)^{pq} [e_i,e_j]
+            mirrored = tuple(vec) if (p * q) % 2 else tuple(-c for c in vec)
             pairs = [((p, q, i, j), tuple(vec))]
             if (q, p, j, i) != (p, q, i, j):
                 pairs.append(((q, p, j, i), mirrored))
@@ -607,6 +624,11 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
     # bracket is read from its own key, never from its mirror, since an
     # even-degree violation leaves the table not antisymmetric.
     brk = _integer_cells(table)
+    # With an antisymmetric table only sorted triples and pairs are
+    # evaluated; any other one takes the verdict of its sorted form, which
+    # the loop order has visited earlier (see the module docstring).
+    symmetric = not violations
+    bad_triples: set = set()
     maxdeg = max(degrees, default=0)
     for p in degrees:
         for q in degrees:
@@ -621,11 +643,26 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                 n = a.dims.get(s, 0)
                 if not n:
                     continue
+                ordered = p <= q <= r
+                if symmetric and not ordered and not bad_triples:
+                    continue
                 sign = -1 if (p * q) % 2 else 1
                 for i in range(a.dims[p]):
                     for j in range(a.dims[q]):
                         eij = brk.get((p, q, i, j), ())
+                        # the triples with l >= lmin are evaluated
+                        if not symmetric:
+                            lmin = 0
+                        elif ordered and (p < q or i <= j):
+                            lmin = j if q == r else 0
+                        else:
+                            lmin = a.dims[r]
                         for l in range(a.dims[r]):
+                            if l < lmin:
+                                triple = ((p, i), (q, j), (r, l))
+                                if bad_triples and tuple(sorted(triple)) in bad_triples:
+                                    violations.append(_fails_on("Jacobi", triple))
+                                continue
                             total = [0] * n
                             # [e_i,[e_j,e_l]]
                             for m, c in brk.get((q, r, j, l), ()):
@@ -641,11 +678,10 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                                 for t, v in brk.get((q, p + r, j, m), ()):
                                     total[t] -= c * v
                             if any(total):
-                                violations.append(
-                                    "graded Jacobi fails on "
-                                    f"({_atom_name(p, i)}, {_atom_name(q, j)}, "
-                                    f"{_atom_name(r, l)})"
-                                )
+                                triple = ((p, i), (q, j), (r, l))
+                                violations.append(_fails_on("Jacobi", triple))
+                                if symmetric:
+                                    bad_triples.add(triple)
     if violations:
         return ValidationReport(tuple(violations))
     for k in sorted(a.d_mats):
@@ -667,17 +703,26 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
     dcol = _integer_cells(
         {(k, c): m.column(c) for k, m in a.d_mats.items() for c in range(m.cols)}
     )
+    # Reaching here, no conflict or even-degree self-bracket was recorded:
+    # the table is antisymmetric, so only pairs (p,i) <= (q,j) are evaluated.
+    bad_pairs: set = set()
     for p in degrees:
         for q in degrees:
             if p + q - 1 < 1:
                 continue
             if a.max_degree is not None and p + q > a.max_degree:
                 continue
+            if p > q and not bad_pairs:
+                continue
             n = a.dims.get(p + q - 1, 0)
             sign = -1 if p % 2 else 1
             for i in range(a.dims[p]):
                 dei = dcol.get((p, i), ()) if p - 1 >= 1 else ()
                 for j in range(a.dims[q]):
+                    if p > q or (p == q and j < i):
+                        if bad_pairs and ((q, j), (p, i)) in bad_pairs:
+                            violations.append(_fails_on("Leibniz", ((p, i), (q, j))))
+                        continue
                     total = [0] * n
                     # d[e_i,e_j]
                     for m, c in brk.get((p, q, i, j), ()):
@@ -694,11 +739,15 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                             for t, v in brk.get((p, q - 1, i, m), ()):
                                 total[t] -= c * v
                     if any(total):
-                        violations.append(
-                            "graded Leibniz fails on "
-                            f"({_atom_name(p, i)}, {_atom_name(q, j)})"
-                        )
+                        violations.append(_fails_on("Leibniz", ((p, i), (q, j))))
+                        bad_pairs.add(((p, i), (q, j)))
     return ValidationReport(tuple(violations))
+
+
+def _fails_on(law: str, vectors) -> str:
+    """The violation of `law` on basis vectors given as (degree, index)."""
+    names = ", ".join(_atom_name(k, i) for k, i in vectors)
+    return f"graded {law} fails on ({names})"
 
 
 def _integer_cells(cells: dict) -> dict:

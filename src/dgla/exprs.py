@@ -10,6 +10,11 @@ produces a formal sum of fully parenthesized bracket words over identifiers
 (a *tree term list*): brackets of sums are expanded bilinearly.  A tree is
 either an identifier or a pair (left_tree, right_tree).
 
+A digit of INT is a Unicode decimal digit (category Nd: ASCII or, say,
+full-width '１').  Other digit characters such as '²', and integers longer
+than Python's int-string limit (4300 digits by default), are a ParseError
+at the integer.
+
 Printing is the exact inverse used for all canonical serialization: terms
 come in a caller-chosen order, the first coefficient keeps its sign inside
 the rational, later terms join with ' + ' / ' - ', and unit coefficients are
@@ -104,7 +109,14 @@ class _Scanner:
         if self.pos == digits:
             self.pos = start
             raise self.error("expected integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # a digit such as '²', or too many digits
+            token = self.text[digits:self.pos]
+            self.pos = start
+            if token.isdecimal():
+                raise self.error(f"integer of {len(token)} digits is too long") from None
+            raise self.error("integer with a digit that is not decimal") from None
 
 
 def parse_expr(text: str) -> Terms:

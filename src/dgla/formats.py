@@ -12,11 +12,18 @@ Document kinds:
 * ``dgla_morphism``   source/target (inline doc or path) + generator images
 * ``relative_model``  dgla fields + base, stages, structureMap
 * ``endo``            generator images over a separately supplied model
+
+Structure constants of a ``findim_dgla`` are read on a fast path when they
+are in the canonical form `format_terms` writes, "c*e_k_i + c*e_k_j - e_k_l"
+with ASCII digits.  Every other value, and every value the fast path cannot
+take (a vector outside the bracket's degree, a zero denominator), goes
+through the general bracket parser, which also raises every error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,7 +215,53 @@ def _atom_indices(name, context: str) -> tuple[int, int]:
     raise FormatError(f"{context}: expected a basis vector name e_<deg>_<i>, got {name!r}")
 
 
+# The canonical text of a structure constant, as `format_terms` writes it:
+# "c*e_k_i + c*e_k_j - e_k_l ...", c an INT or INT/POSINT, "-" only in the
+# first coefficient.  ASCII digits only.
+_COEFF = r"[0-9]+(?:/[0-9]+)?\*"
+_ATOM = r"e_[0-9]+_[0-9]+"
+_LINEAR = re.compile(rf"(?:-?{_COEFF})?{_ATOM}(?: [+-] (?:{_COEFF})?{_ATOM})*")
+_LINEAR_TERM = re.compile(
+    r"(?:^| ([+-]) )(?:(-?[0-9]+)(?:/([0-9]+))?\*)?e_([0-9]+)_([0-9]+)"
+)
+
+
+def _linear_fast(text, degree: int, dim: int):
+    """Coordinates of a canonical structure constant, or None.
+
+    None leaves the text to the general parser: it is not in the canonical
+    form, names a vector outside degree `degree` or its dimension, has a
+    zero denominator or an integer that `int` refuses.
+    """
+    if not isinstance(text, str) or not _LINEAR.fullmatch(text):
+        return None
+    coords = [Fraction(0)] * dim
+    try:
+        for op, num, den, k, i in _LINEAR_TERM.findall(text):
+            i = int(i)
+            if int(k) != degree or i >= dim:
+                return None
+            coeff = int(num or 1)
+            if den:
+                den = int(den)
+                if not den:
+                    return None
+                coeff = Fraction(coeff, den)
+            coords[i] += -coeff if op == "-" else coeff
+    except ValueError:
+        return None
+    return tuple(coords)
+
+
 def _linear_value(text, degree: int, dim: int, context: str):
+    """A structure constant as a coordinate tuple in degree `degree`.
+
+    Values in the canonical form take `_linear_fast`; everything else, and
+    every error, goes through the general bracket parser.
+    """
+    coords = _linear_fast(text, degree, dim)
+    if coords is not None:
+        return coords
     terms = _parse_field_expr(text, context)
     coords = [Fraction(0)] * dim
     for coeff, tree in terms:

@@ -749,3 +749,82 @@ def test_fuzzed_findim_documents_never_crash(doc):
             assert code in (0, 1, 2, 3), (argv, code)
             assert len(err.splitlines()) <= 1, err
             assert "Traceback" not in err
+
+
+def test_parser_is_built_once_per_process(files, capsys):
+    from dgla import cli
+
+    cli._parser.cache_clear()
+    assert run(capsys, "validate", files["sphere"])[0] == 0
+    assert run(capsys, "validate", files["wedge"])[0] == 0
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_reused_parser_repeats_help_and_usage_errors():
+    def outcome(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    helped = outcome("--help")
+    assert helped[0] == 0 and helped[1].startswith("usage: dgla")
+    assert outcome("--help") == helped
+    refused = outcome("homology", "x.json", "--max-degree", "0")
+    assert refused[0] == 2 and "the degree bound must be at least 1" in refused[2]
+    assert outcome("homology", "x.json", "--max-degree", "0") == refused
+
+
+_HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "doc, field, message",
+    [
+        (
+            {
+                "kind": "findim_dgla",
+                "dims": {"1": 1, "2": 1},
+                "brackets": [{"left": "e_1_0", "right": "e_1_0", "value": "²*e_2_0"}],
+            },
+            "bracket value",
+            "line 1, col 1: integer with a digit that is not decimal",
+        ),
+        (
+            {
+                "kind": "findim_dgla",
+                "dims": {"1": 1, "2": 1},
+                "brackets": [
+                    {"left": "e_1_0", "right": "e_1_0", "value": f"e_2_0 - {_HUGE}*e_2_0"}
+                ],
+            },
+            "bracket value",
+            "line 1, col 9: integer of 5000 digits is too long",
+        ),
+        (
+            {
+                "kind": "dgla",
+                "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 3}],
+                "differential": {"y": "²*[x,x]"},
+            },
+            "differential[y]",
+            "line 1, col 1: integer with a digit that is not decimal",
+        ),
+    ],
+    ids=["superscript-coefficient", "5000-digit-coefficient", "superscript-differential"],
+)
+def test_odd_integers_are_parse_errors(capsys, tmp_path, doc, field, message):
+    path = write(tmp_path, "odd.json", doc)
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out, err) == (1, "", f"error: {path}: {field}: {message}\n")
+
+
+def test_full_width_digits_stay_accepted(capsys, tmp_path):
+    doc = {
+        "kind": "findim_dgla",
+        "dims": {"1": 1, "2": 1},
+        "brackets": [{"left": "e_1_0", "right": "e_1_0", "value": "２*e_2_0"}],
+    }
+    code, out, _ = run(capsys, "validate", write(tmp_path, "wide.json", doc))
+    assert (code, out) == (0, "ok: valid finite-dimensional dg Lie algebra\n")

@@ -537,3 +537,30 @@ def test_findim_small_max_degree_matches_reference(dims, max_degree, first_above
         )
     assert _outcome(_reference_validate_findim, g) == expected
     assert _outcome(validate, g) == expected
+
+
+def test_jacobi_verdicts_of_permuted_triples_match_reference():
+    # [e_2_0,e_3_0] = e_5_0 and [e_1_0,e_5_0] = e_6_0: the Jacobiator fails
+    # on the six orders of (e_1_0, e_2_0, e_3_0) and nowhere else
+    dims = {k: 1 for k in range(1, 7)}
+    g = FiniteDimDGLA(dims, {(2, 3, 0, 0): (Fraction(1),), (1, 5, 0, 0): (Fraction(1),)}, {})
+    expected = _reference_validate_findim(g).violations
+    assert validate(g).violations == expected
+    assert expected == tuple(
+        f"graded Jacobi fails on ({_name(p, 0)}, {_name(q, 0)}, {_name(r, 0)})"
+        for p, q, r in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    )
+
+
+def test_leibniz_verdicts_of_swapped_pairs_match_reference():
+    # [e_1_0,e_3_0] = e_4_0 and d(e_4_0) = e_3_0: Leibniz fails on both
+    # orders of (e_1_0, e_3_0), and of (e_1_0, e_4_0), a pair of degrees
+    # whose bracket the algebra truncates
+    dims = {1: 1, 2: 1, 3: 1, 4: 1}
+    g = FiniteDimDGLA(dims, {(1, 3, 0, 0): (Fraction(1),)}, {4: Matrix([[1]])})
+    expected = _reference_validate_findim(g).violations
+    assert validate(g).violations == expected
+    assert expected == tuple(
+        f"graded Leibniz fails on ({_name(p, 0)}, {_name(q, 0)})"
+        for p, q in [(1, 3), (1, 4), (3, 1), (4, 1)]
+    )

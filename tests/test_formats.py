@@ -1,11 +1,16 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgla.dg import DGLAMorphism, FiniteDimDGLA, QuasiFreeDGLA, validate
 from dgla.errors import FormatError, ParseError
+from dgla.exprs import format_terms, parse_expr
 from dgla.formats import (
+    _linear_value,
     canonical_json,
     dgla_from_doc,
     dgla_to_doc,
@@ -259,3 +264,100 @@ def test_cancelling_differential_round_trips_byte_stable():
     second = canonical_json(dgla_to_doc(dgla_from_doc(json.loads(first))))
     assert first == second
     assert '"y"' not in first.split('"differential"')[1].split("}")[0]
+
+
+def _reference_linear_value(text, degree, dim, context):
+    """`_linear_value` through the general parser only, without a fast path."""
+    if not isinstance(text, str):
+        raise FormatError(f"{context}: expected a bracket-expression string")
+    try:
+        terms = parse_expr(text)
+    except ParseError as e:
+        raise ParseError(f"{context}: {e}") from None
+    coords = [Fraction(0)] * dim
+    for coeff, tree in terms:
+        if not isinstance(tree, str):
+            raise FormatError(f"{context}: structure-constant values must be linear")
+        parts = tree.split("_")
+        try:
+            if len(parts) != 3 or parts[0] != "e":
+                raise ValueError
+            k, i = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise FormatError(
+                f"{context}: expected a basis vector name e_<deg>_<i>, got {tree!r}"
+            ) from None
+        if k != degree or not 0 <= i < dim:
+            raise FormatError(
+                f"{context}: {tree} does not live in degree {degree} (dimension {dim})"
+            )
+        coords[i] += coeff
+    return tuple(coords)
+
+
+def _linear_outcome(fn, text, degree, dim):
+    try:
+        coords = fn(text, degree, dim, "ctx")
+    except (FormatError, ParseError) as e:
+        return type(e).__name__, str(e)
+    assert all(type(c) is Fraction for c in coords)
+    return coords
+
+
+# Each piece is mostly one that the fast path accepts, so that one odd
+# piece among canonical ones is common.
+_NUMBER = st.lists(
+    st.sampled_from(["1", "2", "3", "12"] * 4 + ["0", "007", "１", "٣", "²", "9" * 4300]),
+    min_size=1,
+    max_size=2,
+).map("".join)
+_INDEX = st.sampled_from(["0", "1", "2"] * 4 + ["3", "01", "-1", "１"])
+_DEGREE = st.sampled_from(["2"] * 12 + ["3", "02", "２"])
+_ATOM = st.builds(lambda k, i: f"e_{k}_{i}", _DEGREE, _INDEX)
+_COEFF = st.just("") | st.builds(
+    lambda sign, num, den: f"{sign}{num}{den}*",
+    st.sampled_from(["", "", "", "-", "+"]),
+    _NUMBER,
+    st.just("") | _NUMBER.map("/".__add__),
+)
+_TERM = st.builds(str.__add__, _COEFF, _ATOM)
+_SEPARATOR = st.sampled_from([" + ", " - "] * 4 + ["+", " -", "- ", "  + ", " + -", "\n- "])
+
+
+@st.composite
+def _odd_linear_text(draw):
+    terms = draw(st.lists(_TERM, min_size=1, max_size=4))
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(_SEPARATOR) + term
+    return draw(st.sampled_from(["", "", "", "", " ", "+"])) + text + draw(
+        st.sampled_from(["", "", "", "", " ", "\n"])
+    )
+
+
+_CANONICAL_TEXT = st.lists(
+    st.tuples(
+        st.fractions(max_denominator=12).filter(lambda c: abs(c) < 100),
+        st.integers(0, 3),
+    ),
+    max_size=4,
+).map(lambda terms: format_terms([(c, f"e_2_{i}") for c, i in terms]))
+
+_LINEAR_TEXT = _CANONICAL_TEXT | _odd_linear_text() | st.sampled_from(
+    [None, 2, 1.5, ["e_2_0"], "0", "-e_2_0", "1/0*e_2_0", "e_2_0 - e_2_0", "e_5_0 - e_5_0"]
+    + ["[e_1_0,e_1_1]", "e_2_0 + 2*[e_1_0,e_1_1]", "x", "e_2", "f_2_0"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=_LINEAR_TEXT,
+    degree=st.sampled_from([2] * 4 + [3]),
+    dim=st.sampled_from([3] * 4 + [0, 1, 2]),
+)
+@example(text="-1*e_2_0 + 3/4*e_2_1 - e_2_1 + 0*e_2_0", degree=2, dim=2)
+@example(text=f"{'1' * 5000}*e_2_0", degree=2, dim=1)
+@example(text="2/00*e_2_0", degree=2, dim=1)
+def test_linear_value_matches_the_general_parser(text, degree, dim):
+    expected = _linear_outcome(_reference_linear_value, text, degree, dim)
+    assert _linear_outcome(_linear_value, text, degree, dim) == expected
