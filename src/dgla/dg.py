@@ -16,14 +16,16 @@ be evaluated into either kind of target.
 
 Everything is computed over Q; a degree bound is always explicit in the
 callers, never stored here.  Homology data is memoized single-assignment per
-(algebra, degree).
+(algebra, degree); it reads the cycle coordinates of a boundary off the
+pivots of the RREF cycle basis, once d is checked to kill it.
 
-The graded Jacobi and Leibniz checks of a finite-dimensional algebra run on
-Python ints: the structure constants are put over one common denominator D
-and the columns of d over one common denominator E, once per validation.
-The Jacobiator is quadratic in the structure constants and Leibniz is
-bilinear in (brackets, d), so the scaled identities are D^2 and D*E times
-the rational ones and vanish exactly when they do.
+The d^2, graded Jacobi and Leibniz checks of a finite-dimensional algebra
+run on Python ints: the structure constants are put over one common
+denominator D and the columns of d over one common denominator E, once per
+validation.  d^2 is quadratic in d, the Jacobiator is quadratic in the
+structure constants and Leibniz is bilinear in (brackets, d), so the scaled
+identities are E^2, D^2 and D*E times the rational ones and vanish exactly
+when they do.
 
 Most of those checks are skipped by symmetry.  The table is antisymmetric,
 [y,x] = -(-1)^{|x||y|}[x,y] on every pair of basis vectors, exactly when
@@ -95,14 +97,23 @@ class HomologyData:
         d_k = algebra.d_matrix(k)
         d_next = algebra.d_matrix(k + 1)
         self.cycles = kernel_basis(d_k)
-        self.boundaries = Subspace(algebra.dim(k), d_next.columns())
-        in_cycle_coords = []
+        self.boundaries = Subspace._spanned(algebra.dim(k), d_next.columns())
+        # A boundary lies in the cycles iff d kills it; then, the cycle basis
+        # being in RREF, its cycle coordinates are its entries at the pivots.
+        d_cols = [[(i, x) for i, x in enumerate(col) if x] for col in d_k.columns()]
         for bvec in self.boundaries.basis:
-            coords = membership(bvec, self.cycles)
-            if coords is None:
+            image: dict[int, Fraction] = {}
+            for j, c in enumerate(bvec):
+                if c:
+                    for i, x in d_cols[j]:
+                        image[i] = image.get(i, 0) + c * x
+            if any(image.values()):
                 raise ArithmeticError("boundary is not a cycle: d*d != 0?")
-            in_cycle_coords.append(coords)
-        self._b_in_z = Subspace(self.cycles.dim, in_cycle_coords)
+        pivots = self.cycles.pivots
+        self._b_in_z = Subspace._spanned(
+            self.cycles.dim,
+            [tuple(bvec[p] for p in pivots) for bvec in self.boundaries.basis],
+        )
         self._proj, _ = quotient_data(self.cycles.dim, self._b_in_z)
         # The coset representatives of quotient_data are the unit vectors e_c
         # of the non-pivot coordinates c, so each lifts to cycle-basis row c.
@@ -203,7 +214,7 @@ class QuasiFreeDGLA(_DGLA):
         if k >= 1:
             for vec in algebra.degree_basis(k).vectors:
                 cols.append(algebra.basis_coords(k - 1, algebra.apply_derivation(-1, images, vec)))
-        return self._d.setdefault(k, Matrix.from_columns(cols, self.dim(k - 1)))
+        return self._d.setdefault(k, Matrix._of_columns(cols, self.dim(k - 1)))
 
     def bracket(self, a: Element, b: Element) -> Element:
         coords = self.algebra.bracket_coords(a.degree, a.coords, b.degree, b.coords)
@@ -505,7 +516,7 @@ def induced_map_on_homology(f: DGLAMorphism, k: int) -> Matrix:
     hs = f.source.homology(k)
     ht = f.target.homology(k)
     cols = [ht.class_coords(f.matrix(k).apply(rep)) for rep in hs.reps]
-    return Matrix.from_columns(cols, ht.dim)
+    return Matrix._of_columns(cols, ht.dim)
 
 
 @dataclass(frozen=True)
@@ -693,16 +704,23 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
             )
     if violations:
         return ValidationReport(tuple(violations))
-    for k in degrees:
-        if a.max_degree is not None and k + 1 > a.max_degree:
-            continue
-        prod = a.d_matrix(k).mul(a.d_matrix(k + 1))
-        if not prod.is_zero():
-            violations.append(f"d^2 is nonzero from degree {k + 1}")
     # integer columns of d (times E, see the module docstring)
     dcol = _integer_cells(
         {(k, c): m.column(c) for k, m in a.d_mats.items() for c in range(m.cols)}
     )
+    for k in degrees:
+        if a.max_degree is not None and k + 1 > a.max_degree:
+            continue
+        n = a.dims.get(k - 1, 0)
+        for c in range(a.dims.get(k + 1, 0)):
+            total = [0] * n
+            # d(d e_c), E^2 times
+            for m, x in dcol.get((k + 1, c), ()):
+                for t, y in dcol.get((k, m), ()):
+                    total[t] += x * y
+            if any(total):
+                violations.append(f"d^2 is nonzero from degree {k + 1}")
+                break
     # Reaching here, no conflict or even-degree self-bracket was recorded:
     # the table is antisymmetric, so only pairs (p,i) <= (q,j) are evaluated.
     bad_pairs: set = set()

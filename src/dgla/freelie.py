@@ -23,10 +23,28 @@ and a vector in the span has coordinates -gamma/s, so the echelon is also
 the content's coordinate solver.  Fractions appear only at the boundary, in
 `basis_coords` and so in `bracket_table` and the d-matrices built from it.
 The enumeration stops once the total rank reaches the dimension the PBW
-series predicts, since no later word can add to the span.  There is no
-per-content stop: it would need a multigraded form of that series, and it
-could only skip dependent words, whose inserts take under a tenth of a
-model-building pass.
+series predicts, since no later word can add to the span.
+
+Each content also stops at its own dimension, before its words are even
+embedded.  For a content with letter multiplicities alpha, |alpha| letters
+and letter parities p_i (the generator degrees mod 2), write
+eps^g = (-1)^{sum_i g_i p_i} and M(g) = |g|! / prod_i g_i!.  The tensor
+algebra is the enveloping algebra, so PBW refined by content reads
+
+    1 / (1 - sum_i eps_i x_i)  =  prod_alpha (1 - x^alpha)^(-eps^alpha l_alpha)
+
+with l_alpha = dim L_alpha, and taking logarithms and Moebius inversion
+gives the graded Witt formula (Kang & Kim 1996; Reutenauer, Free Lie
+Algebras, 1993)
+
+    l_alpha = (eps^alpha / |alpha|) sum_{d | gcd alpha} mu(d) eps^(alpha/d) M(alpha/d).
+
+So a word is skipped when its content's block already has rank l_alpha, and
+a content with l_alpha = 0 (an even letter alone twice, say) never gets a
+block.  Left-normed words span each L_alpha, so every block's greedy basis
+is unchanged.  The formula is not trusted blindly: an understated l_alpha
+would leave the total rank short of the PBW dimension, and that raises
+ArithmeticError rather than returning a smaller basis.
 
 The tensor algebra is the enveloping algebra of the free Lie algebra, and a
 degree-r derivation of L(V) is the restriction of the unique derivation of
@@ -46,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd
 from typing import Iterable, Sequence
 
 from .errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
@@ -161,6 +179,19 @@ def _add_scaled(out: TVec, scale: Fraction, vec: TVec) -> None:
             out.pop(w, None)
 
 
+def _moebius(n: int) -> int:
+    """The Moebius function of n >= 1."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
 def _escaped() -> ArithmeticError:
     return ArithmeticError(
         "tensor vector escaped the bracket span; this indicates an internal basis bug"
@@ -236,6 +267,7 @@ class FreeGLA:
         self._embed_cache: dict = {}
         self._basis: dict[int, DegreeBasis] = {}
         self._pbw: dict[int, int] = {}
+        self._witt: dict[tuple[tuple[int, int], ...], int] = {}
         self._oracle: dict[int, list[TVec]] = {}
         self._brackets: dict[tuple[int, int], tuple] = {}
         self._atoms: dict[str, tuple[int, int]] = {}
@@ -356,17 +388,23 @@ class FreeGLA:
             return hit
         dim = self.pbw_dim(k)
         blocks: dict[Word, _Echelon] = {}
+        content_dims: dict[Word, int] = {}
         monos = []
         vecs = []
         for indices in self._iter_words(k):
             if len(monos) == dim:
                 break
+            content = tuple(sorted(indices))
+            need = content_dims.get(content)
+            if need is None:
+                need = content_dims[content] = self.content_dim(content)
+            block = blocks.get(content)
+            if (block.rank if block is not None else 0) == need:
+                continue
             tree = self._left_normed(indices)
             _, vec = self.embed_tree(tree)
             if not vec:
                 continue
-            content = tuple(sorted(indices))
-            block = blocks.get(content)
             if block is None:
                 block = blocks[content] = _Echelon()
             if block.insert(vec, len(monos)):
@@ -421,6 +459,35 @@ class FreeGLA:
                 for m in range(k + 1)
             ]
         return self._pbw.setdefault(k, tensor[k] - product[k])
+
+    def content_dim(self, content: Word) -> int:
+        """dim of the span of Lie elements whose words have this content
+        (sorted letters), by the graded Witt formula of the module docstring.
+
+        Memoized per multiset of (multiplicity, parity) pairs, which is all
+        the formula reads.
+        """
+        counts: dict[int, int] = {}
+        for i in content:
+            counts[i] = counts.get(i, 0) + 1
+        key = tuple(sorted((m, self._degrees[i] % 2) for i, m in counts.items()))
+        hit = self._witt.get(key)
+        if hit is not None:
+            return hit
+        g = gcd(*(m for m, _ in key))
+        total = 0
+        for d in range(1, g + 1):
+            mu = _moebius(d) if g % d == 0 else 0
+            if mu:
+                parts = [m // d for m, _ in key]
+                term = factorial(sum(parts))
+                for m in parts:
+                    term //= factorial(m)
+                odd = sum(m // d for m, p in key if p)
+                total += -mu * term if odd % 2 else mu * term
+        if sum(m for m, p in key if p) % 2:
+            total = -total
+        return self._witt.setdefault(key, total // len(content))
 
     def normalize(self, p: LiePoly, degree: int | None = None) -> tuple[int | None, Vector]:
         """Unique coordinates of p in the canonical basis of its degree.

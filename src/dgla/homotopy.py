@@ -115,7 +115,7 @@ class RelDerivation:
         if k >= 1:
             for vec in self.model.dgla.algebra.degree_basis(k).vectors:
                 cols.append(self._value(out_deg, vec))
-        return self._matrices.setdefault(k, Matrix.from_columns(cols, self.model.dgla.dim(out_deg)))
+        return self._matrices.setdefault(k, Matrix._of_columns(cols, self.model.dgla.dim(out_deg)))
 
     def linear_fiber_defects(self) -> list[str]:
         """Fiber generators whose image has a nonzero linear fiber part."""
@@ -222,7 +222,7 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
                     value = [a + b for a, b in zip(d_cols[j], value)]
                 col.extend(value)
             cols.append(tuple(col))
-    return Matrix.from_columns(cols, der_space(model, r - 1).dim)
+    return Matrix._of_columns(cols, der_space(model, r - 1).dim)
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def derivation_basis(model: RelativeModel, r: int, bound: int) -> DerComplexData
     out = der_boundary_matrix(model, r)
     into = der_boundary_matrix(model, r + 1)
     return DerComplexData(
-        r, space, out, into, kernel_basis(out), Subspace(space.dim, into.columns())
+        r, space, out, into, kernel_basis(out), Subspace._spanned(space.dim, into.columns())
     )
 
 
@@ -347,12 +347,12 @@ def log_unipotent(u: FilteredEndo, bound: int) -> RelDerivation:
         k = g.degree
         umat = u.matrix(k)
         n = dgla.dim(k)
-        xmat = Matrix(
-            [
-                [umat.data[i][j] - (1 if i == j else 0) for j in range(n)]
+        xmat = Matrix._of_rows(
+            tuple(
+                tuple(umat.data[i][j] - (1 if i == j else 0) for j in range(n))
                 for i in range(n)
-            ],
-            cols=n,
+            ),
+            n,
         )
         term = xmat.apply(dgla.atom(g.name).coords)
         acc = list(term)

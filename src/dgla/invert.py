@@ -115,7 +115,7 @@ def _base_inverse_images(f: FilteredEndo) -> dict[str, Element]:
             poly = model.dgla.poly(val)
             _, coords = base_alg.normalize(poly, m)
             cols.append(coords)
-        fm = Matrix.from_columns(cols, basis.dim)
+        fm = Matrix._of_columns(cols, basis.dim)
         try:
             inv = invert(fm)
         except ValueError:
@@ -176,14 +176,14 @@ def invert_relative_quasi_iso(f: FilteredEndo, bound: int) -> FilteredEndo:
                 return [], [], Subspace(0)
             trees = sub.degree_basis(m).monomials
             g_vals = [g_cur.eval_tree(tree).coords for tree in trees]
-            return list(trees), g_vals, Subspace(dgla.dim(m), g_vals)
+            return list(trees), g_vals, Subspace._spanned(dgla.dim(m), g_vals)
 
         trees_t, g_vals_t, s_t = sub_data(t)
         _, _, s_k = sub_data(k)
 
         proj_t, reps_t = quotient_data(dgla.dim(t), s_t)
         proj_k, _ = quotient_data(dgla.dim(k) if k >= 1 else 0, s_k)
-        lift_t = Matrix.from_columns(reps_t, dgla.dim(t))
+        lift_t = Matrix._of_columns(reps_t, dgla.dim(t))
         d_t = dgla.d_matrix(t)
         dbar = proj_k.mul(d_t).mul(lift_t)
         zbar = kernel_basis(dbar)
@@ -193,9 +193,9 @@ def invert_relative_quasi_iso(f: FilteredEndo, bound: int) -> FilteredEndo:
         f_t = f.matrix(t)
         lifts = [lift_t.apply(z) for z in zbar.basis]
         f_lifts = [f_t.apply(v) for v in lifts]
-        onto = Matrix(
-            [[fl[atom_idx[g.name]] for fl in f_lifts] for g in wgens],
-            cols=len(lifts),
+        onto = Matrix._of_rows(
+            tuple(tuple(fl[atom_idx[g.name]] for fl in f_lifts) for g in wgens),
+            len(lifts),
         )
         try:
             section = section_of_surjection(onto)
@@ -206,11 +206,11 @@ def invert_relative_quasi_iso(f: FilteredEndo, bound: int) -> FilteredEndo:
                 f"quasi-isomorphism there"
             ) from None
 
-        sub_matrix = Matrix.from_columns(
+        sub_matrix = Matrix._of_columns(
             [dgla.element(LiePoly([(Fraction(1), tree)]), t).coords for tree in trees_t],
             dgla.dim(t),
         )
-        g_matrix = Matrix.from_columns(g_vals_t, dgla.dim(t))
+        g_matrix = Matrix._of_columns(g_vals_t, dgla.dim(t))
 
         for col, g in enumerate(wgens):
             combo = section.column(col)

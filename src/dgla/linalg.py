@@ -12,10 +12,24 @@ The package has one elimination engine, the private `_Echelon`: sparse
 rows of primitive integers, each with its minimal key as pivot, reduced
 fraction-free (Bareiss-style, with the gcd divided out) in pivot order.
 `Matrix.rref` clears each row's denominators, inserts it, back-substitutes
-and divides each row by its pivot only at the end; kernels, spans,
-solutions and inverses all read that result.  `freelie` keys the same rows
-by words, with one echelon per letter content that both selects the basis
-and solves for coordinates.
+and divides each row by its pivot only at the end; spans, solutions and
+inverses all read that result.  `freelie` keys the same rows by words, with
+one echelon per letter content that both selects the basis and solves for
+coordinates.
+
+`kernel_basis` runs the same elimination with the columns keyed in reverse
+(key cols-1-j), so each row's pivot is its rightmost column.  After
+back-substitution a row with pivot p has its other entries only at free
+columns f < p.  The kernel vector of a free column f, with 1 at f and
+-row[f]/row[p] at each pivot p, is then zero at every other free column and
+zero left of f: read in order of f, these vectors already are the kernel's
+unique RREF, with the free columns as pivots, so no second reduction runs.
+
+Inside the package, results built from `Fraction`s it computed itself go
+through the trusted constructors `Matrix._of_rows`, `Matrix._of_columns`,
+`Subspace._spanned` and `Subspace._of_basis`, which skip the coercion and
+shape checks of the public `Matrix(...)`, `Matrix.from_columns` and
+`Subspace(...)`.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from .errors import NotSurjective
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -52,7 +67,9 @@ def zero_vector(n: int) -> Vector:
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    if not 0 <= i < n:
+        return (_ZERO,) * n
+    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1)
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -211,6 +228,13 @@ class Matrix:
         object.__setattr__(m, "_rref", None)
         return m
 
+    @classmethod
+    def _of_columns(cls, columns: Sequence[Vector], rows: int) -> "Matrix":
+        """Trusted `from_columns` for columns of Fractions this package
+        computed; each column must have length `rows`."""
+        data = tuple(zip(*columns)) if columns else ((),) * rows
+        return cls._of_rows(data, len(columns))
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -325,18 +349,30 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence] = ()):
-        vecs = [vector(v) for v in vectors]
+        vecs = tuple(vector(v) for v in vectors)
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        if vecs:
-            reduced, pivots = Matrix._of_rows(tuple(vecs), ambient_dim).rref()
-            rows = [reduced.row(i) for i in range(len(pivots))]
-        else:
-            rows, pivots = [], ()
+        self._set(ambient_dim, *_rref_basis(vecs, ambient_dim))
+
+    @classmethod
+    def _spanned(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
+        """Trusted `Subspace(...)` for vectors of Fractions this package
+        computed; each vector must have length `ambient_dim`."""
+        return cls._of_basis(ambient_dim, *_rref_basis(tuple(vectors), ambient_dim))
+
+    @classmethod
+    def _of_basis(cls, ambient_dim: int, basis: tuple[Vector, ...], pivots: tuple[int, ...]) -> "Subspace":
+        """Trusted constructor from a basis that is already the unique RREF,
+        with its pivots."""
+        sub = object.__new__(cls)
+        sub._set(ambient_dim, basis, pivots)
+        return sub
+
+    def _set(self, ambient_dim: int, basis: tuple[Vector, ...], pivots: tuple[int, ...]) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(rows))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -380,23 +416,44 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _rref_basis(vectors: tuple[Vector, ...], ambient_dim: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """The nonzero RREF rows of the span of vectors, with their pivots."""
+    if not vectors:
+        return (), ()
+    reduced, pivots = Matrix._of_rows(vectors, ambient_dim).rref()
+    return reduced.data[: len(pivots)], pivots
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return m.rref()
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the right null space, dim = cols - rank."""
-    reduced, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.data[r][f]
-        vecs.append(v)
-    return Subspace(m.cols, vecs)
+    """Canonical basis of the right null space, dim = cols - rank.
+
+    One elimination with each row's pivot at its rightmost column gives the
+    kernel's RREF directly (see the module docstring).
+    """
+    ncols = m.cols
+    last = ncols - 1
+    echelon = _Echelon()
+    for row in m.data:
+        ints, _ = _clear_denominators({last - j: e for j, e in enumerate(row) if e})
+        if ints:
+            echelon.insert(ints)
+    echelon.back_substitute()
+    pivots = {last - key for key, _, _ in echelon.rows}
+    free = tuple(j for j in range(ncols) if j not in pivots)
+    slot = {f: i for i, f in enumerate(free)}
+    vecs = [[_ZERO] * ncols for _ in free]
+    for i, f in enumerate(free):
+        vecs[i][f] = _ONE
+    for key, row, _ in echelon.rows:
+        p, r = last - key, row[key]
+        for j, x in row.items():
+            if j != key:
+                vecs[slot[last - j]][p] = Fraction(-x, r)
+    return Subspace._of_basis(ncols, tuple(map(tuple, vecs)), free)
 
 
 def section_of_surjection(m: Matrix) -> Matrix:

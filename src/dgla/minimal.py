@@ -216,7 +216,7 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
         h_target = target.homology(k)
         hq = induced_map_on_homology(q, k)
 
-        image = Subspace(h_target.dim, hq.columns())
+        image = Subspace._spanned(h_target.dim, hq.columns())
         _, coker_reps = quotient_data(h_target.dim, image)
         a_names = []
         for i, rep in enumerate(coker_reps):
@@ -357,7 +357,7 @@ def verify_model(
             image = model.dgla.differential.get(name, LiePoly.zero())
             _, coords = model.dgla.algebra.normalize(image, n)
             rows.append(coords)
-        if Matrix(rows, cols=model.dgla.dim(n)).rank() != len(stage.B):
+        if Matrix._of_rows(tuple(rows), model.dgla.dim(n)).rank() != len(stage.B):
             f_bad.append(str(n))
     checks.append(
         (

@@ -16,7 +16,7 @@ from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validat
 from dgla.freelie import FreeGLA, GradedGenerator, LiePoly
 from dgla.homotopy import derivation_basis
 from dgla.invert import FilteredEndo, is_relative_automorphism
-from dgla.linalg import Matrix, invert, kernel_basis, zero_vector
+from dgla.linalg import Matrix, Subspace, invert, kernel_basis, zero_vector
 from dgla.minimal import build_minimal_model
 
 
@@ -440,3 +440,19 @@ def reference_elimination():
     """Run `Matrix.rref`, and all of linalg through it, on the reference."""
     with mock.patch.object(Matrix, "rref", reference_rref):
         yield
+
+
+def reference_kernel_basis(m: Matrix) -> Subspace:
+    """The kernel as `kernel_basis` built it before its one reversed-pivot
+    elimination: rref(m), one vector per free column with 1 there and minus
+    that column of the RREF at the pivots, then a `Subspace` that reduces
+    those vectors a second time."""
+    reduced, pivots = m.rref()
+    vecs = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced.data[r][f]
+        vecs.append(v)
+    return Subspace(m.cols, vecs)

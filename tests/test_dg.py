@@ -16,7 +16,7 @@ from dgla.errors import DglaError, NotAChainMap
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
 from dgla.linalg import Matrix, Subspace, membership, quotient_data, vec_is_zero
-from helpers import rand_conjugated_findim, rand_quasifree
+from helpers import rand_conjugated_findim, rand_quasifree, reference_kernel_basis
 
 
 def make(gens, diff):
@@ -253,10 +253,24 @@ def _reps_by_old_formula(h):
 def _assert_reps_match_old_formula(algebra, degrees):
     for k in degrees:
         h = algebra.homology(k)
+        assert h.cycles == reference_kernel_basis(algebra.d_matrix(k)), k
+        assert h.cycles.pivots == reference_kernel_basis(algebra.d_matrix(k)).pivots, k
+        assert h.boundaries == Subspace(algebra.dim(k), algebra.d_matrix(k + 1).columns()), k
         assert h.reps == _reps_by_old_formula(h), k
         for i, rep in enumerate(h.reps):
             unit = tuple(Fraction(int(j == i)) for j in range(h.dim))
             assert h.class_coords(rep) == unit, (k, i)
+            assert h.rep_of(unit) == rep, (k, i)
+        # a class given by mixed coordinates, and the boundaries added to it
+        coords = tuple(Fraction(2 * i - 1, i + 2) for i in range(h.dim))
+        cycle = h.rep_of(coords)
+        assert cycle == tuple(
+            sum((c * rep[j] for c, rep in zip(coords, h.reps)), Fraction(0))
+            for j in range(h.cycles.ambient_dim)
+        )
+        for b in h.boundaries.basis:
+            cycle = tuple(x + Fraction(1, 3) * y for x, y in zip(cycle, b))
+        assert h.class_coords(cycle) == coords, k
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -279,6 +293,17 @@ def test_homology_reps_match_old_formula_findim():
     assert validate(g).ok
     assert [g.homology(k).dim for k in (1, 2, 3)] == [1, 1, 0]
     _assert_reps_match_old_formula(g, (1, 2, 3))
+
+
+def test_homology_refuses_a_boundary_that_is_not_a_cycle():
+    # d c = b and d b = a, so d(d c) = a != 0: the boundary b of degree 2 is
+    # not a cycle.  The constructor does not validate, so homology sees it.
+    g = make([("a", 1), ("b", 2), ("c", 3)], {"b": "a", "c": "b"})
+    assert not validate(g).ok
+    with pytest.raises(ArithmeticError, match=r"^boundary is not a cycle: d\*d != 0\?$"):
+        g.homology(2)
+    # below the defect homology still works
+    assert g.homology(1).dim == 0
 
 
 def _symbolic_d(a, tree) -> LiePoly:
@@ -564,3 +589,23 @@ def test_leibniz_verdicts_of_swapped_pairs_match_reference():
         f"graded Leibniz fails on ({_name(p, 0)}, {_name(q, 0)})"
         for p, q in [(1, 3), (1, 4), (3, 1), (4, 1)]
     )
+
+
+@pytest.mark.parametrize("max_degree", [None, 5])
+def test_integer_d_squared_matches_reference(max_degree):
+    # d_2 d_3 = 1/2 and d_3 d_4 = (1/6, -1/3) are nonzero; d_4 d_5 cancels
+    # over the denominators 2 and 3: 1/3 * 1 - 2/3 * 1/2 = 0
+    dims = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1}
+    d_mats = {
+        2: Matrix([[1]]),
+        3: Matrix([[Fraction(1, 2)]]),
+        4: Matrix([[Fraction(1, 3), Fraction(-2, 3)]]),
+        5: Matrix([[1], [Fraction(1, 2)]]),
+    }
+    g = FiniteDimDGLA(dims, {}, d_mats, max_degree=max_degree)
+    violations = validate(g).violations
+    assert [v for v in violations if v.startswith("d^2")] == [
+        "d^2 is nonzero from degree 3",
+        "d^2 is nonzero from degree 4",
+    ]
+    assert violations == _reference_validate_findim(g).violations

@@ -354,6 +354,74 @@ def test_early_stop_keeps_the_exhaustive_basis_random(degrees, top):
     _assert_basis_is_exhaustive(tuple(degrees), top)
 
 
+# -- the graded Witt dimension of each content block ---------------------------
+
+
+def _contents(alg, k):
+    return sorted({tuple(sorted(w)) for w in alg.words(k)})
+
+
+def _exhaustive_content_ranks(alg, k):
+    """Rank of each content in the basis of every left-normed word."""
+    ranks = {}
+    for vec in _exhaustive_basis(alg, k)[1]:
+        content = tuple(sorted(next(iter(vec))))
+        ranks[content] = ranks.get(content, 0) + 1
+    return ranks
+
+
+@pytest.mark.parametrize(
+    "degrees, top",
+    [
+        ((1,), 6),  # one odd letter: only [y,y] survives beyond y
+        ((2,), 6),  # one even letter: [x,x] = 0
+        ((1, 1), 6),  # content (0,0,1,1) has gcd 2
+        ((2, 2), 8),
+        ((1, 2), 7),  # mixed parities, gcd 2 at (0,0,1,1)
+        ((1, 1, 2), 6),
+        ((2, 1, 3), 7),
+        ((3, 3, 1), 8),
+        ((), 4),
+    ],
+)
+def test_content_dim_is_the_rank_of_the_exhaustive_block(degrees, top):
+    alg = L(*degrees)
+    for k in range(1, top + 1):
+        ranks = _exhaustive_content_ranks(alg, k)
+        dims = {c: alg.content_dim(c) for c in _contents(alg, k)}
+        assert dims == {c: ranks.get(c, 0) for c in dims}, (degrees, k)
+        assert sum(dims.values()) == alg.pbw_dim(k) == alg.dim_oracle(k), (degrees, k)
+
+
+def test_content_dim_of_squares_and_a_gcd_content():
+    assert L(1).content_dim((0, 0)) == 1  # [y,y] != 0 for odd y
+    assert L(2).content_dim((0, 0)) == 0  # [x,x] = 0 for even x
+    assert L(1).content_dim((0, 0, 0)) == 0  # [y,[y,y]] = 0 by Jacobi
+    # gcd 2: (6 - 2)/4 for two even or two odd letters, (6 + 2)/4 for mixed
+    assert L(2, 2).content_dim((0, 0, 1, 1)) == 1
+    assert L(1, 1).content_dim((0, 0, 1, 1)) == 1
+    assert L(1, 2).content_dim((0, 0, 1, 1)) == 2
+    # only multiplicities and parities matter
+    assert L(3, 5).content_dim((0, 1, 1)) == L(1, 1).content_dim((0, 0, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(degrees=st.lists(st.integers(1, 4), max_size=4), k=st.integers(1, 6))
+def test_content_dims_add_up_to_the_pbw_dimension(degrees, k):
+    alg = L(*degrees)
+    assert sum(alg.content_dim(c) for c in _contents(alg, k)) == alg.pbw_dim(k) == alg.dim_oracle(k)
+
+
+def test_an_understated_content_dim_raises_instead_of_shrinking_the_basis(monkeypatch):
+    alg = L(1, 1, 2)
+    true_dim = alg.content_dim
+    short = (0, 1, 2)
+    assert true_dim(short) > 0
+    monkeypatch.setattr(alg, "content_dim", lambda c: true_dim(c) - (c == short))
+    with pytest.raises(ArithmeticError, match="internal basis bug"):
+        alg.degree_basis(4)
+
+
 def test_pbw_dim_of_even_and_empty_generators():
     # all-even generators leave every odd l_n = 0, the empty set every l_n
     assert [L(2).pbw_dim(k) for k in range(1, 7)] == [0, 1, 0, 0, 0, 0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgla.errors import NotSurjective
-from helpers import reference_elimination
+from helpers import reference_elimination, reference_kernel_basis
 from dgla.linalg import (
     Matrix,
     _Echelon,
@@ -344,11 +344,11 @@ def _rational_matrix(draw):
     return data, cols
 
 
-def _linalg_results(data, cols, x, rhs):
-    """What every rref-backed function of linalg gives on one matrix."""
+def _linalg_results(data, cols, x, rhs, kernel_of=kernel_basis):
+    """What every elimination-backed function of linalg gives on one matrix."""
     m = Matrix(data, cols=cols)
     out = {"rref": m.rref()}
-    kernel = kernel_basis(m)
+    kernel = kernel_of(m)
     out["kernel"] = (kernel.basis, kernel.pivots)
     span = Subspace(cols, data)
     out["span"] = (span.basis, span.pivots)
@@ -385,13 +385,38 @@ def test_integer_kernel_matches_fraction_reference(case, data):
     rows, cols = case
     x = tuple(data.draw(st.lists(_entry, min_size=cols, max_size=cols)))
     rhs = tuple(data.draw(st.lists(_entry, min_size=len(rows), max_size=len(rows))))
+    # kernel_basis runs its own elimination, so its reference is the
+    # two-step kernel on top of the reference rref
     with reference_elimination():
-        expected = _linalg_results(rows, cols, x, rhs)
+        expected = _linalg_results(rows, cols, x, rhs, reference_kernel_basis)
     got = _linalg_results(rows, cols, x, rhs)
     assert got == expected
     assert got["solve consistent"] is not None
     # an int here would turn a later 1 / e into a float
     assert all(type(e) is Fraction for e in _rational_entries(got))
+
+
+def _assert_rref(basis, pivots, n):
+    """basis is in reduced row echelon form with these pivot columns."""
+    assert list(pivots) == sorted(set(pivots)) and len(pivots) == len(basis)
+    for vec, p in zip(basis, pivots):
+        assert len(vec) == n
+        assert all(e == 0 for e in vec[:p]) and vec[p] == 1
+        assert all(other[p] == 0 for other in basis if other is not vec)
+
+
+@given(_rational_matrix())
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_is_the_rref_of_the_null_space(case):
+    rows, cols = case
+    m = Matrix(rows, cols=cols)
+    kernel = kernel_basis(m)
+    _assert_rref(kernel.basis, kernel.pivots, cols)
+    assert all(type(e) is Fraction for vec in kernel.basis for e in vec)
+    for vec in kernel.basis:
+        assert vec_is_zero(m.apply(vec))
+    assert kernel.dim == cols - m.rank()
+    assert kernel == Subspace(cols, kernel.basis)
 
 
 def test_rref_rank_and_nullity_agree_with_sympy():
@@ -418,3 +443,33 @@ def test_rref_rank_and_nullity_agree_with_sympy():
         assert len(kernel_basis(m).basis) == len(theirs.nullspace())
 
     check()
+
+
+def test_trusted_constructors_agree_with_the_public_ones():
+    cols = [
+        (Fraction(1), Fraction(0), Fraction(-1, 2)),
+        (Fraction(2), Fraction(0), Fraction(-1)),
+        (Fraction(0), Fraction(3), Fraction(0)),
+    ]
+    assert Matrix._of_columns(cols, 3) == Matrix.from_columns(cols, 3)
+    for rows in (0, 2):
+        assert Matrix._of_columns([], rows) == Matrix.from_columns([], rows)
+        assert Matrix._of_columns([], rows).shape == (rows, 0)
+    assert Matrix._of_columns([(), ()], 0) == Matrix.from_columns([(), ()], 0)
+    for vecs in (cols, cols[:1], []):
+        trusted, public = Subspace._spanned(3, vecs), Subspace(3, vecs)
+        assert trusted == public and trusted.pivots == public.pivots
+
+
+def test_public_constructors_still_coerce_and_check():
+    m = Matrix.from_columns([(1, "1/2")], 2)
+    assert m.data == ((Fraction(1),), (Fraction(1, 2),))
+    assert all(type(e) is Fraction for row in m.data for e in row)
+    sub = Subspace(2, [[2, "1"]])
+    assert sub.basis == ((Fraction(1), Fraction(1, 2)),)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace(2, [[1, 2, 3]])
+    with pytest.raises(TypeError):
+        Subspace(1, [[0.5]])
+    with pytest.raises(TypeError):
+        Matrix.from_columns([(0.5,)], 1)
