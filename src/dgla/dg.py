@@ -249,6 +249,27 @@ def _atom_name(k: int, i: int) -> str:
     return f"e_{k}_{i}"
 
 
+def _sum_terms(terms, value, zero, degree: int | None, what: str) -> Element:
+    """Sum of coeff * value(tree) over (coeff, tree) terms of one degree;
+    zero(degree) when there are none.  `what` names the sum in errors."""
+    result: Element | None = None
+    for coeff, tree in terms:
+        el = value(tree)
+        if result is not None and result.degree != el.degree:
+            raise MixedDegrees(
+                f"terms of degree {result.degree} and {el.degree} in one {what}"
+            )
+        scaled = tuple(coeff * c for c in el.coords)
+        if result is not None:
+            scaled = tuple(a + b for a, b in zip(result.coords, scaled))
+        result = Element(el.degree, scaled)
+    if result is not None:
+        return result
+    if degree is None:
+        raise ValueError(f"zero {what} needs an explicit degree")
+    return zero(degree)
+
+
 class FiniteDimDGLA(_DGLA):
     """Graded Lie algebra given by dimensions, structure constants and d.
 
@@ -359,25 +380,7 @@ class FiniteDimDGLA(_DGLA):
         raise UnknownGenerator(f"unknown basis vector {name!r}")
 
     def eval_terms(self, terms: Terms, expected_degree: int | None = None) -> Element:
-        result: Element | None = None
-        for coeff, tree in terms:
-            el = self._eval_tree(tree)
-            el = Element(el.degree, tuple(coeff * c for c in el.coords))
-            if result is None:
-                result = el
-            elif result.degree != el.degree:
-                raise MixedDegrees(
-                    f"terms of degree {result.degree} and {el.degree} in one expression"
-                )
-            else:
-                result = Element(
-                    result.degree,
-                    tuple(a + b for a, b in zip(result.coords, el.coords)),
-                )
-        if result is None:
-            if expected_degree is None:
-                raise ValueError("zero expression needs an explicit degree")
-            return self.zero(expected_degree)
+        result = _sum_terms(terms, self._eval_tree, self.zero, expected_degree, "expression")
         if expected_degree is not None and result.degree != expected_degree:
             raise MixedDegrees(
                 f"expected degree {expected_degree}, found {result.degree}"
@@ -441,21 +444,7 @@ class DGLAMorphism:
         return self._tree_cache.setdefault(tree, result)
 
     def eval_poly(self, p: LiePoly, degree: int | None = None) -> Element:
-        result: Element | None = None
-        for coeff, tree in p.terms:
-            el = self.eval_tree(tree)
-            scaled = tuple(coeff * c for c in el.coords)
-            if result is None:
-                result = Element(el.degree, scaled)
-            else:
-                result = Element(
-                    result.degree, tuple(a + b for a, b in zip(result.coords, scaled))
-                )
-        if result is None:
-            if degree is None:
-                raise ValueError("zero polynomial needs an explicit degree")
-            return self.target.zero(degree)
-        return result
+        return _sum_terms(p.terms, self.eval_tree, self.target.zero, degree, "polynomial")
 
     def matrix(self, k: int) -> Matrix:
         hit = self._matrices.get(k)

@@ -31,6 +31,7 @@ from .dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA
 from .errors import (
     FormatError,
     MixedDegrees,
+    NotFiltered,
     ParseError,
     TargetNotFiniteType,
     UnknownGenerator,
@@ -481,7 +482,10 @@ def endo_from_doc(doc: dict, model: RelativeModel, context: str = "endo") -> Fil
         images[name] = _eval_field(
             model.dgla, raw_images[name], degrees[name], f"{context}: images[{name}]"
         )
-    return FilteredEndo(model, images)
+    try:
+        return FilteredEndo(model, images)
+    except NotFiltered as e:
+        raise NotFiltered(f"{context}: images: {e}") from None
 
 
 def endo_to_doc(endo: FilteredEndo) -> dict:

@@ -54,6 +54,15 @@ brackets: it replaces one letter of each word by that letter's image, with
 Koszul sign (-1)^{r |prefix|}, and `basis_coords` reads the result back into
 the degree basis.
 
+The free sub-algebra on a subset of the generators is an index set of the
+ambient basis, `sub_basis`, not a FreeGLA of its own.  Its words are the
+ambient words over the subset in the same (length, lex) order, and its
+content blocks are the ambient blocks over the subset, so each keeps the
+same greedy basis: in order, the ambient basis vectors whose words use only
+the subset's letters.  An element lies in the sub-algebra iff its
+coordinates vanish off those indices, and the ones at them are its
+sub-algebra coordinates.
+
 Tensor-space vectors are sparse dicts keyed by words (tuples of generator
 indices), with int or Fraction values.  Words are enumerated by (length,
 tuple), which fixes which monomials join a basis; within a content block
@@ -418,6 +427,19 @@ class FreeGLA:
             )
         basis = DegreeBasis(k, tuple(monos), tuple(vecs), blocks)
         return self._basis.setdefault(k, basis)
+
+    def sub_basis(self, k: int, names: Iterable[str]) -> tuple[int, ...]:
+        """Indices of the degree-k basis vectors whose words use only `names`:
+        in order, the canonical basis of the free sub-algebra on `names`, as
+        dropping letters keeps the order of words and their content blocks."""
+        if k < 1:
+            return ()
+        letters = {self.index_of(n) for n in names}
+        return tuple(
+            i
+            for i, vec in enumerate(self.degree_basis(k).vectors)
+            if letters.issuperset(next(iter(vec)))
+        )
 
     def dim(self, k: int) -> int:
         if k < 1:

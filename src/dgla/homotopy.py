@@ -332,45 +332,50 @@ def log_unipotent(u: FilteredEndo, bound: int) -> RelDerivation:
             raise NotUnipotentRelative(
                 f"endomorphism moves the base generator {name!r}"
             )
-    fiber_atom = {}
-    for g in model.fiber_generators:
-        fiber_atom.setdefault(g.degree, model.fiber_atom_indices(g.degree))
-    for g in model.fiber_generators:
-        diff = vec_sub(u.image(g.name).coords, dgla.atom(g.name).coords)
-        for _, idx in fiber_atom[g.degree]:
-            if diff[idx] != 0:
-                raise NotUnipotentRelative(
-                    f"(u - id) has a linear fiber part on {g.name!r}"
-                )
+    moved = _moved_linearly(u)
+    if moved:
+        raise NotUnipotentRelative(f"(u - id) has a linear fiber part on {moved[0]!r}")
+    return _log_series(u)
+
+
+def _moved_linearly(u: FilteredEndo) -> list[str]:
+    """Fiber generators on which u - id has a nonzero linear fiber part."""
+    model, dgla = u.model, u.model.dgla
+    return [
+        g.name
+        for g in model.fiber_generators
+        if any(
+            u.image(g.name).coords[idx] != dgla.atom(g.name).coords[idx]
+            for _, idx in model.fiber_atom_indices(g.degree)
+        )
+    ]
+
+
+def _log_series(u: FilteredEndo) -> RelDerivation:
+    """log(u) = sum_p (-1)^(p+1) (u - id)^p / p on each fiber generator, for
+    a u that passes the checks of `log_unipotent`."""
+    dgla = u.model.dgla
     images: dict[str, Element] = {}
-    for g in model.fiber_generators:
+    for g in u.model.fiber_generators:
         k = g.degree
         umat = u.matrix(k)
-        n = dgla.dim(k)
-        xmat = Matrix._of_rows(
-            tuple(
-                tuple(umat.data[i][j] - (1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            ),
-            n,
-        )
-        term = xmat.apply(dgla.atom(g.name).coords)
-        acc = list(term)
-        p = 1
-        while not vec_is_zero(term):
-            term = xmat.apply(term)
+        term = dgla.atom(g.name).coords
+        acc = list(dgla.zero(k).coords)
+        p = 0
+        while True:
+            term = vec_sub(umat.apply(term), term)
             p += 1
             if vec_is_zero(term):
                 break
-            coeff = Fraction((-1) ** (p + 1), p)
-            for i, c in enumerate(term):
-                acc[i] += coeff * c
             if p > 2 * k + 2:
                 raise ArithmeticError(
                     "logarithm series failed to terminate (internal check)"
                 )
+            coeff = Fraction((-1) ** (p + 1), p)
+            for i, c in enumerate(term):
+                acc[i] += coeff * c
         images[g.name] = Element(k, tuple(acc))
-    return RelDerivation(model, 0, images)
+    return RelDerivation(u.model, 0, images)
 
 
 @dataclass(frozen=True)
@@ -413,21 +418,21 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
     g_inv = invert_relative_quasi_iso(g, bound)
     u = f.compose(g_inv)
 
-    dgla = model.dgla
-    for w in model.fiber_generators:
-        diff = vec_sub(u.image(w.name).coords, dgla.atom(w.name).coords)
-        for _, idx in model.fiber_atom_indices(w.degree):
-            if diff[idx] != 0:
-                return Verdict(
-                    False,
-                    None,
-                    f"f o g^-1 has a non-identity linear part on {w.name!r}, "
-                    "so it lies outside the exponential of the boundary "
-                    "derivations",
-                    dims,
-                    m,
-                )
-    theta = log_unipotent(u, bound)
+    moved = _moved_linearly(u)
+    if moved:
+        return Verdict(
+            False,
+            None,
+            f"f o g^-1 has a non-identity linear part on {moved[0]!r}, "
+            "so it lies outside the exponential of the boundary derivations",
+            dims,
+            m,
+        )
+    # u fixes the base and has no linear fiber part; of log_unipotent's checks
+    # only the bound on base degrees, which derivation_basis skips, is left.
+    if m > bound:
+        raise DegreeBoundExceeded("bound is smaller than the maximal generator degree")
+    theta = _log_series(u)
     theta_vec = data0.space.pack(theta)
     if not vec_is_zero(data0.boundary_out.apply(theta_vec)):
         raise ArithmeticError(
@@ -464,8 +469,9 @@ def pi0_report(model: RelativeModel, bound: int) -> dict:
     dgla = model.dgla
     dims_by_degree = {k: dgla.dim(k) for k in range(1, m + 1)}
     sigma = sum(dims_by_degree.values())
-    base_alg = model.sub_algebra(model.base_names)
-    base_dim = sum(base_alg.dim(k) for k in range(1, m + 1))
+    base_dim = sum(
+        len(dgla.algebra.sub_basis(k, model.base_names)) for k in range(1, m + 1)
+    )
     data0 = derivation_basis(model, 0, bound)
     bracket_eqs = 0
     for p in range(1, m):

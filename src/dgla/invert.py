@@ -9,11 +9,15 @@ built stage by stage: the base block is inverted by plain linear algebra,
 and each fiber degree is handled through the quotient complex of the image
 of the already-inverted part, with all section choices pinned to the rref
 pivot rule.
+
+Neither the base L(V) nor a stage M<k> = L(V + W_{<=k}) is built as an
+algebra of its own.  Each is read by indices from the ambient basis
+(`FreeGLA.sub_basis`): the base block of f is f's matrix at the base
+indices, and a correction term in M<k> has its stage coordinates at the
+stage indices and none elsewhere.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .dg import DGLAMorphism, Element, induced_map_on_homology
 from .errors import (
@@ -26,7 +30,6 @@ from .errors import (
     NotQuasiIso,
     NotSurjective,
 )
-from .freelie import LiePoly
 from .linalg import (
     Matrix,
     Subspace,
@@ -34,8 +37,6 @@ from .linalg import (
     kernel_basis,
     quotient_data,
     section_of_surjection,
-    solve_pivot,
-    unit_vector,
     vec_sub,
 )
 from .minimal import RelativeModel, is_minimal
@@ -60,11 +61,9 @@ class FilteredEndo(DGLAMorphism):
         full = {g.name: images.get(g.name, dgla.atom(g.name)) for g in dgla.generators}
         super().__init__(dgla, dgla, full)
         self.model = model
-        base = set(model.base_names)
-        algebra = dgla.algebra
         for name in model.base_names:
-            vec = algebra.tensor_of(full[name].degree, full[name].coords)
-            if any(algebra.generators[i].name not in base for w in vec for i in w):
+            base = dgla.algebra.sub_basis(full[name].degree, model.base_names)
+            if _nonzero_outside(full[name].coords, base):
                 raise NotFiltered(
                     f"image of base generator {name!r} leaves the base subalgebra"
                 )
@@ -101,35 +100,40 @@ def is_relative_automorphism(f: FilteredEndo) -> bool:
     return True
 
 
+def _nonzero_outside(coords, inside: tuple[int, ...]) -> bool:
+    """Whether coords are nonzero at some index outside `inside`."""
+    keep = set(inside)
+    return any(c for i, c in enumerate(coords) if i not in keep)
+
+
 def _base_inverse_images(f: FilteredEndo) -> dict[str, Element]:
-    """Invert the restriction of f to the base subalgebra, per degree."""
-    model = f.model
-    base_alg = model.sub_algebra(model.base_names)
+    """Invert the restriction of f to the base subalgebra, per degree: the
+    block of f's matrix at the base indices of the degree's basis."""
+    dgla = f.model.dgla
     images: dict[str, Element] = {}
-    degrees = sorted({g.degree for g in model.base_generators})
-    for m in degrees:
-        basis = base_alg.degree_basis(m)
-        cols = []
-        for tree in basis.monomials:
-            val = f.eval_tree(tree)
-            poly = model.dgla.poly(val)
-            _, coords = base_alg.normalize(poly, m)
-            cols.append(coords)
-        fm = Matrix._of_columns(cols, basis.dim)
+    for m in sorted({g.degree for g in f.model.base_generators}):
+        inside = dgla.algebra.sub_basis(m, f.model.base_names)
+        monomials = dgla.algebra.degree_basis(m).monomials
+        vals = [f.eval_tree(monomials[i]).coords for i in inside]
+        if any(_nonzero_outside(v, inside) for v in vals):
+            raise ArithmeticError(
+                "image of a base monomial leaves the base subalgebra; internal bug"
+            )
+        block = [tuple(v[j] for j in inside) for v in vals]
         try:
-            inv = invert(fm)
+            inv = invert(Matrix._of_columns(block, len(inside)))
         except ValueError:
             raise BaseNotAutomorphism(
                 f"restriction of the endomorphism to the base is singular "
                 f"in degree {m}"
             ) from None
-        for g in model.base_generators:
-            if g.degree != m:
-                continue
-            _, idx = base_alg.atom(g.name)
-            coords = inv.apply(unit_vector(basis.dim, idx))
-            poly = base_alg.poly_of_coords(m, coords)
-            images[g.name] = model.dgla.element(poly, m)
+        for g in f.model.base_generators:
+            if g.degree == m:
+                col = inv.column(inside.index(dgla.algebra.atom(g.name)[1]))
+                coords = list(dgla.zero(m).coords)
+                for j, c in zip(inside, col):
+                    coords[j] = c
+                images[g.name] = Element(m, tuple(coords))
     return images
 
 
@@ -162,40 +166,32 @@ def invert_relative_quasi_iso(f: FilteredEndo, bound: int) -> FilteredEndo:
 
     images = _base_inverse_images(f)
 
-    fiber_degrees = sorted(
-        {g.degree for g in model.fiber_generators if g.degree <= bound}
-    )
-    for t in fiber_degrees:
+    for t in sorted({g.degree for g in model.fiber_generators if g.degree <= bound}):
         k = t - 1
         sub_names = model.generators_up_to(k)
-        sub = model.sub_algebra(sub_names)
         g_cur = FilteredEndo(model, images)
 
         def sub_data(m: int):
-            if m < 1:
-                return [], [], Subspace(0)
-            trees = sub.degree_basis(m).monomials
-            g_vals = [g_cur.eval_tree(tree).coords for tree in trees]
-            return list(trees), g_vals, Subspace._spanned(dgla.dim(m), g_vals)
+            inside = dgla.algebra.sub_basis(m, sub_names)
+            monomials = dgla.algebra.degree_basis(m).monomials if m >= 1 else ()
+            g_vals = [g_cur.eval_tree(monomials[i]).coords for i in inside]
+            return inside, g_vals, Subspace._spanned(dgla.dim(m), g_vals)
 
-        trees_t, g_vals_t, s_t = sub_data(t)
+        inside_t, g_vals_t, s_t = sub_data(t)
         _, _, s_k = sub_data(k)
 
-        proj_t, reps_t = quotient_data(dgla.dim(t), s_t)
-        proj_k, _ = quotient_data(dgla.dim(k) if k >= 1 else 0, s_k)
+        _, reps_t = quotient_data(dgla.dim(t), s_t)
+        proj_k, _ = quotient_data(dgla.dim(k), s_k)
         lift_t = Matrix._of_columns(reps_t, dgla.dim(t))
-        d_t = dgla.d_matrix(t)
-        dbar = proj_k.mul(d_t).mul(lift_t)
-        zbar = kernel_basis(dbar)
+        zbar = kernel_basis(proj_k.mul(dgla.d_matrix(t)).mul(lift_t))
 
         wgens = [g for g in model.fiber_generators if g.degree == t]
         atom_idx = {g.name: dgla.algebra.atom(g.name)[1] for g in wgens}
         f_t = f.matrix(t)
-        lifts = [lift_t.apply(z) for z in zbar.basis]
-        f_lifts = [f_t.apply(v) for v in lifts]
+        lifts = lift_t.mul(Matrix._of_columns(zbar.basis, lift_t.cols))
+        f_lifts = f_t.mul(lifts)
         onto = Matrix._of_rows(
-            tuple(tuple(fl[atom_idx[g.name]] for fl in f_lifts) for g in wgens),
-            len(lifts),
+            tuple(f_lifts.data[atom_idx[g.name]] for g in wgens), lifts.cols
         )
         try:
             section = section_of_surjection(onto)
@@ -206,35 +202,22 @@ def invert_relative_quasi_iso(f: FilteredEndo, bound: int) -> FilteredEndo:
                 f"quasi-isomorphism there"
             ) from None
 
-        sub_matrix = Matrix._of_columns(
-            [dgla.element(LiePoly([(Fraction(1), tree)]), t).coords for tree in trees_t],
-            dgla.dim(t),
-        )
         g_matrix = Matrix._of_columns(g_vals_t, dgla.dim(t))
 
         for col, g in enumerate(wgens):
-            combo = section.column(col)
-            xi = [Fraction(0)] * dgla.dim(t)
-            for c, lift in zip(combo, lifts):
-                if c != 0:
-                    for j, a in enumerate(lift):
-                        xi[j] += c * a
-            fxi = f_t.apply(xi)
-            target = list(fxi)
+            xi = lifts.apply(section.column(col))
+            target = list(f_t.apply(xi))
             target[atom_idx[g.name]] -= 1
-            for other in wgens:
-                if target[atom_idx[other.name]] != 0:
-                    raise ArithmeticError(
-                        "correction term has a fiber-linear part; internal "
-                        "section bug"
-                    )
-            coords = solve_pivot(sub_matrix, tuple(target))
-            if coords is None:
+            if any(target[i] for i in atom_idx.values()):
+                raise ArithmeticError(
+                    "correction term has a fiber-linear part; internal section bug"
+                )
+            if _nonzero_outside(target, inside_t):
                 raise ArithmeticError(
                     "correction term escaped the filtration stage; internal bug"
                 )
-            g_corr = g_matrix.apply(coords)
-            images[g.name] = Element(t, vec_sub(tuple(xi), g_corr))
+            g_corr = g_matrix.apply(tuple(target[j] for j in inside_t))
+            images[g.name] = Element(t, vec_sub(xi, g_corr))
 
     result = FilteredEndo(model, images)
 

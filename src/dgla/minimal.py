@@ -27,8 +27,7 @@ from .errors import (
     NotAChainMap,
     NotSimplyConnected,
 )
-from .exprs import tree_leaves
-from .freelie import FreeGLA, GradedGenerator, LiePoly
+from .freelie import GradedGenerator, LiePoly
 from .linalg import Matrix, Subspace, kernel_basis, quotient_data, solve_pivot
 
 _STAGE_NAME = re.compile(r"^[ab]_\d+_\d+$")
@@ -88,7 +87,6 @@ class RelativeModel:
                 "A-generators followed by its B-generators"
             )
         self._by_name = {g.name: g for g in dgla.generators}
-        self._sub_algebras: dict[tuple[str, ...], FreeGLA] = {}
         self._minimality: MinimalityReport | None = None
 
     @property
@@ -123,14 +121,6 @@ class RelativeModel:
                 _, idx = self.dgla.algebra.atom(g.name)
                 out.append((g.name, idx))
         return tuple(out)
-
-    def sub_algebra(self, names: tuple[str, ...]) -> FreeGLA:
-        """Free algebra on a generator subset, in ambient order (cached)."""
-        hit = self._sub_algebras.get(names)
-        if hit is not None:
-            return hit
-        sub = FreeGLA([self._by_name[n] for n in names])
-        return self._sub_algebras.setdefault(names, sub)
 
     def generators_up_to(self, k: int) -> tuple[str, ...]:
         """Base plus fiber generators of degree <= k (the algebra M<k>)."""
@@ -325,21 +315,21 @@ def verify_model(
     )
 
     e_bad = []
+    algebra = model.dgla.algebra
     for n, stage in enumerate(model.stages, start=1):
         veto = set(stage.A) | set(stage.B)
         if n >= 2:
             veto |= set(model.stages[n - 2].B)
+        allowed = [name for name in algebra.names() if name not in veto]
         for name in stage.B:
             image = model.dgla.differential.get(name, LiePoly.zero())
             if image.is_zero():
                 continue
             degree = model.degree_of(name) - 1
-            _, coords = model.dgla.algebra.normalize(image, degree)
-            monos = model.dgla.algebra.degree_basis(degree).monomials
-            for idx, c in enumerate(coords):
-                if c != 0 and set(tree_leaves(monos[idx])) & veto:
-                    e_bad.append(name)
-                    break
+            _, coords = algebra.normalize(image, degree)
+            inside = set(algebra.sub_basis(degree, allowed))
+            if any(c for idx, c in enumerate(coords) if idx not in inside):
+                e_bad.append(name)
     checks.append(
         (
             "condition-e",

@@ -436,6 +436,29 @@ def test_wrong_degree_endo_image_names_file_and_field(files, capsys, tmp_path):
     _assert_one_line_error(code, err, f"{endo}: images[w]: expected degree 2, found 3")
 
 
+def test_base_image_leaving_the_base_names_endo_file(files, capsys, tmp_path):
+    model = str(tmp_path / "wedge_model.json")
+    code, _, _ = run(
+        capsys,
+        "minimal-model",
+        files["sphere"],
+        files["wedge"],
+        files["incl"],
+        "--max-degree",
+        "3",
+        "--out",
+        model,
+    )
+    assert code == 0
+    endo = write(tmp_path, "leaves.json", {"kind": "endo", "images": {"a": "a + a_1_0"}})
+    code, out, err = run(capsys, "invert", model, endo, "--max-degree", "3")
+    assert code == 2
+    _assert_one_line_error(
+        code, err, f"{endo}: images: image of base generator 'a' leaves the base subalgebra"
+    )
+    assert out == ""
+
+
 def test_wrong_degree_map_image_names_file_and_field(files, capsys, tmp_path):
     bad_map = write(tmp_path, "bad_map.json", {"kind": "dgla_morphism", "images": {"a": "[a,b]"}})
     code, _, err = run(

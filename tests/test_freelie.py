@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgla.errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
@@ -561,3 +561,32 @@ def test_each_content_block_holds_only_its_own_words(degrees, k):
         for _, row, _ in block.rows:
             assert {tuple(sorted(w)) for w in row} == {content}
     assert sum(block.rank for block in basis.blocks.values()) == basis.dim
+
+
+# -- sub-algebras as index sets of the ambient basis ---------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    degrees=st.lists(st.integers(1, 4), max_size=4),
+    keep=st.lists(st.booleans(), min_size=4, max_size=4),
+    k=st.integers(1, 6),
+)
+@example(degrees=[1, 2, 1, 3], keep=[True, False, True, False], k=5)
+@example(degrees=[2, 1, 1], keep=[False, True, True, False], k=6)
+@example(degrees=[1, 2], keep=[False, False, False, False], k=3)
+def test_sub_basis_is_the_basis_of_the_free_sub_algebra(degrees, keep, k):
+    """The deleted construction, a FreeGLA on the subset, is the reference."""
+    alg = L(*degrees)
+    subset = [g for g, kept in zip(alg.generators, keep) if kept]
+    reference = FreeGLA(subset).degree_basis(k).monomials
+    monomials = alg.degree_basis(k).monomials
+    assert tuple(monomials[i] for i in alg.sub_basis(k, [g.name for g in subset])) == reference
+
+
+def test_sub_basis_below_degree_one_and_on_unknown_names():
+    alg = L(1, 2)
+    assert alg.sub_basis(0, ["g0"]) == ()
+    assert alg.sub_basis(3, alg.names()) == tuple(range(alg.dim(3)))
+    with pytest.raises(UnknownGenerator):
+        alg.sub_basis(2, ["nope"])

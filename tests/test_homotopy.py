@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA
-from dgla.errors import NotRelativeAutomorphism, NotUnipotentRelative, NotWordLengthRaising
+from dgla.errors import (
+    DegreeBoundExceeded,
+    NotRelativeAutomorphism,
+    NotUnipotentRelative,
+    NotWordLengthRaising,
+)
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
 from dgla.homotopy import (
@@ -19,7 +24,7 @@ from dgla.homotopy import (
     pi0_report,
 )
 from dgla.invert import FilteredEndo, invert_relative_quasi_iso
-from dgla import minimal
+from dgla import homotopy, minimal
 from dgla.minimal import RelativeModel, Stage, build_minimal_model
 
 from helpers import rand_minimal_model, rand_relative_automorphism, sample_exp_candidate
@@ -299,6 +304,46 @@ def test_equivalence_symmetry_and_transitivity():
         assert v_fg.equivalent == v_gf.equivalent
         assert are_homotopic_rel(f, f, bound).equivalent
         done += 1
+
+
+def test_equivalent_takes_the_log_without_log_unipotent(cycle_model, monkeypatch):
+    """u = f o g^-1 is checked once; the public log's checks do not rerun."""
+
+    def refuse(*args):
+        raise AssertionError("log_unipotent called on the equivalent path")
+
+    monkeypatch.setattr(homotopy, "log_unipotent", refuse)
+    f = FilteredEndo.identity(cycle_model)
+    verdict = are_homotopic_rel(f, f, 3)
+    assert verdict.equivalent and verdict.witness is not None
+
+
+def test_equivalent_refuses_a_bound_below_a_base_generator():
+    # the fiber generator w fits under the bound 3, the base generator y not
+    model = make_model(
+        [("x", 1), ("y", 4), ("w", 2)],
+        {},
+        ("x", "y"),
+        (Stage((), ()), Stage(("w",), ())),
+    )
+    f = FilteredEndo.identity(model)
+    with pytest.raises(DegreeBoundExceeded, match="maximal generator degree"):
+        are_homotopic_rel(f, f, 3)
+    assert are_homotopic_rel(f, f, 4).equivalent
+
+
+def test_pi0_report_counts_a_base_with_brackets():
+    # up to degree 3 the stage is x; y, [x,x]; w, [x,y] and the base is all
+    # of it but w, so fixesBase counts 4 base vectors against 5
+    model = make_model(
+        [("x", 1), ("y", 2), ("w", 3)],
+        {},
+        ("x", "y"),
+        (Stage((), ()), Stage((), ()), Stage(("w",), ())),
+    )
+    report = pi0_report(model, 3)
+    assert report["sigmaDimension"] == 5
+    assert report["conditions"]["fixesBase"] == 4 * 5
 
 
 def test_pi0_report_no_fibers():

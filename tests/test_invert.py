@@ -90,6 +90,45 @@ def test_base_image_with_fiber_support_rejected():
     FilteredEndo(model, {"x": model.dgla.atom("u")})
 
 
+def test_base_image_with_a_mixed_bracket_rejected():
+    # x has degree 2, so [u,w] is a degree-2 basis vector with a fiber letter
+    model = make_model(
+        [("x", 2), ("u", 1), ("w", 1)],
+        {},
+        ("x", "u"),
+        (Stage(("w",), ()),),
+    )
+    alg = model.dgla
+    x, u, w = LiePoly.gen("x"), LiePoly.gen("u"), LiePoly.gen("w")
+    with pytest.raises(NotFiltered, match="'x' leaves the base subalgebra"):
+        FilteredEndo(model, {"x": alg.element(x + bracket(u, w), 2)})
+    FilteredEndo(model, {"x": alg.element(x + bracket(u, u), 2)})
+
+
+def test_degree_two_base_block_inverted():
+    # base x (1) and y (2): the degree-2 base block acts on y and [x,x]
+    model = make_model(
+        [("x", 1), ("y", 2), ("w", 3)],
+        {},
+        ("x", "y"),
+        (Stage((), ()), Stage((), ()), Stage(("w",), ())),
+    )
+    alg = model.dgla
+    x, y, w = LiePoly.gen("x"), LiePoly.gen("y"), LiePoly.gen("w")
+    f = FilteredEndo(
+        model,
+        {
+            "y": alg.element(2 * y + bracket(x, x), 2),
+            "w": alg.element(w + bracket(x, y), 3),
+        },
+    )
+    g = invert_relative_quasi_iso(f, 3)
+    assert alg.element_expr(g.image("y")) == "1/2*y - 1/2*[x,x]"
+    for endo in (f.compose(g), g.compose(f)):
+        for gen in alg.generators:
+            assert endo.image(gen.name) == alg.atom(gen.name)
+
+
 def test_singular_base_rejected(flat_model):
     alg = flat_model.dgla
     f = FilteredEndo(

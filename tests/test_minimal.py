@@ -170,6 +170,22 @@ def test_verify_flags_condition_e_violation():
     assert "minimal" in failed
 
 
+def test_verify_flags_condition_e_inside_a_bracket():
+    # d of the stage-2 B-generator b uses the same-stage A-generator a only
+    # inside the bracket [x,a]; with the layout intact a bracket on a vetoed
+    # letter is too high in degree, so a sits in degree 1 instead of 2
+    m = hand_model(
+        [("x", 1), ("a", 1), ("b", 3)],
+        {"b": "[x,a]"},
+        ("x",),
+        (Stage((), ()), Stage(("a",), ("b",))),
+    )
+    checks = {name: (ok, msg) for name, ok, msg in verify_model(m, 1).checks}
+    assert checks["condition-e"] == (False, "forbidden generators in d of b")
+    assert not checks["stage-degrees"][0]
+    assert checks["minimal"][0]
+
+
 def test_verify_flags_stage_degree_layout():
     m = hand_model(
         [("x", 1), ("w", 3)],
