@@ -36,7 +36,6 @@ from .linalg import (
     membership,
     quotient_data,
     rref,
-    section_of_surjection,
 )
 from .minimal import (
     MinimalityReport,
@@ -82,7 +81,6 @@ __all__ = [
     "pi0_report",
     "quotient_data",
     "rref",
-    "section_of_surjection",
     "validate",
     "verify_model",
 ]

@@ -38,11 +38,10 @@ antisymmetric under every permutation of its arguments; and the Leibniz
 defect L(x,y) = d[x,y] - [dx,y] - (-1)^{|x|}[x,dy] satisfies
 L(y,x) = -(-1)^{|x||y|} L(x,y).  So each vanishes on a tuple of basis
 vectors exactly when it vanishes on the sorted tuple, with (degree, index)
-pairs in lexicographic order.  The checks evaluate sorted tuples only and
-give every other tuple the verdict of its sorted form, which the loops
-over degrees and then indices have already visited; they keep the set of
-failing sorted tuples, not a verdict per tuple, and report violations for
-every ordered tuple in loop order, as the full loops would.
+pairs in lexicographic order.  The checks evaluate sorted tuples only.
+When one of them fails, the check runs again on every ordered tuple, so
+the report lists each failing tuple in loop order, as without the
+symmetry; a valid algebra never pays for that second run.
 """
 
 from __future__ import annotations
@@ -461,17 +460,22 @@ class DGLAMorphism:
         return Element(el.degree, self.matrix(el.degree).apply(el.coords))
 
     def chain_defects(self) -> list[str]:
-        """Generators on which d(f(x)) != f(d(x)); empty iff chain map."""
+        """Generators on which d(f(x)) != f(d(x)); empty iff chain map.
+
+        d(x) is read through `d_images`, so a given differential that
+        vanishes in the free Lie algebra, such as [x,x] with x even, is zero
+        whatever degree its terms have.
+        """
+        d_images = self.source.d_images()
         defects = []
-        for g in self.source.generators:
+        for i, g in enumerate(self.source.generators):
             lhs = self.target.d_matrix(g.degree).apply(self.images[g.name].coords)
-            dsrc = self.source.differential.get(g.name, LiePoly.zero())
-            rhs = self.eval_poly(dsrc, g.degree - 1).coords
-            if g.degree - 1 < 1:
+            if i not in d_images:
                 if not vec_is_zero(lhs):
                     defects.append(g.name)
                 continue
-            if lhs != rhs:
+            dsrc = self.source.differential[g.name]
+            if lhs != self.eval_poly(dsrc, g.degree - 1).coords:
                 defects.append(g.name)
         return defects
 
@@ -624,64 +628,13 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
     # bracket is read from its own key, never from its mirror, since an
     # even-degree violation leaves the table not antisymmetric.
     brk = _integer_cells(table)
-    # With an antisymmetric table only sorted triples and pairs are
-    # evaluated; any other one takes the verdict of its sorted form, which
-    # the loop order has visited earlier (see the module docstring).
+    # With an antisymmetric table the sorted triples decide (see the module
+    # docstring); only when one fails do all triples run, to report each.
     symmetric = not violations
-    bad_triples: set = set()
-    maxdeg = max(degrees, default=0)
-    for p in degrees:
-        for q in degrees:
-            for r in degrees:
-                s = p + q + r
-                if s > maxdeg:
-                    continue
-                # above maxDegree, name the first degree the brackets reach:
-                # e_i, e_j, [e_i,e_j], e_l, [e_j,e_l], then the Jacobiator
-                for k in (p, q, p + q, r, q + r, s):
-                    a.dim(k)
-                n = a.dims.get(s, 0)
-                if not n:
-                    continue
-                ordered = p <= q <= r
-                if symmetric and not ordered and not bad_triples:
-                    continue
-                sign = -1 if (p * q) % 2 else 1
-                for i in range(a.dims[p]):
-                    for j in range(a.dims[q]):
-                        eij = brk.get((p, q, i, j), ())
-                        # the triples with l >= lmin are evaluated
-                        if not symmetric:
-                            lmin = 0
-                        elif ordered and (p < q or i <= j):
-                            lmin = j if q == r else 0
-                        else:
-                            lmin = a.dims[r]
-                        for l in range(a.dims[r]):
-                            if l < lmin:
-                                triple = ((p, i), (q, j), (r, l))
-                                if bad_triples and tuple(sorted(triple)) in bad_triples:
-                                    violations.append(_fails_on("Jacobi", triple))
-                                continue
-                            total = [0] * n
-                            # [e_i,[e_j,e_l]]
-                            for m, c in brk.get((q, r, j, l), ()):
-                                for t, v in brk.get((p, q + r, i, m), ()):
-                                    total[t] += c * v
-                            # - [[e_i,e_j],e_l]
-                            for m, c in eij:
-                                for t, v in brk.get((p + q, r, m, l), ()):
-                                    total[t] -= c * v
-                            # - (-1)^{pq} [e_j,[e_i,e_l]]
-                            for m, c in brk.get((p, r, i, l), ()):
-                                c *= sign
-                                for t, v in brk.get((q, p + r, j, m), ()):
-                                    total[t] -= c * v
-                            if any(total):
-                                triple = ((p, i), (q, j), (r, l))
-                                violations.append(_fails_on("Jacobi", triple))
-                                if symmetric:
-                                    bad_triples.add(triple)
+    jacobi = _jacobi_violations(a, brk, degrees, sorted_only=symmetric)
+    if symmetric and jacobi:
+        jacobi = _jacobi_violations(a, brk, degrees, sorted_only=False)
+    violations.extend(jacobi)
     if violations:
         return ValidationReport(tuple(violations))
     for k in sorted(a.d_mats):
@@ -711,25 +664,81 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                 violations.append(f"d^2 is nonzero from degree {k + 1}")
                 break
     # Reaching here, no conflict or even-degree self-bracket was recorded:
-    # the table is antisymmetric, so only pairs (p,i) <= (q,j) are evaluated.
-    bad_pairs: set = set()
+    # the table is antisymmetric, so the sorted pairs decide.
+    leibniz = _leibniz_violations(a, brk, dcol, degrees, sorted_only=True)
+    if leibniz:
+        leibniz = _leibniz_violations(a, brk, dcol, degrees, sorted_only=False)
+    violations.extend(leibniz)
+    return ValidationReport(tuple(violations))
+
+
+def _jacobi_violations(a: FiniteDimDGLA, brk: dict, degrees, sorted_only: bool) -> list[str]:
+    """Graded Jacobi violations of a finite-dimensional table, in loop order,
+    on every ordered triple of basis vectors or, with `sorted_only`, on the
+    sorted ones.  `brk` holds the integer structure constants."""
+    violations: list[str] = []
+    maxdeg = max(degrees, default=0)
+    for p in degrees:
+        for q in degrees:
+            for r in degrees:
+                s = p + q + r
+                if s > maxdeg:
+                    continue
+                # above maxDegree, name the first degree the brackets reach:
+                # e_i, e_j, [e_i,e_j], e_l, [e_j,e_l], then the Jacobiator
+                for k in (p, q, p + q, r, q + r, s):
+                    a.dim(k)
+                n = a.dims.get(s, 0)
+                if not n or (sorted_only and not p <= q <= r):
+                    continue
+                sign = -1 if (p * q) % 2 else 1
+                for i in range(a.dims[p]):
+                    for j in range(a.dims[q]):
+                        if sorted_only and p == q and j < i:
+                            continue
+                        eij = brk.get((p, q, i, j), ())
+                        lmin = j if sorted_only and q == r else 0
+                        for l in range(lmin, a.dims[r]):
+                            total = [0] * n
+                            # [e_i,[e_j,e_l]]
+                            for m, c in brk.get((q, r, j, l), ()):
+                                for t, v in brk.get((p, q + r, i, m), ()):
+                                    total[t] += c * v
+                            # - [[e_i,e_j],e_l]
+                            for m, c in eij:
+                                for t, v in brk.get((p + q, r, m, l), ()):
+                                    total[t] -= c * v
+                            # - (-1)^{pq} [e_j,[e_i,e_l]]
+                            for m, c in brk.get((p, r, i, l), ()):
+                                c *= sign
+                                for t, v in brk.get((q, p + r, j, m), ()):
+                                    total[t] -= c * v
+                            if any(total):
+                                triple = ((p, i), (q, j), (r, l))
+                                violations.append(_fails_on("Jacobi", triple))
+    return violations
+
+
+def _leibniz_violations(
+    a: FiniteDimDGLA, brk: dict, dcol: dict, degrees, sorted_only: bool
+) -> list[str]:
+    """Leibniz violations, in loop order, on every ordered pair of basis
+    vectors or, with `sorted_only`, on the sorted ones.  `brk` and `dcol`
+    hold the integer structure constants and columns of d."""
+    violations: list[str] = []
     for p in degrees:
         for q in degrees:
             if p + q - 1 < 1:
                 continue
             if a.max_degree is not None and p + q > a.max_degree:
                 continue
-            if p > q and not bad_pairs:
+            if sorted_only and p > q:
                 continue
             n = a.dims.get(p + q - 1, 0)
             sign = -1 if p % 2 else 1
             for i in range(a.dims[p]):
                 dei = dcol.get((p, i), ()) if p - 1 >= 1 else ()
-                for j in range(a.dims[q]):
-                    if p > q or (p == q and j < i):
-                        if bad_pairs and ((q, j), (p, i)) in bad_pairs:
-                            violations.append(_fails_on("Leibniz", ((p, i), (q, j))))
-                        continue
+                for j in range(i if sorted_only and p == q else 0, a.dims[q]):
                     total = [0] * n
                     # d[e_i,e_j]
                     for m, c in brk.get((p, q, i, j), ()):
@@ -747,8 +756,7 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                                 total[t] -= c * v
                     if any(total):
                         violations.append(_fails_on("Leibniz", ((p, i), (q, j))))
-                        bad_pairs.add(((p, i), (q, j)))
-    return ValidationReport(tuple(violations))
+    return violations
 
 
 def _fails_on(law: str, vectors) -> str:

@@ -45,10 +45,6 @@ class DegreeBoundTooSmall(DglaError):
     pass
 
 
-class NotSurjective(DglaError):
-    pass
-
-
 class NotAChainMap(DglaError):
     pass
 

@@ -388,7 +388,7 @@ class FreeGLA:
         the content.  The enumeration stops once the rank reaches
         pbw_dim(k), which leaves the basis of the full enumeration
         unchanged; running out of words below that rank raises
-        ArithmeticError.
+        ArithmeticError.  An empty piece enumerates no word at all.
         """
         if k < 1:
             raise ValueError("degrees start at 1")
@@ -396,6 +396,8 @@ class FreeGLA:
         if hit is not None:
             return hit
         dim = self.pbw_dim(k)
+        if dim == 0:
+            return self._basis.setdefault(k, DegreeBasis(k, (), (), {}))
         blocks: dict[Word, _Echelon] = {}
         content_dims: dict[Word, int] = {}
         monos = []

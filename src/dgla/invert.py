@@ -3,18 +3,17 @@
 An endomorphism of L(V + W) that is given on generators automatically
 preserves every L(V + W_{<=k}) as long as base generators map into the base
 subalgebra; that containment is the one structural requirement of
-FilteredEndo.  When such an endomorphism is a quasi-isomorphism up to the
-bound and restricts to an automorphism of the base, it has an exact inverse,
-built stage by stage: the base block is inverted by plain linear algebra,
-and each fiber degree is handled through the quotient complex of the image
-of the already-inverted part, with all section choices pinned to the rref
-pivot rule.
+FilteredEndo.  When such an endomorphism f is a quasi-isomorphism up to the
+bound and restricts to an automorphism of the base, it has an exact inverse
+g.  The base block is inverted by plain linear algebra; each fiber
+generator w of degree t goes to f_t^{-1} w, f_t being f's matrix in degree
+t.  No choice is involved: f o g = id on the generators of degree <= t
+makes f onto L_t, which brackets of those generators span, so the square
+matrix f_t is a bijection and g(w) is the one solution of f_t x = w.
 
-Neither the base L(V) nor a stage M<k> = L(V + W_{<=k}) is built as an
-algebra of its own.  Each is read by indices from the ambient basis
-(`FreeGLA.sub_basis`): the base block of f is f's matrix at the base
-indices, and a correction term in M<k> has its stage coordinates at the
-stage indices and none elsewhere.
+The base L(V) is not built as an algebra of its own.  It is read by indices
+from the ambient basis (`FreeGLA.sub_basis`): the base block of f is f's
+matrix at the base indices.
 """
 
 from __future__ import annotations
@@ -28,17 +27,8 @@ from .errors import (
     NotFiltered,
     NotMinimal,
     NotQuasiIso,
-    NotSurjective,
 )
-from .linalg import (
-    Matrix,
-    Subspace,
-    invert,
-    kernel_basis,
-    quotient_data,
-    section_of_surjection,
-    vec_sub,
-)
+from .linalg import Matrix, invert
 from .minimal import RelativeModel, is_minimal
 
 
@@ -144,12 +134,16 @@ def invert_relative_quasi_iso(f: FilteredEndo, bound: int) -> FilteredEndo:
     quasi-isomorphism in degrees <= bound, and f restricts to an
     automorphism of the base.  The returned g satisfies f o g = id and
     g o f = id exactly on those generators, and is itself a chain map.
+
+    A fiber generator w of degree t goes to f_t^{-1} w, f_t being f's
+    degree-t matrix.  No other answer is possible: f o g = id on the
+    generators of degree <= t makes f onto L_t, which brackets of those
+    generators span, so f_t is a bijection and g(w) is the one solution of
+    f_t x = w.
     """
     if bound < 1:
         raise DegreeBoundTooSmall("the degree bound must be at least 1")
-    model = f.model
-    dgla = model.dgla
-    minimality = is_minimal(model)
+    minimality = is_minimal(f.model)
     if not minimality.is_minimal:
         raise NotMinimal(
             "inversion requires a minimal model; offending generators: "
@@ -163,61 +157,26 @@ def invert_relative_quasi_iso(f: FilteredEndo, bound: int) -> FilteredEndo:
         hi = induced_map_on_homology(f, i)
         if hi.rank() != hi.rows:
             raise NotQuasiIso(f"H_{i} of the endomorphism is singular")
+    return _invert_on_generators(f, bound)
 
+
+def _invert_on_generators(f: FilteredEndo, bound: int) -> FilteredEndo:
+    """The inverse of `invert_relative_quasi_iso`, past its preconditions:
+    the base block inverted on its own, each fiber generator w of degree
+    t <= bound sent to f_t^{-1} w, then both postconditions checked."""
+    model = f.model
+    dgla = model.dgla
     images = _base_inverse_images(f)
-
     for t in sorted({g.degree for g in model.fiber_generators if g.degree <= bound}):
-        k = t - 1
-        sub_names = model.generators_up_to(k)
-        g_cur = FilteredEndo(model, images)
-
-        def sub_data(m: int):
-            inside = dgla.algebra.sub_basis(m, sub_names)
-            monomials = dgla.algebra.degree_basis(m).monomials if m >= 1 else ()
-            g_vals = [g_cur.eval_tree(monomials[i]).coords for i in inside]
-            return inside, g_vals, Subspace._spanned(dgla.dim(m), g_vals)
-
-        inside_t, g_vals_t, s_t = sub_data(t)
-        _, _, s_k = sub_data(k)
-
-        _, reps_t = quotient_data(dgla.dim(t), s_t)
-        proj_k, _ = quotient_data(dgla.dim(k), s_k)
-        lift_t = Matrix._of_columns(reps_t, dgla.dim(t))
-        zbar = kernel_basis(proj_k.mul(dgla.d_matrix(t)).mul(lift_t))
-
-        wgens = [g for g in model.fiber_generators if g.degree == t]
-        atom_idx = {g.name: dgla.algebra.atom(g.name)[1] for g in wgens}
-        f_t = f.matrix(t)
-        lifts = lift_t.mul(Matrix._of_columns(zbar.basis, lift_t.cols))
-        f_lifts = f_t.mul(lifts)
-        onto = Matrix._of_rows(
-            tuple(f_lifts.data[atom_idx[g.name]] for g in wgens), lifts.cols
-        )
         try:
-            section = section_of_surjection(onto)
-        except NotSurjective:
+            inv = invert(f.matrix(t))
+        except ValueError:
             raise NotQuasiIso(
-                f"cycles of the quotient complex do not cover the fiber "
-                f"generators in degree {t}; the endomorphism is not a "
-                f"quasi-isomorphism there"
+                f"the endomorphism is singular in degree {t}, so it is not "
+                f"a quasi-isomorphism there"
             ) from None
-
-        g_matrix = Matrix._of_columns(g_vals_t, dgla.dim(t))
-
-        for col, g in enumerate(wgens):
-            xi = lifts.apply(section.column(col))
-            target = list(f_t.apply(xi))
-            target[atom_idx[g.name]] -= 1
-            if any(target[i] for i in atom_idx.values()):
-                raise ArithmeticError(
-                    "correction term has a fiber-linear part; internal section bug"
-                )
-            if _nonzero_outside(target, inside_t):
-                raise ArithmeticError(
-                    "correction term escaped the filtration stage; internal bug"
-                )
-            g_corr = g_matrix.apply(tuple(target[j] for j in inside_t))
-            images[g.name] = Element(t, vec_sub(xi, g_corr))
+        for name, idx in model.fiber_atom_indices(t):
+            images[name] = Element(t, inv.column(idx))
 
     result = FilteredEndo(model, images)
 

@@ -39,8 +39,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import NotSurjective
-
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -454,27 +452,6 @@ def kernel_basis(m: Matrix) -> Subspace:
             if j != key:
                 vecs[slot[last - j]][p] = Fraction(-x, r)
     return Subspace._of_basis(ncols, tuple(map(tuple, vecs)), free)
-
-
-def section_of_surjection(m: Matrix) -> Matrix:
-    """Right inverse s with m*s = identity, supported on the pivot columns.
-
-    Each standard basis vector of the codomain is lifted through the pivot
-    columns of rref(m); all non-pivot coordinates of the lift are zero.
-    """
-    _, pivots = m.rref()
-    if len(pivots) < m.rows:
-        raise NotSurjective(
-            f"matrix has row rank {len(pivots)} < {m.rows}: not a surjection"
-        )
-    square = Matrix._of_rows(
-        tuple(tuple(row[p] for p in pivots) for row in m.data), m.rows
-    )
-    inv = invert(square)
-    out = [(_ZERO,) * m.rows] * m.cols
-    for r, p in enumerate(pivots):
-        out[p] = inv.data[r]
-    return Matrix._of_rows(tuple(out), m.rows)
 
 
 def invert(m: Matrix) -> Matrix:

@@ -122,32 +122,27 @@ class RelativeModel:
                 out.append((g.name, idx))
         return tuple(out)
 
-    def generators_up_to(self, k: int) -> tuple[str, ...]:
-        """Base plus fiber generators of degree <= k (the algebra M<k>)."""
-        base = set(self.base_names)
-        return tuple(
-            g.name
-            for g in self.dgla.generators
-            if g.name in base or g.degree <= k
-        )
-
 
 def is_minimal(model: RelativeModel) -> MinimalityReport:
     """Project each fiber differential onto the linear span of the fiber.
 
     Linear base terms are fine (the projection kills them); a witness is a
     fiber generator whose differential has a nonzero linear fiber part.  The
-    report is memoized single-assignment on the model, so a command that
-    checks minimality on several paths computes it once.
+    differentials are read through `d_images`, which drops those that vanish
+    in the free Lie algebra.  The report is memoized single-assignment on
+    the model, so a command that checks minimality on several paths computes
+    it once.
     """
     if model._minimality is not None:
         return model._minimality
+    algebra = model.dgla.algebra
+    d_images = model.dgla.d_images()
     witnesses = []
     for g in model.fiber_generators:
-        image = model.dgla.differential.get(g.name)
-        if image is None or g.degree - 1 < 1:
+        vec = d_images.get(algebra.index_of(g.name))
+        if vec is None or g.degree - 1 < 1:
             continue
-        _, coords = model.dgla.algebra.normalize(image, g.degree - 1)
+        coords = algebra.basis_coords(g.degree - 1, vec)
         offending = [
             (coords[idx], name)
             for name, idx in model.fiber_atom_indices(g.degree - 1)
@@ -304,29 +299,32 @@ def verify_model(
         )
     )
 
+    # conditions d, e and f read d through d_images, which drops the given
+    # differentials that vanish in the free Lie algebra
+    algebra = model.dgla.algebra
+    d_images = model.dgla.d_images()
     da_bad = [
         name
         for stage in model.stages
         for name in stage.A
-        if not model.dgla.differential.get(name, LiePoly.zero()).is_zero()
+        if algebra.index_of(name) in d_images
     ]
     checks.append(
         ("condition-d", not da_bad, f"d nonzero on {', '.join(da_bad)}" if da_bad else "")
     )
 
     e_bad = []
-    algebra = model.dgla.algebra
     for n, stage in enumerate(model.stages, start=1):
         veto = set(stage.A) | set(stage.B)
         if n >= 2:
             veto |= set(model.stages[n - 2].B)
         allowed = [name for name in algebra.names() if name not in veto]
         for name in stage.B:
-            image = model.dgla.differential.get(name, LiePoly.zero())
-            if image.is_zero():
+            vec = d_images.get(algebra.index_of(name))
+            if vec is None:
                 continue
             degree = model.degree_of(name) - 1
-            _, coords = algebra.normalize(image, degree)
+            coords = algebra.basis_coords(degree, vec)
             inside = set(algebra.sub_basis(degree, allowed))
             if any(c for idx, c in enumerate(coords) if idx not in inside):
                 e_bad.append(name)
@@ -342,12 +340,11 @@ def verify_model(
     for n, stage in enumerate(model.stages, start=1):
         if not stage.B:
             continue
-        rows = []
-        for name in stage.B:
-            image = model.dgla.differential.get(name, LiePoly.zero())
-            _, coords = model.dgla.algebra.normalize(image, n)
-            rows.append(coords)
-        if Matrix._of_rows(tuple(rows), model.dgla.dim(n)).rank() != len(stage.B):
+        rows = tuple(
+            algebra.basis_coords(n, d_images.get(algebra.index_of(name), {}))
+            for name in stage.B
+        )
+        if Matrix._of_rows(rows, model.dgla.dim(n)).rank() != len(stage.B):
             f_bad.append(str(n))
     checks.append(
         (

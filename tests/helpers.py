@@ -14,9 +14,10 @@ from unittest import mock
 
 from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
 from dgla.freelie import FreeGLA, GradedGenerator, LiePoly
+from dgla.errors import NotQuasiIso
 from dgla.homotopy import derivation_basis
-from dgla.invert import FilteredEndo, is_relative_automorphism
-from dgla.linalg import Matrix, Subspace, invert, kernel_basis, zero_vector
+from dgla.invert import FilteredEndo, _base_inverse_images, is_relative_automorphism
+from dgla.linalg import Matrix, Subspace, invert, kernel_basis, quotient_data, zero_vector
 from dgla.minimal import build_minimal_model
 
 
@@ -456,3 +457,80 @@ def reference_kernel_basis(m: Matrix) -> Subspace:
             v[p] = -reduced.data[r][f]
         vecs.append(v)
     return Subspace(m.cols, vecs)
+
+
+# -- reference staged inverse ---------------------------------------------------
+#
+# The inverse of a relative quasi-isomorphism as dgla built it stage by stage
+# before it read g(w) off f_t^{-1}: per fiber degree t, the quotient complex
+# of the image of the already-inverted part, its cycles lifted through the
+# pivot-rule section, then a correction term subtracted.  The answer is
+# unique, so both constructions must give the same images.
+
+
+def reference_section(m: Matrix) -> Matrix:
+    """Right inverse s with m*s = identity, supported on the pivot columns;
+    raises ValueError when m is not onto."""
+    _, pivots = m.rref()
+    if len(pivots) < m.rows:
+        raise ValueError(f"matrix has row rank {len(pivots)} < {m.rows}")
+    square = Matrix([[row[p] for p in pivots] for row in m.data], cols=m.rows)
+    inv = invert(square)
+    out = [[Fraction(0)] * m.rows for _ in range(m.cols)]
+    for r, p in enumerate(pivots):
+        out[p] = list(inv.data[r])
+    return Matrix(out, cols=m.rows)
+
+
+def reference_staged_inverse(f: FilteredEndo, bound: int) -> FilteredEndo:
+    """Inverse of f on the generators of degree <= bound, stage by stage.
+
+    Assumes the preconditions of `invert_relative_quasi_iso` hold; raises
+    NotQuasiIso when the quotient cycles miss a fiber generator.
+    """
+    model = f.model
+    dgla = model.dgla
+    base = set(model.base_names)
+    images = _base_inverse_images(f)
+
+    for t in sorted({g.degree for g in model.fiber_generators if g.degree <= bound}):
+        k = t - 1
+        sub_names = [g.name for g in dgla.generators if g.name in base or g.degree <= k]
+        g_cur = FilteredEndo(model, images)
+
+        def sub_data(m: int):
+            inside = dgla.algebra.sub_basis(m, sub_names)
+            monomials = dgla.algebra.degree_basis(m).monomials if m >= 1 else ()
+            g_vals = [g_cur.eval_tree(monomials[i]).coords for i in inside]
+            return inside, g_vals, Subspace(dgla.dim(m), g_vals)
+
+        inside_t, g_vals_t, s_t = sub_data(t)
+        _, _, s_k = sub_data(k)
+
+        _, reps_t = quotient_data(dgla.dim(t), s_t)
+        proj_k, _ = quotient_data(dgla.dim(k), s_k)
+        lift_t = Matrix.from_columns(reps_t, dgla.dim(t))
+        zbar = kernel_basis(proj_k.mul(dgla.d_matrix(t)).mul(lift_t))
+
+        wgens = [g for g in model.fiber_generators if g.degree == t]
+        atom_idx = {g.name: dgla.algebra.atom(g.name)[1] for g in wgens}
+        f_t = f.matrix(t)
+        lifts = lift_t.mul(Matrix.from_columns(zbar.basis, lift_t.cols))
+        f_lifts = f_t.mul(lifts)
+        onto = Matrix([f_lifts.data[atom_idx[g.name]] for g in wgens], cols=lifts.cols)
+        try:
+            section = reference_section(onto)
+        except ValueError:
+            raise NotQuasiIso(f"quotient cycles miss a fiber generator in degree {t}")
+
+        g_matrix = Matrix.from_columns(g_vals_t, dgla.dim(t))
+        for col, g in enumerate(wgens):
+            xi = lifts.apply(section.column(col))
+            target = list(f_t.apply(xi))
+            target[atom_idx[g.name]] -= 1
+            assert not any(target[i] for i in atom_idx.values())
+            assert not any(c for i, c in enumerate(target) if i not in inside_t)
+            g_corr = g_matrix.apply(tuple(target[j] for j in inside_t))
+            images[g.name] = Element(t, tuple(a - b for a, b in zip(xi, g_corr)))
+
+    return FilteredEndo(model, images)

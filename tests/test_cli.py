@@ -851,3 +851,25 @@ def test_full_width_digits_stay_accepted(capsys, tmp_path):
     }
     code, out, _ = run(capsys, "validate", write(tmp_path, "wide.json", doc))
     assert (code, out) == (0, "ok: valid finite-dimensional dg Lie algebra\n")
+
+
+def test_minimal_model_of_a_differential_vanishing_in_the_free_algebra(capsys, tmp_path):
+    # d(y) = [x,x] with x even is 0 in L: the identity is a chain map
+    doc = {
+        "kind": "dgla",
+        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}],
+        "differential": {"y": "[x,x]"},
+    }
+    algebra = write(tmp_path, "b.json", doc)
+    identity = write(tmp_path, "m.json", {"kind": "dgla_morphism", "images": {"x": "x", "y": "y"}})
+    out_path = tmp_path / "model_out.json"
+    code, _, err = run(
+        capsys, "minimal-model", algebra, algebra, identity,
+        "--max-degree", "3", "--out", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    from dgla.formats import model_from_doc
+    from dgla.minimal import verify_model
+
+    model = model_from_doc(json.loads(out_path.read_text(encoding="utf-8")))
+    assert verify_model(model, 3).ok

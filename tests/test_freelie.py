@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,32 @@ def test_degree_above_reach_is_zero():
     alg = L(2)
     assert alg.dim(5) == 0
     assert alg.dim_oracle(5) == 0
+
+
+def test_empty_degrees_enumerate_no_words(monkeypatch):
+    alg = L(1)
+    assert alg.dim(2) == 1
+
+    def no_words(self, k):
+        raise AssertionError(f"words enumerated in the empty degree {k}")
+
+    monkeypatch.setattr(FreeGLA, "_iter_words", no_words)
+    assert [alg.degree_basis(k).dim for k in range(3, 40)] == [0] * 37
+
+
+def test_homology_ladder_over_empty_degrees_is_fast(capsys, tmp_path):
+    # one degree-1 generator with d = 0: every degree above 2 is empty
+    from dgla.cli import main
+
+    doc = tmp_path / "one.json"
+    doc.write_text(
+        '{"kind": "dgla", "generators": [{"name": "x", "degree": 1}], "differential": {}}',
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    assert main(["homology", str(doc), "--max-degree", "300"]) == 0
+    assert time.perf_counter() - start < 20
+    assert '"1": 1' in capsys.readouterr().out
 
 
 def test_normalize_of_basis_monomial_is_unit():

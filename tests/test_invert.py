@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,10 +12,21 @@ from dgla.errors import (
 )
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
-from dgla.invert import FilteredEndo, invert_relative_quasi_iso, is_relative_automorphism
+from dgla.invert import (
+    FilteredEndo,
+    _invert_on_generators,
+    invert_relative_quasi_iso,
+    is_relative_automorphism,
+)
+from dgla.linalg import solve_pivot
 from dgla.minimal import RelativeModel, Stage, verify_model
 
-from helpers import rand_minimal_model, rand_relative_automorphism
+from helpers import (
+    rand_coeff,
+    rand_minimal_model,
+    rand_relative_automorphism,
+    reference_staged_inverse,
+)
 
 
 def make_model(gens, diff, base, stages):
@@ -239,3 +251,67 @@ def test_structure_map_after_a_relative_automorphism_is_still_a_model():
         killed = RelativeModel(model.dgla, model.base_names, model.stages, model.q.compose(kill))
         assert not verify_model(killed, 3, against=original).ok
         done += 1
+
+
+def _rand_base_automorphism(rng, model):
+    """A random automorphism of the base, extended to a chain automorphism
+    whose linear fiber part is the identity, or None when d forbids it.
+
+    d = 0 on the base allows c*v plus brackets for each base generator v; an
+    acyclic pair v0 = d v1 is scaled as a whole.  Each fiber generator w
+    then goes to w + y with d y = f(dw) - dw, in increasing degree."""
+    alg = model.dgla
+    c = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)])
+    images = {}
+    for name in model.base_names:
+        k = model.degree_of(name)
+        coords = [c * a for a in alg.atom(name).coords]
+        if not any(n in alg.differential for n in model.base_names):
+            atoms = {alg.algebra.atom(n)[1] for n in model.base_names}
+            for i in alg.algebra.sub_basis(k, model.base_names):
+                if i not in atoms:
+                    coords[i] += rand_coeff(rng)
+        images[name] = Element(k, tuple(coords))
+    for gen in sorted(model.fiber_generators, key=lambda g: g.degree):
+        t = gen.degree
+        atom = alg.atom(gen.name).coords
+        dw = alg.d_matrix(t).apply(atom)
+        fdw = FilteredEndo(model, images).apply(Element(t - 1, dw)).coords if t > 1 else ()
+        y = solve_pivot(alg.d_matrix(t), tuple(a - b for a, b in zip(fdw, dw)))
+        if y is None:
+            return None
+        images[gen.name] = Element(t, tuple(a + b for a, b in zip(atom, y)))
+    f = FilteredEndo(model, images)
+    return f if f.is_chain_map() else None
+
+
+def test_inverse_matches_the_staged_reference():
+    rng = random.Random(505)
+    done = moved_base = 0
+    while done < 16:
+        model, _ = rand_minimal_model(rng, 3)
+        if not model.fiber_names:
+            continue
+        top = model.max_generator_degree()
+        f = rand_relative_automorphism(rng, model, top)
+        if rng.random() < 0.7:
+            base = _rand_base_automorphism(rng, model)
+            if base is not None:
+                f = f.compose(base)
+                moved_base += any(
+                    f.image(n) != model.dgla.atom(n) for n in model.base_names
+                )
+        bound = max(1, top - rng.randrange(2))
+        g = invert_relative_quasi_iso(f, bound)
+        reference = reference_staged_inverse(f, bound)
+        for gen in model.dgla.generators:
+            assert g.image(gen.name) == reference.image(gen.name), (done, gen.name)
+        done += 1
+    assert moved_base >= 6
+
+
+def test_singular_fiber_degree_is_no_quasi_iso(flat_model):
+    # past the preconditions, the fiber-killing endo is refused by f_2 itself
+    kills_fiber = FilteredEndo(flat_model, {"w": flat_model.dgla.zero(2)})
+    with pytest.raises(NotQuasiIso, match="singular in degree 2"):
+        _invert_on_generators(kills_fiber, 3)

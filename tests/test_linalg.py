@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgla.errors import NotSurjective
 from helpers import reference_elimination, reference_kernel_basis
 from dgla.linalg import (
     Matrix,
@@ -16,7 +15,6 @@ from dgla.linalg import (
     membership,
     quotient_data,
     rref,
-    section_of_surjection,
     solve_pivot,
     unit_vector,
     vec_is_zero,
@@ -80,38 +78,6 @@ def test_kernel_annihilates_random():
         assert sub.dim == cols - m.rank()
         for v in sub.basis:
             assert vec_is_zero(m.apply(v))
-
-
-def test_section_identity():
-    assert section_of_surjection(Matrix.identity(2)) == Matrix.identity(2)
-
-
-def test_section_coordinate_projection():
-    s = section_of_surjection(Matrix([[1, 0, 0], [0, 1, 0]]))
-    assert s == Matrix([[1, 0], [0, 1], [0, 0]])
-
-
-def test_section_pivot_rule():
-    s = section_of_surjection(Matrix([[1, 1]]))
-    assert s == Matrix([[1], [0]])
-
-
-def test_section_right_inverse_random():
-    rng = random.Random(13)
-    found = 0
-    while found < 15:
-        rows = rng.randrange(1, 4)
-        cols = rng.randrange(rows, rows + 3)
-        m = Matrix([[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)])
-        if m.rank() < rows:
-            continue
-        found += 1
-        assert m.mul(section_of_surjection(m)) == Matrix.identity(rows)
-
-
-def test_section_rejects_non_surjection():
-    with pytest.raises(NotSurjective):
-        section_of_surjection(Matrix([[1, 2], [2, 4]]))
 
 
 def test_quotient_by_axis():
@@ -359,10 +325,6 @@ def _linalg_results(data, cols, x, rhs, kernel_of=kernel_basis):
             out["invert"] = invert(m)
         except ValueError:
             out["invert"] = "singular"
-    try:
-        out["section"] = section_of_surjection(m)
-    except NotSurjective:
-        out["section"] = "not surjective"
     return out
 
 
@@ -374,9 +336,8 @@ def _rational_entries(results):
         yield from (e for vec in results[key][0] for e in vec)
     for key in ("solve consistent", "solve"):
         yield from results[key] or ()
-    for key in ("invert", "section"):
-        if isinstance(results.get(key), Matrix):
-            yield from (e for row in results[key].data for e in row)
+    if isinstance(results.get("invert"), Matrix):
+        yield from (e for row in results["invert"].data for e in row)
 
 
 @given(_rational_matrix(), st.data())

@@ -273,3 +273,19 @@ def test_reserved_generator_names_rejected():
     base = make([("a_1_0", 1)], {})
     with pytest.raises(FormatError):
         build_minimal_model(DGLAMorphism.identity(base), 2)
+
+
+def test_differential_vanishing_in_the_free_algebra_is_zero():
+    # d(a) = d(y) = [x,x] with x even is 0 in L, though its terms have degree 4
+    m = hand_model(
+        [("x", 2), ("a", 2), ("y", 3)],
+        {"a": "[x,x]", "y": "[x,x]"},
+        ("x",),
+        (Stage((), ()), Stage(("a",), ("y",))),
+    )
+    assert is_minimal(m).is_minimal
+    report = verify_model(m, 3)
+    # d kills the A-generator a, as condition d asks, and vanishes on the
+    # B-span of stage 2, which is the one failure
+    assert {name for name, ok, _ in report.checks if not ok} == {"condition-f"}
+    assert m.q.chain_defects() == []
