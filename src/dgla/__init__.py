@@ -22,7 +22,6 @@ from .homotopy import (
     RelDerivation,
     Verdict,
     are_homotopic_rel,
-    cycles_and_boundaries,
     derivation_basis,
     exp_derivation,
     log_unipotent,
@@ -35,7 +34,6 @@ from .linalg import (
     kernel_basis,
     membership,
     quotient_data,
-    rref,
 )
 from .minimal import (
     MinimalityReport,
@@ -68,7 +66,6 @@ __all__ = [
     "are_homotopic_rel",
     "bracket",
     "build_minimal_model",
-    "cycles_and_boundaries",
     "derivation_basis",
     "exp_derivation",
     "induced_map_on_homology",
@@ -80,7 +77,6 @@ __all__ = [
     "membership",
     "pi0_report",
     "quotient_data",
-    "rref",
     "validate",
     "verify_model",
 ]

@@ -66,7 +66,7 @@ from .linalg import (
     Vector,
     kernel_basis,
     membership,
-    quotient_data,
+    sparse_vector,
     vec_is_zero,
     zero_vector,
 )
@@ -86,9 +86,10 @@ class HomologyData:
     """Cycles, boundaries and canonical representatives in one degree.
 
     Representatives are genuine cycles: boundaries are rewritten in
-    cycle-basis coordinates and the quotient is taken there, so the coset
-    representatives delivered by the pivot rule lift back to rows of the
-    cycle basis.
+    cycle-basis coordinates and the quotient is taken there.  Its canonical
+    complement is spanned by the coordinates c that carry no pivot of B in
+    Z, so the representatives are the cycle-basis rows c, and a class has
+    the coordinates c of a cycle reduced modulo B in Z.
     """
 
     def __init__(self, algebra, k: int):
@@ -96,29 +97,22 @@ class HomologyData:
         d_k = algebra.d_matrix(k)
         d_next = algebra.d_matrix(k + 1)
         self.cycles = kernel_basis(d_k)
-        self.boundaries = Subspace._spanned(algebra.dim(k), d_next.columns())
+        self.boundaries = Subspace._spanned(algebra.dim(k), d_next._columns)
         # A boundary lies in the cycles iff d kills it; then, the cycle basis
         # being in RREF, its cycle coordinates are its entries at the pivots.
-        d_cols = [[(i, x) for i, x in enumerate(col) if x] for col in d_k.columns()]
         for bvec in self.boundaries.basis:
-            image: dict[int, Fraction] = {}
-            for j, c in enumerate(bvec):
-                if c:
-                    for i, x in d_cols[j]:
-                        image[i] = image.get(i, 0) + c * x
-            if any(image.values()):
+            if not vec_is_zero(d_k.apply(bvec)):
                 raise ArithmeticError("boundary is not a cycle: d*d != 0?")
         pivots = self.cycles.pivots
         self._b_in_z = Subspace._spanned(
             self.cycles.dim,
-            [tuple(bvec[p] for p in pivots) for bvec in self.boundaries.basis],
+            [sparse_vector(bvec[p] for p in pivots) for bvec in self.boundaries.basis],
         )
-        self._proj, _ = quotient_data(self.cycles.dim, self._b_in_z)
-        # The coset representatives of quotient_data are the unit vectors e_c
-        # of the non-pivot coordinates c, so each lifts to cycle-basis row c.
         pivots = set(self._b_in_z.pivots)
-        self.reps = tuple(
-            row for c, row in enumerate(self.cycles.basis) if c not in pivots
+        self._free = tuple(c for c in range(self.cycles.dim) if c not in pivots)
+        self.reps = tuple(self.cycles.basis[c] for c in self._free)
+        self._section = Matrix._of_columns(
+            [sparse_vector(rep) for rep in self.reps], self.cycles.ambient_dim
         )
 
     @property
@@ -130,17 +124,12 @@ class HomologyData:
         coords = membership(v, self.cycles)
         if coords is None:
             raise ValueError("vector is not a cycle")
-        return self._proj.apply(coords)
+        residual, _ = self._b_in_z.reduce(coords)
+        return tuple(residual[c] for c in self._free)
 
     def rep_of(self, hcoords: Sequence[Fraction]) -> Vector:
         """The canonical cycle representing a homology class (section of Z->H)."""
-        n = self.cycles.ambient_dim
-        out = [Fraction(0)] * n
-        for c, rep in zip(hcoords, self.reps):
-            if c != 0:
-                for j in range(n):
-                    out[j] += c * rep[j]
-        return tuple(out)
+        return self._section.apply(hcoords)
 
 
 class _DGLA:
@@ -212,7 +201,7 @@ class QuasiFreeDGLA(_DGLA):
         cols = []
         if k >= 1:
             for vec in algebra.degree_basis(k).vectors:
-                cols.append(algebra.basis_coords(k - 1, algebra.apply_derivation(-1, images, vec)))
+                cols.append(algebra.sparse_coords(k - 1, algebra.apply_derivation(-1, images, vec)))
         return self._d.setdefault(k, Matrix._of_columns(cols, self.dim(k - 1)))
 
     def bracket(self, a: Element, b: Element) -> Element:
@@ -453,8 +442,8 @@ class DGLAMorphism:
         cols = []
         if k >= 1:
             for tree in self.source.algebra.degree_basis(k).monomials:
-                cols.append(self.eval_tree(tree).coords)
-        return self._matrices.setdefault(k, Matrix.from_columns(cols, rows))
+                cols.append(sparse_vector(self.eval_tree(tree).coords))
+        return self._matrices.setdefault(k, Matrix._of_columns(cols, rows))
 
     def apply(self, el: Element) -> Element:
         return Element(el.degree, self.matrix(el.degree).apply(el.coords))
@@ -508,7 +497,7 @@ def induced_map_on_homology(f: DGLAMorphism, k: int) -> Matrix:
         )
     hs = f.source.homology(k)
     ht = f.target.homology(k)
-    cols = [ht.class_coords(f.matrix(k).apply(rep)) for rep in hs.reps]
+    cols = [sparse_vector(ht.class_coords(f.matrix(k).apply(rep))) for rep in hs.reps]
     return Matrix._of_columns(cols, ht.dim)
 
 
@@ -627,7 +616,7 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
     # Integer structure constants (times D, see the module docstring).  Each
     # bracket is read from its own key, never from its mirror, since an
     # even-degree violation leaves the table not antisymmetric.
-    brk = _integer_cells(table)
+    brk = _integer_cells({key: sparse_vector(vec) for key, vec in table.items()})
     # With an antisymmetric table the sorted triples decide (see the module
     # docstring); only when one fails do all triples run, to report each.
     symmetric = not violations
@@ -648,7 +637,7 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
         return ValidationReport(tuple(violations))
     # integer columns of d (times E, see the module docstring)
     dcol = _integer_cells(
-        {(k, c): m.column(c) for k, m in a.d_mats.items() for c in range(m.cols)}
+        {(k, c): col for k, m in a.d_mats.items() for c, col in enumerate(m._columns)}
     )
     for k in degrees:
         if a.max_degree is not None and k + 1 > a.max_degree:
@@ -766,14 +755,14 @@ def _fails_on(law: str, vectors) -> str:
 
 
 def _integer_cells(cells: dict) -> dict:
-    """Rational vectors over one common denominator, as sparse int vectors.
+    """Sparse rational vectors over one denominator, as sparse int vectors.
 
     Every vector is multiplied by the lcm of all denominators, so a form of
     degree n in the cells scales by that lcm to the n and keeps its zeros.
     The result maps each key to its nonzero (index, numerator) pairs.
     """
-    den = math.lcm(*(c.denominator for vec in cells.values() for c in vec))
+    den = math.lcm(*(c.denominator for vec in cells.values() for c in vec.values()))
     return {
-        key: [(t, c.numerator * (den // c.denominator)) for t, c in enumerate(vec) if c]
+        key: [(t, c.numerator * (den // c.denominator)) for t, c in vec.items()]
         for key, vec in cells.items()
     }

@@ -341,9 +341,8 @@ def _resolve_algebra(ref, base_dir: Path | None, context: str):
     raise FormatError(f"{context}: expected a path or an inline document")
 
 
-def morphism_images_from_doc(
-    raw_images: dict, source, target, context: str
-) -> dict[str, Element]:
+def _images_from_doc(raw_images, source, target, context: str) -> dict[str, Element]:
+    """The images a document gives to generators of source, in target."""
     if not isinstance(raw_images, dict):
         raise FormatError(f"{context}: images must be a mapping")
     images = {}
@@ -354,9 +353,17 @@ def morphism_images_from_doc(
         images[name] = _eval_field(
             target, raw_images[name], names[name], f"{context}: images[{name}]"
         )
-    for name, degree in names.items():
-        if name not in images:
-            images[name] = target.zero(degree)
+    return images
+
+
+def morphism_images_from_doc(
+    raw_images: dict, source, target, context: str
+) -> dict[str, Element]:
+    """The images of a morphism document; a generator it leaves out goes to 0."""
+    images = _images_from_doc(raw_images, source, target, context)
+    for g in source.generators:
+        if g.name not in images:
+            images[g.name] = target.zero(g.degree)
     return images
 
 
@@ -471,17 +478,8 @@ def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
 def endo_from_doc(doc: dict, model: RelativeModel, context: str = "endo") -> FilteredEndo:
     if doc.get("kind") != "endo":
         raise FormatError(f"{context}: expected an endo document")
-    raw_images = doc.get("images", {})
-    if not isinstance(raw_images, dict):
-        raise FormatError(f"{context}: images must be a mapping")
-    images = {}
-    degrees = {g.name: g.degree for g in model.dgla.generators}
-    for name in sorted(raw_images):
-        if name not in degrees:
-            raise FormatError(f"{context}: image for unknown generator {name!r}")
-        images[name] = _eval_field(
-            model.dgla, raw_images[name], degrees[name], f"{context}: images[{name}]"
-        )
+    # a generator the document leaves out is fixed, by FilteredEndo
+    images = _images_from_doc(doc.get("images", {}), model.dgla, model.dgla, context)
     try:
         return FilteredEndo(model, images)
     except NotFiltered as e:

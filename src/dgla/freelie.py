@@ -73,17 +73,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
 from .exprs import Terms, format_terms, tree_sort_key
-from .linalg import Vector, _clear_denominators, _Echelon
+from .linalg import Vector, _clear_denominators, _Echelon, add_scaled, dense_vector
 
 Word = tuple[int, ...]
 TVec = dict[Word, int | Fraction]
 
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -176,16 +175,6 @@ def bracket(p: LiePoly, q: LiePoly) -> LiePoly:
     return LiePoly(
         [(cp * cq, (tp, tq)) for cp, tp in p.terms for cq, tq in q.terms]
     )
-
-
-def _add_scaled(out: TVec, scale: Fraction, vec: TVec) -> None:
-    """out += scale * vec, dropping entries that cancel."""
-    for w, a in vec.items():
-        nv = out.get(w, 0) + scale * a
-        if nv:
-            out[w] = nv
-        else:
-            out.pop(w, None)
 
 
 def _moebius(n: int) -> int:
@@ -346,7 +335,7 @@ class FreeGLA:
                 raise MixedDegrees(
                     f"terms of degree {degree} and {d} in one polynomial"
                 )
-            _add_scaled(out, coeff, vec)
+            add_scaled(out, coeff, vec)
         if not out:
             return (None, {}) if degree is None else (degree, {})
         return degree, out
@@ -452,37 +441,38 @@ class FreeGLA:
         """dim of the degree-k piece from the PBW series, in exact integers.
 
         The tensor algebra is the enveloping algebra of the free Lie algebra,
-        so by Poincare-Birkhoff-Witt with l_n = dim L_n
+        so by Poincare-Birkhoff-Witt with l_n = dim L_n and eps_n = (-1)^n
 
-            1/(1 - V(t)) = prod_{n odd} (1 + t^n)^{l_n}
-                           * prod_{n even} (1 - t^n)^{-l_n},
+            T(t) = 1/(1 - V(t)) = prod_n (1 - eps_n t^n)^(-eps_n l_n),
 
-        V(t) being the generating polynomial of the generator degrees.  The
-        t^k coefficient of the factor for n = k is l_k, so l_k is the t^k
-        coefficient on the left minus that of the product over n < k.
+        V(t) being the sum of t^d over the generator degrees d and T_m the
+        tensor dimensions.  Applying t d/dt to the logarithm of both sides
+        (Reutenauer, Free Lie Algebras, 1993) gives t V'(t) T(t) =
+        sum_n n l_n sum_{j >= 1} eps_n^(j-1) t^(nj), and at t^k the graded
+        necklace recurrence
+
+            k l_k = sum_i d_i T_{k - d_i} - sum_{n | k, n < k} n eps_n^(k/n + 1) l_n,
+
+        which reads l_n only at the proper divisors n of k.
         """
         if k < 1:
             return 0
         hit = self._pbw.get(k)
         if hit is not None:
             return hit
-        lower = [self.pbw_dim(n) for n in range(1, k)]
         tensor = [1] + [0] * k
         for m in range(1, k + 1):
             tensor[m] = sum(tensor[m - d] for d in self._degrees if d <= m)
-        product = [1] + [0] * k
-        for n, l in enumerate(lower, start=1):
-            if l == 0:
-                continue  # the factor is 1; math.comb(l - 1, 0) would raise
-            if n % 2:
-                factor = [comb(l, j) for j in range(k // n + 1)]
-            else:
-                factor = [comb(l + j - 1, j) for j in range(k // n + 1)]
-            product = [
-                sum(product[m - n * j] * factor[j] for j in range(m // n + 1))
-                for m in range(k + 1)
-            ]
-        return self._pbw.setdefault(k, tensor[k] - product[k])
+        total = sum(d * tensor[k - d] for d in self._degrees if d <= k)
+        for n in range(1, k // 2 + 1):
+            if k % n == 0:
+                term = n * self.pbw_dim(n)
+                total -= -term if n % 2 and (k // n) % 2 == 0 else term
+        if total % k:
+            raise ArithmeticError(
+                f"PBW recurrence gives {total}/{k} in degree {k}; internal bug"
+            )
+        return self._pbw.setdefault(k, total // k)
 
     def content_dim(self, content: Word) -> int:
         """dim of the span of Lie elements whose words have this content
@@ -534,14 +524,17 @@ class FreeGLA:
 
         Below degree 1 the piece is zero, so only the empty vector is allowed.
         """
-        if vec:
-            found = sum(self._degrees[i] for i in next(iter(vec)))
-            if found != k:
-                raise MixedDegrees(f"expected degree {k}, found {found}")
-        elif k < 1:
-            return ()
+        return dense_vector(self.sparse_coords(k, vec), self.dim(k))
+
+    def sparse_coords(self, k: int, vec: TVec) -> dict[int, Fraction]:
+        """The nonzero coordinates of `basis_coords`, by basis index."""
+        coords: dict[int, Fraction] = {}
+        if not vec:
+            return coords
+        found = sum(self._degrees[i] for i in next(iter(vec)))
+        if found != k:
+            raise MixedDegrees(f"expected degree {k}, found {found}")
         basis = self.degree_basis(k)
-        coords = [_ZERO] * basis.dim
         parts: dict[Word, TVec] = {}
         for w, a in vec.items():
             parts.setdefault(tuple(sorted(w)), {})[w] = a
@@ -556,14 +549,14 @@ class FreeGLA:
             s *= den
             for t, x in gamma.items():
                 coords[t] = Fraction(-x, s)
-        return tuple(coords)
+        return coords
 
     def tensor_of(self, k: int, coords: Sequence[Fraction]) -> TVec:
         """Tensor coordinates of the element with degree-k basis coords."""
         out: TVec = {}
         for c, vec in zip(coords, self.degree_basis(k).vectors):
             if c:
-                _add_scaled(out, c, vec)
+                add_scaled(out, c, vec)
         return out
 
     def apply_derivation(self, r: int, images: dict[int, TVec], vec: TVec) -> TVec:

@@ -41,11 +41,12 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    add_scaled,
+    dense_vector,
     kernel_basis,
     solve_pivot,
     vec_is_zero,
     vec_sub,
-    zero_vector,
 )
 from .minimal import RelativeModel, is_minimal
 
@@ -96,14 +97,14 @@ class RelDerivation:
     def is_zero(self) -> bool:
         return not self.images
 
-    def _value(self, out_deg: int, vec) -> Vector:
+    def _value(self, out_deg: int, vec) -> dict[int, Fraction]:
         algebra = self.model.dgla.algebra
-        return algebra.basis_coords(out_deg, algebra.apply_derivation(self.degree, self._letters, vec))
+        return algebra.sparse_coords(out_deg, algebra.apply_derivation(self.degree, self._letters, vec))
 
     def value_poly(self, p: LiePoly, source_degree: int) -> Element:
         out_deg = source_degree + self.degree
         _, vec = self.model.dgla.algebra.embed(p)
-        return Element(out_deg, self._value(out_deg, vec))
+        return Element(out_deg, dense_vector(self._value(out_deg, vec), self.model.dgla.dim(out_deg)))
 
     def matrix(self, k: int) -> Matrix:
         """The extension of the derivation as a map M_k -> M_{k+degree}."""
@@ -160,15 +161,14 @@ class DerSpace:
         return tuple(out)
 
     def unpack(self, vec) -> RelDerivation:
-        images: dict[str, Element] = {}
+        parts: dict[str, dict[int, Fraction]] = {}
         for (name, j), c in zip(self.pairs, vec):
-            if c == 0:
-                continue
+            if c:
+                parts.setdefault(name, {})[j] = Fraction(c)
+        images = {}
+        for name, part in parts.items():
             deg = self.model.degree_of(name) + self.degree
-            el = images.get(name)
-            coords = list(el.coords) if el else [Fraction(0)] * self.model.dgla.dim(deg)
-            coords[j] = Fraction(c)
-            images[name] = Element(deg, tuple(coords))
+            images[name] = Element(deg, dense_vector(part, self.model.dgla.dim(deg)))
         return RelDerivation(self.model, self.degree, images)
 
 
@@ -188,41 +188,42 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
     of degree |w| + r.  In w's own block it holds column j of
     d_matrix(|w| + r); every block g adds the derivation sending w to
     -(-1)^r e_j, applied to d g.  That term is zero when no word of d g
-    contains the letter w, and is then not computed.
+    contains the letter w, and is then not computed.  Each block starts at
+    the row offset of g's slots in the Der_{r-1} chart.
     """
     dgla = model.dgla
     algebra = dgla.algebra
     d_images = dgla.d_images()
     sign = -1 if r % 2 else 1
     blocks = []
+    rows = 0
     for g in model.fiber_generators:
         k = g.degree + r - 1
-        if k >= 1:
+        if dgla.dim(k):
             d_g = d_images.get(algebra.index_of(g.name), {})
             letters = {x for word in d_g for x in word}
-            blocks.append((g, k, d_g, letters, zero_vector(dgla.dim(k))))
+            blocks.append((g, rows, k, d_g, letters))
+            rows += dgla.dim(k)
     cols = []
     for w in model.fiber_generators:
         k = w.degree + r
         if dgla.dim(k) == 0:
             continue
-        d_cols = dgla.d_matrix(k).columns()
+        d_cols = dgla.d_matrix(k)._columns
         letter = algebra.index_of(w.name)
         for j, e_j in enumerate(algebra.degree_basis(k).vectors):
             theta = {letter: {word: -sign * a for word, a in e_j.items()}}
-            col = []
-            for g, k_g, d_g, letters, zero in blocks:
+            col = {}
+            for g, start, k_g, d_g, letters in blocks:
+                value = {}
                 if letter in letters:
-                    value = algebra.basis_coords(
-                        k_g, algebra.apply_derivation(r, theta, d_g)
-                    )
-                else:
-                    value = zero
+                    value = algebra.sparse_coords(k_g, algebra.apply_derivation(r, theta, d_g))
                 if g.name == w.name:
-                    value = [a + b for a, b in zip(d_cols[j], value)]
-                col.extend(value)
-            cols.append(tuple(col))
-    return Matrix._of_columns(cols, der_space(model, r - 1).dim)
+                    add_scaled(value, 1, d_cols[j])
+                for i, x in value.items():
+                    col[start + i] = x
+            cols.append(col)
+    return Matrix._of_columns(cols, rows)
 
 
 @dataclass(frozen=True)
@@ -257,14 +258,8 @@ def derivation_basis(model: RelativeModel, r: int, bound: int) -> DerComplexData
     out = der_boundary_matrix(model, r)
     into = der_boundary_matrix(model, r + 1)
     return DerComplexData(
-        r, space, out, into, kernel_basis(out), Subspace._spanned(space.dim, into.columns())
+        r, space, out, into, kernel_basis(out), Subspace._spanned(space.dim, into._columns)
     )
-
-
-def cycles_and_boundaries(model: RelativeModel, bound: int) -> tuple[Subspace, Subspace]:
-    """(Z_0, B_0) of the relative derivation complex, in the Der_0 chart."""
-    data = derivation_basis(model, 0, bound)
-    return data.cycles, data.boundaries
 
 
 def _require_degree_zero(delta: RelDerivation):

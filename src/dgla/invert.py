@@ -28,7 +28,7 @@ from .errors import (
     NotMinimal,
     NotQuasiIso,
 )
-from .linalg import Matrix, invert
+from .linalg import Matrix, dense_vector, invert, sparse_vector
 from .minimal import RelativeModel, is_minimal
 
 
@@ -109,7 +109,7 @@ def _base_inverse_images(f: FilteredEndo) -> dict[str, Element]:
             raise ArithmeticError(
                 "image of a base monomial leaves the base subalgebra; internal bug"
             )
-        block = [tuple(v[j] for j in inside) for v in vals]
+        block = [sparse_vector(v[j] for j in inside) for v in vals]
         try:
             inv = invert(Matrix._of_columns(block, len(inside)))
         except ValueError:
@@ -119,11 +119,9 @@ def _base_inverse_images(f: FilteredEndo) -> dict[str, Element]:
             ) from None
         for g in f.model.base_generators:
             if g.degree == m:
-                col = inv.column(inside.index(dgla.algebra.atom(g.name)[1]))
-                coords = list(dgla.zero(m).coords)
-                for j, c in zip(inside, col):
-                    coords[j] = c
-                images[g.name] = Element(m, tuple(coords))
+                col = inv._columns[inside.index(dgla.algebra.atom(g.name)[1])]
+                coords = {inside[i]: c for i, c in col.items()}
+                images[g.name] = Element(m, dense_vector(coords, dgla.dim(m)))
     return images
 
 

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals, on one integer echelon.
+"""Exact sparse linear algebra over the rationals, on one integer echelon.
 
 Everything downstream (homology ranks, sections, quotients) reduces to the
 operations in this module, so the contract is strict: at every public
@@ -7,6 +7,16 @@ and reproducible bit-for-bit, and every "choice" (sections, coset
 representatives) is pinned to the pivots of the reduced row echelon form,
 its leading columns.  Matrices and subspaces are immutable after
 construction and safe to share between threads.
+
+A `Matrix` holds its columns, each a dict from row index to the nonzero
+entries, because every matrix the package builds (d-matrices, derivation
+complexes, morphisms, maps on homology) comes column by column.  That is
+its only layout.  `data` and `row` are a dense view for the public API,
+built once on first use; `column` and `columns` are dense too.  `apply` and
+`mul` combine columns with the sparse axpy `add_scaled`, which the tensor
+vectors of `freelie` use as well.  `rref` and `kernel_basis` transpose the
+columns into sparse rows for the elimination; `invert` appends unit columns
+and `solve_pivot` appends the right-hand side as a column before it.
 
 The package has one elimination engine, the private `_Echelon`: sparse
 rows of primitive integers, each with its minimal key as pivot, reduced
@@ -26,9 +36,9 @@ zero left of f: read in order of f, these vectors already are the kernel's
 unique RREF, with the free columns as pivots, so no second reduction runs.
 
 Inside the package, results built from `Fraction`s it computed itself go
-through the trusted constructors `Matrix._of_rows`, `Matrix._of_columns`,
-`Subspace._spanned` and `Subspace._of_basis`, which skip the coercion and
-shape checks of the public `Matrix(...)`, `Matrix.from_columns` and
+through the trusted constructors `Matrix._of_columns`, `Subspace._spanned`
+(both on sparse columns) and `Subspace._of_basis`, which skip the coercion
+and shape checks of the public `Matrix(...)`, `Matrix.from_columns` and
 `Subspace(...)`.
 """
 
@@ -191,9 +201,9 @@ def _primitive(pivot, v: dict, rho: dict[int, int]) -> tuple[object, dict, dict[
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable matrix of exact rationals, held by its sparse columns."""
 
-    __slots__ = ("rows", "cols", "data", "_rref")
+    __slots__ = ("rows", "cols", "_columns", "_data", "_rref")
 
     def __init__(self, data: Sequence[Sequence], cols: int | None = None):
         rows = tuple(tuple(frac(e) for e in row) for row in data)
@@ -207,42 +217,37 @@ class Matrix:
             if cols is None:
                 raise ValueError("empty matrix needs explicit column count")
             ncols = cols
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "_rref", None)
+        self._set(len(rows), _transpose([sparse_vector(r) for r in rows], ncols), rows)
 
     @classmethod
-    def _of_rows(cls, rows: tuple[Vector, ...], cols: int) -> "Matrix":
-        """Trusted constructor for rows of Fractions this module computed.
+    def _of_columns(cls, columns: Sequence[dict], rows: int) -> "Matrix":
+        """Trusted constructor for sparse columns this package computed.
 
-        Skips the coercion and the shape checks of `Matrix(...)`; the rows
-        must be tuples of `Fraction`s, each of length `cols`.
+        Skips the coercion and the shape checks of `Matrix(...)`; each
+        column must be a dict from row indices below `rows` to nonzero
+        `Fraction`s, and is not copied.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", rows)
-        object.__setattr__(m, "_rref", None)
+        m._set(rows, columns, None)
         return m
 
-    @classmethod
-    def _of_columns(cls, columns: Sequence[Vector], rows: int) -> "Matrix":
-        """Trusted `from_columns` for columns of Fractions this package
-        computed; each column must have length `rows`."""
-        data = tuple(zip(*columns)) if columns else ((),) * rows
-        return cls._of_rows(data, len(columns))
+    def _set(self, rows: int, columns: Sequence[dict], data) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "_columns", tuple(columns))
+        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_rref", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([zero_vector(cols)] * rows, cols=cols)
+        return cls._of_columns([{}] * cols, rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vector(n, i) for i in range(n)], cols=n)
+        return cls._of_columns([{i: _ONE} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: int) -> "Matrix":
@@ -250,51 +255,57 @@ class Matrix:
             [[col[i] for col in columns] for i in range(rows)], cols=len(columns)
         )
 
+    @property
+    def data(self) -> tuple[Vector, ...]:
+        """The rows, dense; built once, for the public API."""
+        if self._data is None:
+            rows = _transpose(self._columns, self.rows)
+            object.__setattr__(self, "_data", tuple(dense_vector(r, self.cols) for r in rows))
+        return self._data
+
     def row(self, i: int) -> Vector:
         return self.data[i]
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
+        return dense_vector(self._columns[j], self.rows)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
 
+    def _combine(self, coeffs) -> dict:
+        """sum_k c * column k over the (k, c) pairs, sparse."""
+        out: dict = {}
+        for k, c in coeffs:
+            if c:
+                add_scaled(out, c, self._columns[k])
+        return out
+
     def mul(self, other: "Matrix") -> "Matrix":
-        """self * other, multiplying only the nonzero entries of each row."""
+        """self * other: each column of other combines the columns of self."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        out = []
-        for row in self.data:
-            acc = [_ZERO] * other.cols
-            for c, orow in zip(row, other.data):
-                if c:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += c * b
-            out.append(tuple(acc))
-        return Matrix._of_rows(tuple(out), other.cols)
+        return Matrix._of_columns(
+            [self._combine(col.items()) for col in other._columns], self.rows
+        )
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
-        """M v, multiplying only the nonzero entries of v."""
+        """M v, combining only the columns where v is nonzero."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} vs {self.cols} columns")
-        support = [(k, c) for k, c in enumerate(v) if c]
-        return tuple(
-            sum((row[k] * c for k, c in support), Fraction(0)) for row in self.data
-        )
+        return dense_vector(self._combine(enumerate(v)), self.rows)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.data)
+        return not any(self._columns)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self.data == other.data
+            and self._columns == other._columns
         )
 
     def __hash__(self):
@@ -317,28 +328,52 @@ class Matrix:
         """
         if self._rref is not None:
             return self._rref
-        ncols = self.cols
         echelon = _Echelon()
-        for row in self.data:
-            ints, _ = _clear_denominators({j: e for j, e in enumerate(row) if e})
-            if ints:
-                echelon.insert(ints)
+        for row in _transpose(self._columns, self.rows):
+            if row:
+                echelon.insert(_clear_denominators(row)[0])
         echelon.back_substitute()
-        out = []
-        for pcol, row, _ in echelon.rows:
+        columns = [{} for _ in range(self.cols)]
+        for r, (pcol, row, _) in enumerate(echelon.rows):
             p = row[pcol]
-            dense = [_ZERO] * ncols
             for j, x in row.items():
-                dense[j] = Fraction(x, p)
-            out.append(tuple(dense))
+                columns[j][r] = Fraction(x, p)
         pivots = tuple(pcol for pcol, _, _ in echelon.rows)
-        out.extend([(_ZERO,) * ncols] * (self.rows - len(out)))
-        result = (Matrix._of_rows(tuple(out), ncols), pivots)
+        result = (Matrix._of_columns(columns, self.rows), pivots)
         object.__setattr__(self, "_rref", result)
         return result
 
     def rank(self) -> int:
         return len(self.rref()[1])
+
+
+def add_scaled(out: dict, scale, vec: dict) -> None:
+    """out += scale * vec on sparse vectors, dropping entries that cancel."""
+    for k, a in vec.items():
+        nv = out.get(k, 0) + scale * a
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+
+
+def sparse_vector(entries: Iterable) -> dict:
+    """The nonzero entries of a dense vector, by index."""
+    return {i: e for i, e in enumerate(entries) if e}
+
+
+def dense_vector(entries: dict, n: int) -> Vector:
+    """The dense vector of length n with these entries by index."""
+    return tuple(entries.get(i, _ZERO) for i in range(n))
+
+
+def _transpose(columns: Sequence[dict], rows: int) -> list[dict]:
+    """The sparse rows of the matrix with these sparse columns."""
+    out: list[dict] = [{} for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            out[i][j] = x
+    return out
 
 
 class Subspace:
@@ -351,13 +386,14 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        self._set(ambient_dim, *_rref_basis(vecs, ambient_dim))
+        self._set(ambient_dim, *_rref_basis(Matrix(vecs, cols=ambient_dim)))
 
     @classmethod
-    def _spanned(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        """Trusted `Subspace(...)` for vectors of Fractions this package
-        computed; each vector must have length `ambient_dim`."""
-        return cls._of_basis(ambient_dim, *_rref_basis(tuple(vectors), ambient_dim))
+    def _spanned(cls, ambient_dim: int, vectors: Sequence[dict]) -> "Subspace":
+        """Trusted `Subspace(...)` for sparse vectors this package computed,
+        such as the columns `m._columns` of a `Matrix`."""
+        rows = Matrix._of_columns(_transpose(vectors, ambient_dim), len(vectors))
+        return cls._of_basis(ambient_dim, *_rref_basis(rows))
 
     @classmethod
     def _of_basis(cls, ambient_dim: int, basis: tuple[Vector, ...], pivots: tuple[int, ...]) -> "Subspace":
@@ -414,16 +450,14 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def _rref_basis(vectors: tuple[Vector, ...], ambient_dim: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """The nonzero RREF rows of the span of vectors, with their pivots."""
-    if not vectors:
+def _rref_basis(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """The nonzero RREF rows of m, dense, with their pivots: the unique
+    RREF basis of its row space."""
+    if not m.rows:
         return (), ()
-    reduced, pivots = Matrix._of_rows(vectors, ambient_dim).rref()
-    return reduced.data[: len(pivots)], pivots
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    return m.rref()
+    reduced, pivots = m.rref()
+    rows = _transpose(reduced._columns, len(pivots))
+    return tuple(dense_vector(r, m.cols) for r in rows), pivots
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -435,23 +469,20 @@ def kernel_basis(m: Matrix) -> Subspace:
     ncols = m.cols
     last = ncols - 1
     echelon = _Echelon()
-    for row in m.data:
-        ints, _ = _clear_denominators({last - j: e for j, e in enumerate(row) if e})
-        if ints:
-            echelon.insert(ints)
+    for row in _transpose(m._columns, m.rows):
+        if row:
+            echelon.insert(_clear_denominators({last - j: e for j, e in row.items()})[0])
     echelon.back_substitute()
     pivots = {last - key for key, _, _ in echelon.rows}
     free = tuple(j for j in range(ncols) if j not in pivots)
     slot = {f: i for i, f in enumerate(free)}
-    vecs = [[_ZERO] * ncols for _ in free]
-    for i, f in enumerate(free):
-        vecs[i][f] = _ONE
+    vecs = [{f: _ONE} for f in free]
     for key, row, _ in echelon.rows:
         p, r = last - key, row[key]
         for j, x in row.items():
             if j != key:
                 vecs[slot[last - j]][p] = Fraction(-x, r)
-    return Subspace._of_basis(ncols, tuple(map(tuple, vecs)), free)
+    return Subspace._of_basis(ncols, tuple(dense_vector(v, ncols) for v in vecs), free)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -459,13 +490,11 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = Matrix._of_rows(
-        tuple(m.data[i] + unit_vector(n, i) for i in range(n)), 2 * n
-    )
+    aug = Matrix._of_columns(m._columns + tuple({i: _ONE} for i in range(n)), n)
     reduced, pivots = aug.rref()
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix._of_rows(tuple(reduced.row(i)[n:] for i in range(n)), n)
+    return Matrix._of_columns(reduced._columns[n:], n)
 
 
 def quotient_data(ambient: int, sub: Subspace) -> tuple[Matrix, list[Vector]]:
@@ -486,8 +515,8 @@ def quotient_data(ambient: int, sub: Subspace) -> tuple[Matrix, list[Vector]]:
         row[c] = Fraction(1)
         for bvec, p in zip(sub.basis, sub.pivots):
             row[p] = -bvec[c]
-        rows.append(tuple(row))
-    projection = Matrix._of_rows(tuple(rows), ambient)
+        rows.append(row)
+    projection = Matrix(rows, cols=ambient)
     reps = [unit_vector(ambient, c) for c in complement]
     return projection, reps
 
@@ -505,13 +534,9 @@ def solve_pivot(m: Matrix, v: Sequence[Fraction]) -> Vector | None:
     v = vector(v)
     if len(v) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = Matrix._of_rows(
-        tuple(row + (b,) for row, b in zip(m.data, v)), m.cols + 1
-    )
+    aug = Matrix._of_columns(m._columns + (sparse_vector(v),), m.rows)
     reduced, pivots = aug.rref()
     if m.cols in pivots:
         return None
-    x = [_ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.data[r][m.cols]
-    return tuple(x)
+    rhs = reduced._columns[m.cols]
+    return dense_vector({p: rhs[r] for r, p in enumerate(pivots) if r in rhs}, m.cols)

@@ -28,7 +28,7 @@ from .errors import (
     NotSimplyConnected,
 )
 from .freelie import GradedGenerator, LiePoly
-from .linalg import Matrix, Subspace, kernel_basis, quotient_data, solve_pivot
+from .linalg import Matrix, Subspace, kernel_basis, solve_pivot
 
 _STAGE_NAME = re.compile(r"^[ab]_\d+_\d+$")
 
@@ -201,14 +201,16 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
         h_target = target.homology(k)
         hq = induced_map_on_homology(q, k)
 
-        image = Subspace._spanned(h_target.dim, hq.columns())
-        _, coker_reps = quotient_data(h_target.dim, image)
+        # The cokernel of H_k(q) is spanned by the classes at the non-pivot
+        # coordinates of its image; each is represented by that rep.
+        image = set(Subspace._spanned(h_target.dim, hq._columns).pivots)
+        coker_reps = [rep for c, rep in enumerate(h_target.reps) if c not in image]
         a_names = []
         for i, rep in enumerate(coker_reps):
             name = f"a_{k}_{i}"
             a_names.append(name)
             gens.append(GradedGenerator(name, k))
-            qimages[name] = Element(k, h_target.rep_of(rep))
+            qimages[name] = Element(k, rep)
 
         kernel = kernel_basis(hq)
         b_names = []
@@ -340,11 +342,11 @@ def verify_model(
     for n, stage in enumerate(model.stages, start=1):
         if not stage.B:
             continue
-        rows = tuple(
-            algebra.basis_coords(n, d_images.get(algebra.index_of(name), {}))
+        cols = [
+            algebra.sparse_coords(n, d_images.get(algebra.index_of(name), {}))
             for name in stage.B
-        )
-        if Matrix._of_rows(rows, model.dgla.dim(n)).rank() != len(stage.B):
+        ]
+        if Matrix._of_columns(cols, model.dgla.dim(n)).rank() != len(stage.B):
             f_bad.append(str(n))
     checks.append(
         (

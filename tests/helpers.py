@@ -10,6 +10,7 @@ with nonzero fiber differentials not every such factor is a chain map.
 
 import contextlib
 from fractions import Fraction
+from math import comb
 from unittest import mock
 
 from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
@@ -438,9 +439,16 @@ def reference_rref(self: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 @contextlib.contextmanager
 def reference_elimination():
-    """Run `Matrix.rref`, and all of linalg through it, on the reference."""
-    with mock.patch.object(Matrix, "rref", reference_rref):
-        yield
+    """Run `Matrix.rref`, and all of linalg through it, on the reference;
+    yields the list of the matrices it is called on."""
+    calls = []
+
+    def rref(self):
+        calls.append(self)
+        return reference_rref(self)
+
+    with mock.patch.object(Matrix, "rref", rref):
+        yield calls
 
 
 def reference_kernel_basis(m: Matrix) -> Subspace:
@@ -534,3 +542,33 @@ def reference_staged_inverse(f: FilteredEndo, bound: int) -> FilteredEndo:
             images[g.name] = Element(t, tuple(a - b for a, b in zip(xi, g_corr)))
 
     return FilteredEndo(model, images)
+
+
+# -- reference PBW dimensions ----------------------------------------------------
+
+
+def reference_pbw_dims(degrees, top: int) -> list[int]:
+    """dim L_k for k = 1..top of the free graded Lie algebra on generators
+    of these degrees, by the product convolution `FreeGLA.pbw_dim` ran before
+    its necklace recurrence: l_k is the t^k coefficient of 1/(1 - V(t))
+    minus that of prod_{n < k} (1 + t^n)^{l_n} (n odd), (1 - t^n)^{-l_n}
+    (n even)."""
+    dims: list[int] = []
+    for k in range(1, top + 1):
+        tensor = [1] + [0] * k
+        for m in range(1, k + 1):
+            tensor[m] = sum(tensor[m - d] for d in degrees if d <= m)
+        product = [1] + [0] * k
+        for n, l in enumerate(dims, start=1):
+            if l == 0:
+                continue
+            if n % 2:
+                factor = [comb(l, j) for j in range(k // n + 1)]
+            else:
+                factor = [comb(l + j - 1, j) for j in range(k // n + 1)]
+            product = [
+                sum(product[m - n * j] * factor[j] for j in range(m // n + 1))
+                for m in range(k + 1)
+            ]
+        dims.append(tensor[k] - product[k])
+    return dims

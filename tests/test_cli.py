@@ -459,6 +459,30 @@ def test_base_image_leaving_the_base_names_endo_file(files, capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        (lambda g: [g], "images must be a mapping"),
+        (lambda g: {"nope": g}, "image for unknown generator 'nope'"),
+        (lambda g: {g: f"[{g},{g}]"}, "images[{g}]: expected degree 1, found 2"),
+    ],
+    ids=["not-a-mapping", "unknown-generator", "wrong-degree"],
+)
+@pytest.mark.parametrize("kind", ["dgla_morphism", "endo"])
+def test_morphism_and_endo_images_give_the_same_errors(files, capsys, tmp_path, kind, images, message):
+    # a (degree 1) generates the morphism's source, x (degree 1) the model
+    g = "a" if kind == "dgla_morphism" else "x"
+    path = write(tmp_path, "images.json", {"kind": kind, "images": images(g)})
+    if kind == "endo":
+        argv = ["invert", files["model"], path, "--max-degree", "3"]
+    else:
+        out = str(tmp_path / "nope.json")
+        argv = ["minimal-model", files["sphere"], files["wedge"], path, "--max-degree", "2", "--out", out]
+    code, out, err = run(capsys, *argv)
+    _assert_one_line_error(code, err, f"{path}: {message.format(g=g)}")
+    assert out == ""
+
+
 def test_wrong_degree_map_image_names_file_and_field(files, capsys, tmp_path):
     bad_map = write(tmp_path, "bad_map.json", {"kind": "dgla_morphism", "images": {"a": "[a,b]"}})
     code, _, err = run(

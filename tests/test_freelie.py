@@ -14,6 +14,7 @@ from helpers import (
     as_fractions,
     rand_quasifree,
     reference_coords,
+    reference_pbw_dims,
     reference_solver,
 )
 
@@ -455,6 +456,30 @@ def test_pbw_dim_of_even_and_empty_generators():
     assert [L(2, 4).pbw_dim(k) for k in range(1, 7)] == [0, 1, 0, 1, 0, 1]
     assert [L().pbw_dim(k) for k in range(0, 4)] == [0, 0, 0, 0]
     assert L(1).pbw_dim(0) == L(1).pbw_dim(-3) == 0
+
+
+@given(st.lists(st.integers(1, 5), max_size=4), st.integers(1, 14))
+@settings(max_examples=150, deadline=None)
+def test_pbw_recurrence_matches_the_product_convolution(degrees, top):
+    alg = L(*degrees)
+    assert [alg.pbw_dim(k) for k in range(1, top + 1)] == reference_pbw_dims(degrees, top)
+
+
+def test_pbw_dim_of_one_generator_in_closed_form():
+    # x odd: x and [x,x] only; x even: x only.  Degree 1000 is asked for
+    # without the lower degrees, and the recurrence reads only its divisors.
+    assert [L(1).pbw_dim(k) for k in range(1, 41)] == [1, 1] + [0] * 38
+    assert [L(3).pbw_dim(k) for k in range(1, 13)] == [0, 0, 1, 0, 0, 1] + [0] * 6
+    assert [L(2).pbw_dim(k) for k in range(1, 41)] == [0, 1] + [0] * 38
+    assert L(1).pbw_dim(1000) == L(2).pbw_dim(1000) == 0
+    assert len(L(1)._pbw) < 20
+
+
+def test_pbw_recurrence_refuses_a_fractional_dimension():
+    alg = L(1)
+    alg._pbw[1] = 2  # 2 l_2 = T_1 + l_1 = 3 is odd
+    with pytest.raises(ArithmeticError, match="PBW recurrence"):
+        alg.pbw_dim(2)
 
 
 def test_degree_basis_refuses_a_short_span(monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_elimination, reference_kernel_basis
+from helpers import rand_coeff, rand_minimal_model, reference_elimination, reference_kernel_basis
+from dgla.dg import induced_map_on_homology
+from dgla.homotopy import der_boundary_matrix, der_space
 from dgla.linalg import (
     Matrix,
     _Echelon,
@@ -14,27 +16,27 @@ from dgla.linalg import (
     kernel_basis,
     membership,
     quotient_data,
-    rref,
     solve_pivot,
+    sparse_vector,
     unit_vector,
     vec_is_zero,
 )
 
 
 def test_rref_rank_one():
-    reduced, pivots = rref(Matrix([[2, 4], [1, 2]]))
+    reduced, pivots = Matrix([[2, 4], [1, 2]]).rref()
     assert reduced == Matrix([[1, 2], [0, 0]])
     assert pivots == (0,)
 
 
 def test_rref_identity():
-    reduced, pivots = rref(Matrix.identity(3))
+    reduced, pivots = Matrix.identity(3).rref()
     assert reduced == Matrix.identity(3)
     assert pivots == (0, 1, 2)
 
 
 def test_rref_permutation():
-    reduced, pivots = rref(Matrix([[0, 1], [1, 0]]))
+    reduced, pivots = Matrix([[0, 1], [1, 0]]).rref()
     assert reduced == Matrix.identity(2)
     assert pivots == (0, 1)
 
@@ -47,8 +49,8 @@ def test_rref_idempotent_random():
         m = Matrix(
             [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(cols)] for _ in range(rows)]
         )
-        reduced, pivots = rref(m)
-        again, pivots2 = rref(reduced)
+        reduced, pivots = m.rref()
+        again, pivots2 = reduced.rref()
         assert again == reduced
         assert pivots2 == pivots
 
@@ -155,7 +157,7 @@ def test_invert_singular_raises():
 
 def test_exactness_no_rounding():
     m = Matrix([["1/3", "1/7"], ["2/5", "1/11"]])
-    reduced, _ = rref(m)
+    reduced, _ = m.rref()
     assert reduced == Matrix.identity(2)
     assert invert(m).mul(m) == Matrix.identity(2)
 
@@ -195,20 +197,29 @@ def _matrix_and_sparse_vector(draw):
     vec = tuple(
         draw(st.one_of(st.just(Fraction(0)), _small_rational)) for _ in range(cols)
     )
-    return Matrix(data, cols=cols), vec
+    return data, cols, vec
 
 
 @given(_matrix_and_sparse_vector())
 @settings(max_examples=100, deadline=None)
 def test_apply_matches_dense_sum(case):
-    m, v = case
+    data, cols, v = case
+    m = Matrix(data, cols=cols)
     dense = tuple(
-        sum((m.data[i][k] * v[k] for k in range(m.cols)), Fraction(0))
-        for i in range(m.rows)
+        sum((data[i][k] * v[k] for k in range(cols)), Fraction(0))
+        for i in range(len(data))
     )
     out = m.apply(v)
     assert out == dense
     assert all(type(c) is Fraction for c in out)
+    assert m.data == tuple(map(tuple, data))
+    assert [m.row(i) for i in range(m.rows)] == [tuple(row) for row in data]
+    assert m.columns() == [tuple(row[j] for row in data) for j in range(cols)]
+    assert m._columns == tuple(
+        {i: row[j] for i, row in enumerate(data) if row[j]} for j in range(cols)
+    )
+    trusted = Matrix._of_columns(m._columns, m.rows)
+    assert trusted.data == m.data and trusted == m and hash(trusted) == hash(m)
 
 
 @st.composite
@@ -217,26 +228,25 @@ def _sparse_matrix_pair(draw):
     entry = st.one_of(st.just(Fraction(0)), _small_rational)
     left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
     right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
-    return Matrix(left, cols=inner), Matrix(right, cols=cols)
+    return left, right, inner, cols
 
 
 @given(_sparse_matrix_pair())
 @settings(max_examples=100, deadline=None)
 def test_mul_matches_dense_triple_sum(case):
-    a, b = case
-    dense = Matrix(
-        [
-            [
-                sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Fraction(0))
-                for j in range(b.cols)
-            ]
-            for i in range(a.rows)
-        ],
-        cols=b.cols,
+    left, right, inner, cols = case
+    dense = tuple(
+        tuple(
+            sum((row[k] * right[k][j] for k in range(inner)), Fraction(0))
+            for j in range(cols)
+        )
+        for row in left
     )
-    out = a.mul(b)
-    assert out == dense
+    out = Matrix(left, cols=inner).mul(Matrix(right, cols=cols))
+    assert out.shape == (len(left), cols)
+    assert out.data == dense
     assert all(type(c) is Fraction for row in out.data for c in row)
+    assert all(c for col in out._columns for c in col.values())
 
 
 def test_mul_rejects_shape_mismatch():
@@ -412,14 +422,45 @@ def test_trusted_constructors_agree_with_the_public_ones():
         (Fraction(2), Fraction(0), Fraction(-1)),
         (Fraction(0), Fraction(3), Fraction(0)),
     ]
-    assert Matrix._of_columns(cols, 3) == Matrix.from_columns(cols, 3)
+    sparse = [sparse_vector(col) for col in cols]
+    assert sparse[2] == {1: Fraction(3)}
+    trusted = Matrix._of_columns(sparse, 3)
+    assert trusted == Matrix.from_columns(cols, 3)
+    assert hash(trusted) == hash(Matrix.from_columns(cols, 3))
     for rows in (0, 2):
         assert Matrix._of_columns([], rows) == Matrix.from_columns([], rows)
         assert Matrix._of_columns([], rows).shape == (rows, 0)
-    assert Matrix._of_columns([(), ()], 0) == Matrix.from_columns([(), ()], 0)
-    for vecs in (cols, cols[:1], []):
-        trusted, public = Subspace._spanned(3, vecs), Subspace(3, vecs)
+    assert Matrix._of_columns([{}, {}], 0) == Matrix.from_columns([(), ()], 0)
+    for n in (1, 3):
+        trusted, public = Subspace._spanned(3, sparse[:n]), Subspace(3, cols[:n])
         assert trusted == public and trusted.pivots == public.pivots
+    assert Subspace._spanned(3, []) == Subspace(3, [])
+
+
+def _assert_canonical(m: Matrix):
+    """Sparse columns of nonzero Fractions, equal to the public constructor's
+    matrix on the dense rows."""
+    for col in m._columns:
+        assert all(type(c) is Fraction and c for c in col.values())
+        assert all(0 <= i < m.rows for i in col)
+    public = Matrix(m.data, cols=m.cols)
+    assert m == public and hash(m) == hash(public)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=12, deadline=None)
+def test_every_matrix_the_package_builds_stores_only_nonzero_fractions(seed):
+    rng = random.Random(seed)
+    model, f = rand_minimal_model(rng, 3)
+    space = der_space(model, 0)
+    theta = space.unpack(tuple(rand_coeff(rng) for _ in range(space.dim)))
+    built = [model.dgla.d_matrix(k) for k in range(1, 5)]
+    built += [der_boundary_matrix(model, r) for r in (0, 1)]
+    built += [theta.matrix(k) for k in range(1, 4)]
+    built += [g.matrix(k) for g in (f, model.q) for k in range(1, 4)]
+    built += [induced_map_on_homology(g, k) for g in (f, model.q) for k in range(1, 4)]
+    for m in built:
+        _assert_canonical(m)
 
 
 def test_public_constructors_still_coerce_and_check():
@@ -434,3 +475,20 @@ def test_public_constructors_still_coerce_and_check():
         Subspace(1, [[0.5]])
     with pytest.raises(TypeError):
         Matrix.from_columns([(0.5,)], 1)
+
+
+def test_spans_inverses_and_solutions_run_through_the_patched_rref():
+    # test_integer_kernel_matches_fraction_reference cross-checks these
+    # functions only if they reach the elimination it replaces
+    data = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+    runs = {
+        "Subspace": lambda m: Subspace(2, data),
+        "_spanned": lambda m: Subspace._spanned(2, m._columns),
+        "invert": invert,
+        "solve_pivot": lambda m: solve_pivot(m, (Fraction(1), Fraction(0))),
+        "rank": Matrix.rank,
+    }
+    for name, run in runs.items():
+        with reference_elimination() as calls:
+            run(Matrix(data))
+        assert len(calls) == 1, name
