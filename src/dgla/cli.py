@@ -1,7 +1,8 @@
 """Command-line surface: parse inputs, run pipelines, emit canonical output.
 
-Exit codes: 0 success (or "equivalent"), 1 parse error, 2 invalid input or
-violated precondition, 3 negative verdict.  All outputs are deterministic;
+Exit codes: 0 success (or "equivalent"), 1 parse error (a file that is not
+UTF-8 among them), 2 invalid input, a file that cannot be read or written, or
+a violated precondition, 3 negative verdict.  All outputs are deterministic;
 ANSI styling only appears on a terminal and can be disabled with
 DGLA_COLOR=0.
 """
@@ -295,7 +296,7 @@ def main(argv=None) -> int:
     except DglaError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,9 @@ Two kinds of dg Lie algebras are first class:
 Both expose the same element model: an Element is (degree, coordinate
 vector) in the canonical basis of that degree, and both know how to bracket
 coordinates, so morphisms defined on generators of a quasi-free source can
-be evaluated into either kind of target.
+be evaluated into either kind of target.  Both evaluations, and the
+expression fields of a finite-dimensional algebra, run through the one tree
+walker `exprs.eval_tree`.
 
 Everything is computed over Q; a degree bound is always explicit in the
 callers, never stored here.  Homology data is memoized single-assignment per
@@ -49,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -58,7 +61,7 @@ from .errors import (
     TargetNotFiniteType,
     UnknownGenerator,
 )
-from .exprs import Terms, format_terms
+from .exprs import Terms, eval_tree, format_terms
 from .freelie import FreeGLA, GradedGenerator, LiePoly, TVec
 from .linalg import (
     Matrix,
@@ -67,6 +70,7 @@ from .linalg import (
     kernel_basis,
     membership,
     sparse_vector,
+    unit_vector,
     vec_is_zero,
     zero_vector,
 )
@@ -178,7 +182,7 @@ class QuasiFreeDGLA(_DGLA):
         return self._algebra
 
     def dim(self, k: int) -> int:
-        return self.algebra.dim(k) if k >= 1 else 0
+        return self.algebra.dim(k)
 
     def d_images(self) -> dict[int, TVec]:
         """d on the generators in tensor form, keyed by generator index."""
@@ -210,9 +214,7 @@ class QuasiFreeDGLA(_DGLA):
 
     def atom(self, name: str) -> Element:
         d, i = self.algebra.atom(name)
-        coords = [Fraction(0)] * self.dim(d)
-        coords[i] = Fraction(1)
-        return Element(d, tuple(coords))
+        return Element(d, unit_vector(self.dim(d), i))
 
     def element(self, p: LiePoly, degree: int | None = None) -> Element:
         d, coords = self.algebra.normalize(p, degree)
@@ -227,7 +229,7 @@ class QuasiFreeDGLA(_DGLA):
         return format_terms(list(self.poly(el).terms))
 
     def eval_terms(self, terms: Terms, expected_degree: int | None = None) -> Element:
-        return self.element(LiePoly.from_terms(terms), expected_degree)
+        return self.element(LiePoly(terms), expected_degree)
 
     def max_generator_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
@@ -362,24 +364,17 @@ class FiniteDimDGLA(_DGLA):
             except ValueError:
                 raise UnknownGenerator(f"unknown basis vector {name!r}") from None
             if 0 <= i < self.dims.get(k, 0):
-                coords = [Fraction(0)] * self.dim(k)
-                coords[i] = Fraction(1)
-                return Element(k, tuple(coords))
+                return Element(k, unit_vector(self.dim(k), i))
         raise UnknownGenerator(f"unknown basis vector {name!r}")
 
     def eval_terms(self, terms: Terms, expected_degree: int | None = None) -> Element:
-        result = _sum_terms(terms, self._eval_tree, self.zero, expected_degree, "expression")
+        value = partial(eval_tree, leaf=self.atom, bracket=self.bracket, memo={})
+        result = _sum_terms(terms, value, self.zero, expected_degree, "expression")
         if expected_degree is not None and result.degree != expected_degree:
             raise MixedDegrees(
                 f"expected degree {expected_degree}, found {result.degree}"
             )
         return result
-
-    def _eval_tree(self, tree) -> Element:
-        if isinstance(tree, str):
-            return self.atom(tree)
-        left, right = tree
-        return self.bracket(self._eval_tree(left), self._eval_tree(right))
 
     def element_expr(self, el: Element) -> str:
         terms = [
@@ -422,14 +417,7 @@ class DGLAMorphism:
         return self.images[name]
 
     def eval_tree(self, tree) -> Element:
-        if isinstance(tree, str):
-            return self.images[tree]
-        hit = self._tree_cache.get(tree)
-        if hit is not None:
-            return hit
-        left, right = tree
-        result = self.target.bracket(self.eval_tree(left), self.eval_tree(right))
-        return self._tree_cache.setdefault(tree, result)
+        return eval_tree(tree, self.images.__getitem__, self.target.bracket, self._tree_cache)
 
     def eval_poly(self, p: LiePoly, degree: int | None = None) -> Element:
         return _sum_terms(p.terms, self.eval_tree, self.target.zero, degree, "polynomial")

@@ -8,7 +8,8 @@
 Whitespace is insignificant; '0' denotes the zero polynomial.  Parsing
 produces a formal sum of fully parenthesized bracket words over identifiers
 (a *tree term list*): brackets of sums are expanded bilinearly.  A tree is
-either an identifier or a pair (left_tree, right_tree).
+either an identifier or a pair (left_tree, right_tree).  `eval_tree` is the
+one walker that evaluates a Lie map, given on identifiers, on a tree.
 
 A digit of INT is a Unicode decimal digit (category Nd: ASCII or, say,
 full-width '１').  Other digit characters such as '²', and integers longer
@@ -31,13 +32,6 @@ Tree = object  # str | tuple[Tree, Tree]
 Terms = list[tuple[Fraction, Tree]]
 
 
-def tree_leaves(tree) -> list[str]:
-    if isinstance(tree, str):
-        return [tree]
-    left, right = tree
-    return tree_leaves(left) + tree_leaves(right)
-
-
 def tree_word_length(tree) -> int:
     if isinstance(tree, str):
         return 1
@@ -54,6 +48,26 @@ def format_tree(tree) -> str:
 
 def tree_sort_key(tree) -> tuple:
     return (tree_word_length(tree), format_tree(tree))
+
+
+def eval_tree(tree, leaf, bracket, memo: dict):
+    """The value of a tree under a Lie map fixed on the leaves: leaf(name) at
+    a leaf, bracket(left value, right value) at a bracket.
+
+    A Lie map out of a free Lie algebra is determined by its values on the
+    generators, so this one walker evaluates every such map.  Bracket values
+    are memoized single-assignment in `memo`, keyed by subtree.
+    """
+    if isinstance(tree, str):
+        return leaf(tree)
+    hit = memo.get(tree)
+    if hit is not None:
+        return hit
+    left, right = tree
+    value = bracket(
+        eval_tree(left, leaf, bracket, memo), eval_tree(right, leaf, bracket, memo)
+    )
+    return memo.setdefault(tree, value)
 
 
 class _Scanner:

@@ -48,7 +48,10 @@ def canonical_json(doc) -> str:
 
 
 def load_document(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -67,20 +70,21 @@ def _parse_field_expr(text, context: str):
         raise ParseError(f"{context}: {e}") from None
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _is_int(value) -> bool:
     """A JSON integer; JSON booleans load as Python ints and are refused."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _degree_key(key: str, context: str) -> int:
+    """A degree key in its one canonical spelling, as `str(k)` writes it, so
+    that no two keys of a mapping name the same degree."""
     try:
-        return int(key)
+        k = int(key)
     except ValueError:
-        raise FormatError(f"{context}: bad degree key {key!r}") from None
+        k = None
+    if k is None or str(k) != key:
+        raise FormatError(f"{context}: bad degree key {key!r}")
+    return k
 
 
 def _rational(value, context: str) -> Fraction:
@@ -141,7 +145,7 @@ def _quasifree_from_doc(doc: dict, context: str) -> QuasiFreeDGLA:
         raise FormatError(f"{context}: differential must be a mapping")
     for name in sorted(raw_diff):
         terms = _parse_field_expr(raw_diff[name], f"{context}: differential[{name}]")
-        differential[name] = LiePoly.from_terms(terms)
+        differential[name] = LiePoly(terms)
     return QuasiFreeDGLA(gens, differential)
 
 
@@ -314,7 +318,7 @@ def dgla_to_doc(algebra) -> dict:
             mat = algebra.d_mats[k]
             if mat.is_zero():
                 continue
-            diff[str(k)] = [[_rational_str(e) for e in row] for row in mat.data]
+            diff[str(k)] = [[str(e) for e in row] for row in mat.data]
         doc = {
             "kind": "findim_dgla",
             "dims": {str(k): n for k, n in sorted(algebra.dims.items())},

@@ -76,8 +76,8 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Sequence
 
-from .errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
-from .exprs import Terms, format_terms, tree_sort_key
+from .errors import FormatError, MixedDegrees, NotSimplyConnected, UnknownGenerator
+from .exprs import eval_tree, format_terms, tree_sort_key
 from .linalg import Vector, _clear_denominators, _Echelon, add_scaled, dense_vector
 
 Word = tuple[int, ...]
@@ -127,10 +127,6 @@ class LiePoly:
     @classmethod
     def gen(cls, name: str) -> "LiePoly":
         return cls([(Fraction(1), name)])
-
-    @classmethod
-    def from_terms(cls, terms: Terms) -> "LiePoly":
-        return cls(terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -218,6 +214,10 @@ def tensor_bracket(d1: int, v1: TVec, d2: int, v2: TVec) -> TVec:
     return out
 
 
+def _embed_bracket(left: tuple[int, TVec], right: tuple[int, TVec]) -> tuple[int, TVec]:
+    return left[0] + right[0], tensor_bracket(*left, *right)
+
+
 @dataclass(frozen=True)
 class DegreeBasis:
     """Canonical ordered basis of one homogeneous piece.
@@ -252,7 +252,7 @@ class FreeGLA:
         seen = set()
         for g in gens:
             if g.name in seen:
-                raise ValueError(f"duplicate generator name {g.name!r}")
+                raise FormatError(f"duplicate generator name {g.name!r}")
             seen.add(g.name)
             if not isinstance(g.degree, int) or g.degree < 1:
                 raise NotSimplyConnected(
@@ -284,40 +284,17 @@ class FreeGLA:
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
 
-    def tree_degree(self, tree) -> int:
-        if isinstance(tree, str):
-            return self.degree_of(tree)
-        left, right = tree
-        return self.tree_degree(left) + self.tree_degree(right)
-
     # -- tensor embedding ---------------------------------------------------
 
-    def words(self, k: int) -> tuple[Word, ...]:
-        """All degree-k words over the generators, in (length, lex) order."""
-        return tuple(self._iter_words(k))
-
-    def tensor_coords(self, p: LiePoly, degree: int | None = None) -> tuple[int | None, Vector]:
-        """Dense coordinates of p in the word basis of its degree."""
-        d, vec = self.embed(p)
-        if d is None:
-            d = degree
-        if d is None:
-            return None, ()
-        return d, tuple(vec.get(w, Fraction(0)) for w in self.words(d))
-
     def embed_tree(self, tree) -> tuple[int, TVec]:
-        cached = self._embed_cache.get(tree) if not isinstance(tree, str) else None
-        if cached is not None:
-            return cached
-        if isinstance(tree, str):
-            i = self.index_of(tree)
-            return self._degrees[i], {(i,): 1}
-        left, right = tree
-        dl, vl = self.embed_tree(left)
-        dr, vr = self.embed_tree(right)
-        result = (dl + dr, tensor_bracket(dl, vl, dr, vr))
-        self._embed_cache[tree] = result
-        return result
+        """(degree, tensor coordinates) of a bracket tree: the inclusion of
+        the free Lie algebra into the tensor algebra, the Lie map that sends
+        each generator to its one-letter word."""
+        return eval_tree(tree, self._embed_leaf, _embed_bracket, self._embed_cache)
+
+    def _embed_leaf(self, name: str) -> tuple[int, TVec]:
+        i = self.index_of(name)
+        return self._degrees[i], {(i,): 1}
 
     def embed(self, p: LiePoly) -> tuple[int | None, TVec]:
         """Tensor coordinates of p; p == 0 in L iff the vector is empty.

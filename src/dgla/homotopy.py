@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .dg import Element
 from .errors import (
@@ -288,26 +289,36 @@ def exp_derivation(delta: RelDerivation, bound: int) -> FilteredEndo:
     images: dict[str, Element] = {}
     for g in model.fiber_generators:
         k = g.degree
-        mat = delta.matrix(k)
-        acc = list(model.dgla.atom(g.name).coords)
-        term = tuple(acc)
-        factor = Fraction(1)
-        steps = 0
-        while True:
-            term = mat.apply(term)
-            steps += 1
-            factor /= steps
-            if vec_is_zero(term):
-                break
-            for i, c in enumerate(term):
-                acc[i] += factor * c
-            if steps > 2 * k + 2:
-                raise ArithmeticError(
-                    "exponential series failed to terminate; the derivation "
-                    "is not nilpotent (internal check)"
-                )
-        images[g.name] = Element(k, tuple(acc))
+        atom = model.dgla.atom(g.name).coords
+        series = _nilpotent_series(
+            atom, atom, delta.matrix(k).apply, lambda p: Fraction(1, factorial(p)), k,
+            "exponential series failed to terminate; the derivation "
+            "is not nilpotent (internal check)",
+        )
+        images[g.name] = Element(k, series)
     return FilteredEndo(model, images)
+
+
+def _nilpotent_series(start: Vector, x: Vector, step, coeff, k: int, failure: str) -> Vector:
+    """start + sum over p >= 1 of coeff(p) * step^p(x), for a step that is
+    nilpotent on x in degree k.
+
+    The sum stops at the first zero power; more than 2k + 2 nonzero powers
+    raise ArithmeticError(failure).  Terms are added in order of p.
+    """
+    acc = list(start)
+    term = x
+    p = 0
+    while True:
+        term = step(term)
+        p += 1
+        if vec_is_zero(term):
+            return tuple(acc)
+        if p > 2 * k + 2:
+            raise ArithmeticError(failure)
+        c = coeff(p)
+        for i, t in enumerate(term):
+            acc[i] += c * t
 
 
 def log_unipotent(u: FilteredEndo, bound: int) -> RelDerivation:
@@ -354,22 +365,12 @@ def _log_series(u: FilteredEndo) -> RelDerivation:
     for g in u.model.fiber_generators:
         k = g.degree
         umat = u.matrix(k)
-        term = dgla.atom(g.name).coords
-        acc = list(dgla.zero(k).coords)
-        p = 0
-        while True:
-            term = vec_sub(umat.apply(term), term)
-            p += 1
-            if vec_is_zero(term):
-                break
-            if p > 2 * k + 2:
-                raise ArithmeticError(
-                    "logarithm series failed to terminate (internal check)"
-                )
-            coeff = Fraction((-1) ** (p + 1), p)
-            for i, c in enumerate(term):
-                acc[i] += coeff * c
-        images[g.name] = Element(k, tuple(acc))
+        series = _nilpotent_series(
+            dgla.zero(k).coords, dgla.atom(g.name).coords,
+            lambda v: vec_sub(umat.apply(v), v), lambda p: Fraction((-1) ** (p + 1), p), k,
+            "logarithm series failed to terminate (internal check)",
+        )
+        images[g.name] = Element(k, series)
     return RelDerivation(u.model, 0, images)
 
 

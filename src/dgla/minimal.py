@@ -194,9 +194,11 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
     base_names = tuple(g.name for g in source.generators)
     stages: list[Stage] = []
 
+    # One algebra and structure map per generator set: a stage that adds no
+    # generator keeps both, with their memoized bases, d-matrices and homology.
+    current = QuasiFreeDGLA(gens, diffs)
+    q = DGLAMorphism(current, target, qimages)
     for k in range(1, bound + 1):
-        current = QuasiFreeDGLA(gens, diffs)
-        q = DGLAMorphism(current, target, qimages)
         h_model = current.homology(k)
         h_target = target.homology(k)
         hq = induced_map_on_homology(q, k)
@@ -229,10 +231,11 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
                 )
             qimages[name] = Element(k + 1, eta)
         stages.append(Stage(tuple(a_names), tuple(b_names)))
+        if a_names or b_names:
+            current = QuasiFreeDGLA(gens, diffs)
+            q = DGLAMorphism(current, target, qimages)
 
-    full = QuasiFreeDGLA(gens, diffs)
-    q_full = DGLAMorphism(full, target, qimages)
-    return RelativeModel(full, base_names, tuple(stages), q_full)
+    return RelativeModel(current, base_names, tuple(stages), q)
 
 
 def verify_model(

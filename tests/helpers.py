@@ -13,13 +13,28 @@ from fractions import Fraction
 from math import comb
 from unittest import mock
 
-from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
-from dgla.freelie import FreeGLA, GradedGenerator, LiePoly
+from dgla.dg import (
+    DGLAMorphism,
+    Element,
+    FiniteDimDGLA,
+    QuasiFreeDGLA,
+    induced_map_on_homology,
+    validate,
+)
+from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, tensor_bracket
 from dgla.errors import NotQuasiIso
 from dgla.homotopy import derivation_basis
 from dgla.invert import FilteredEndo, _base_inverse_images, is_relative_automorphism
-from dgla.linalg import Matrix, Subspace, invert, kernel_basis, quotient_data, zero_vector
-from dgla.minimal import build_minimal_model
+from dgla.linalg import (
+    Matrix,
+    Subspace,
+    invert,
+    kernel_basis,
+    quotient_data,
+    solve_pivot,
+    zero_vector,
+)
+from dgla.minimal import RelativeModel, Stage, _require_valid, build_minimal_model
 
 
 def rand_coeff(rng, lo=-2, hi=3):
@@ -572,3 +587,86 @@ def reference_pbw_dims(degrees, top: int) -> list[int]:
             ]
         dims.append(tensor[k] - product[k])
     return dims
+
+
+# -- reference tree walkers and staged construction -----------------------------
+
+
+def tree_degree(algebra: FreeGLA, tree) -> int:
+    """The degree of a bracket tree, as the sum of its leaves' degrees."""
+    if isinstance(tree, str):
+        return algebra.degree_of(tree)
+    left, right = tree
+    return tree_degree(algebra, left) + tree_degree(algebra, right)
+
+
+def reference_embed_tree(algebra: FreeGLA, tree):
+    """(degree, tensor coordinates) of a tree by direct recursion, as
+    `FreeGLA.embed_tree` computed them before `exprs.eval_tree`."""
+    if isinstance(tree, str):
+        i = algebra.index_of(tree)
+        return algebra.degree_of(tree), {(i,): 1}
+    dl, vl = reference_embed_tree(algebra, tree[0])
+    dr, vr = reference_embed_tree(algebra, tree[1])
+    return dl + dr, tensor_bracket(dl, vl, dr, vr)
+
+
+def reference_findim_eval_tree(algebra: FiniteDimDGLA, tree) -> Element:
+    """A tree of basis-vector names evaluated in a finite-dimensional
+    algebra, as the deleted `FiniteDimDGLA._eval_tree` did."""
+    if isinstance(tree, str):
+        return algebra.atom(tree)
+    left, right = tree
+    return algebra.bracket(
+        reference_findim_eval_tree(algebra, left),
+        reference_findim_eval_tree(algebra, right),
+    )
+
+
+def reference_morphism_eval_tree(f: DGLAMorphism, tree) -> Element:
+    """f on a bracket tree by direct recursion, without a memo."""
+    if isinstance(tree, str):
+        return f.images[tree]
+    left, right = tree
+    return f.target.bracket(
+        reference_morphism_eval_tree(f, left), reference_morphism_eval_tree(f, right)
+    )
+
+
+def reference_build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
+    """`build_minimal_model` as it was before stages shared an algebra: a
+    fresh algebra and structure map at every stage and once more at the end.
+    The input checks are the same; the reserved-name check is left out."""
+    source, target = f.source, f.target
+    _require_valid(source)
+    _require_valid(target)
+    assert f.is_chain_map()
+    gens = list(source.generators)
+    diffs = dict(source.differential)
+    qimages = dict(f.images)
+    stages = []
+    for k in range(1, bound + 1):
+        current = QuasiFreeDGLA(gens, diffs)
+        q = DGLAMorphism(current, target, qimages)
+        h_model = current.homology(k)
+        h_target = target.homology(k)
+        hq = induced_map_on_homology(q, k)
+        image = set(Subspace._spanned(h_target.dim, hq._columns).pivots)
+        coker_reps = [rep for c, rep in enumerate(h_target.reps) if c not in image]
+        a_names = []
+        for i, rep in enumerate(coker_reps):
+            a_names.append(f"a_{k}_{i}")
+            gens.append(GradedGenerator(a_names[-1], k))
+            qimages[a_names[-1]] = Element(k, rep)
+        b_names = []
+        for j, kappa in enumerate(kernel_basis(hq).basis):
+            b_names.append(f"b_{k}_{j}")
+            gens.append(GradedGenerator(b_names[-1], k + 1))
+            cycle = h_model.rep_of(kappa)
+            diffs[b_names[-1]] = current.poly(Element(k, cycle))
+            qv = q.apply(Element(k, cycle))
+            qimages[b_names[-1]] = Element(k + 1, solve_pivot(target.d_matrix(k + 1), qv.coords))
+        stages.append(Stage(tuple(a_names), tuple(b_names)))
+    full = QuasiFreeDGLA(gens, diffs)
+    q_full = DGLAMorphism(full, target, qimages)
+    return RelativeModel(full, tuple(g.name for g in source.generators), tuple(stages), q_full)

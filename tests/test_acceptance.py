@@ -52,7 +52,7 @@ def criterion(number, label):
 def make_algebra(gens, diff):
     return QuasiFreeDGLA(
         [GradedGenerator(n, d) for n, d in gens],
-        {n: LiePoly.from_terms(parse_expr(t)) for n, t in diff.items()},
+        {n: LiePoly(parse_expr(t)) for n, t in diff.items()},
     )
 
 

@@ -897,3 +897,86 @@ def test_minimal_model_of_a_differential_vanishing_in_the_free_algebra(capsys, t
 
     model = model_from_doc(json.loads(out_path.read_text(encoding="utf-8")))
     assert verify_model(model, 3).ok
+
+
+@pytest.mark.parametrize("case", ["directory-input", "non-utf8-input", "directory-out"])
+def test_unreadable_files_exit_with_one_line(files, capsys, tmp_path, case):
+    if case == "directory-input":
+        path = str(tmp_path)
+        argv, expected = ("validate", path), 2
+    elif case == "non-utf8-input":
+        path = str(tmp_path / "latin1.json")
+        text = '{"kind": "dgla", "generators": [{"name": "é", "degree": 1}]}'
+        Path(path).write_bytes(text.encode("latin-1"))
+        argv, expected = ("validate", path), 1
+    else:
+        path = str(tmp_path / "out_dir")
+        Path(path).mkdir()
+        argv = (
+            "minimal-model", files["sphere"], files["wedge"], files["incl"],
+            "--max-degree", "2", "--out", path,
+        )
+        expected = 2
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["01", "+2", " 2", "2_0", "١"])
+@pytest.mark.parametrize("field", ["dims", "differential"])
+def test_non_canonical_degree_keys_are_refused(capsys, tmp_path, field, key):
+    # each key spells a degree already given; read as that degree, it would
+    # silently overwrite the other entry
+    doc = {
+        "kind": "findim_dgla",
+        "dims": {"1": 2, "2": 1},
+        "differential": {"2": [["1"], ["0"]]},
+    }
+    doc[field][key] = 1 if field == "dims" else [["0"], ["0"]]
+    path = write(tmp_path, "keys.json", doc)
+    code, out, err = run(capsys, "homology", path, "--max-degree", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {field}: bad degree key {key!r}\n"
+
+
+def test_model_image_in_an_undeclared_degree_of_the_target_names_the_field(
+    files, capsys, tmp_path
+):
+    # e_0_0 exists in the target's dims but degree 0 is no degree of an
+    # element: the image has the wrong degree, and the structure map is
+    # read before the target is validated
+    doc = json.loads(Path(files["model"]).read_text(encoding="utf-8"))
+    doc["structureMap"] = {
+        "target": {"kind": "findim_dgla", "dims": {"0": 1, "1": 1}},
+        "images": {"x": "e_0_0"},
+    }
+    path = write(tmp_path, "degree_zero.json", doc)
+    code, _, err = run(capsys, "pi0", path, "--max-degree", "3")
+    _assert_one_line_error(code, err, f"{path}: structureMap: images[x]: expected degree 1")
+
+
+@pytest.mark.parametrize("degree", [1, 0])
+def test_model_target_with_a_duplicate_generator_exits_with_one_line(capsys, tmp_path, degree):
+    # the structure-map target is read before it is validated, and a
+    # generator left out of the images is sent to the target's zero
+    doc = {
+        "kind": "relative_model",
+        "generators": [{"name": "x", "degree": degree}],
+        "differential": {},
+        "base": ["x"],
+        "stages": [],
+        "structureMap": {
+            "target": {
+                "kind": "dgla",
+                "generators": [{"name": "y", "degree": 1}, {"name": "y", "degree": 1}],
+            },
+            "images": {},
+        },
+    }
+    path = write(tmp_path, "dup.json", doc)
+    code, out, err = run(capsys, "pi0", path, "--max-degree", "1")
+    assert (code, out) == (2, "")
+    _assert_one_line_error(code, err, "")

@@ -16,13 +16,18 @@ from dgla.errors import DglaError, NotAChainMap
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
 from dgla.linalg import Matrix, Subspace, membership, quotient_data, vec_is_zero
-from helpers import rand_conjugated_findim, rand_quasifree, reference_kernel_basis
+from helpers import (
+    rand_conjugated_findim,
+    rand_quasifree,
+    reference_kernel_basis,
+    tree_degree,
+)
 
 
 def make(gens, diff):
     generators = [GradedGenerator(n, d) for n, d in gens]
     differential = {
-        name: LiePoly.from_terms(parse_expr(text)) for name, text in diff.items()
+        name: LiePoly(parse_expr(text)) for name, text in diff.items()
     }
     return QuasiFreeDGLA(generators, differential)
 
@@ -311,7 +316,7 @@ def _symbolic_d(a, tree) -> LiePoly:
     if isinstance(tree, str):
         return a.differential.get(tree, LiePoly.zero())
     left, right = tree
-    sign = -1 if a.algebra.tree_degree(left) % 2 else 1
+    sign = -1 if tree_degree(a.algebra, left) % 2 else 1
     return bracket(_symbolic_d(a, left), LiePoly([(Fraction(1), right)])) + sign * bracket(
         LiePoly([(Fraction(1), left)]), _symbolic_d(a, right)
     )

@@ -26,13 +26,18 @@ from dgla.invert import FilteredEndo, invert_relative_quasi_iso
 from dgla import homotopy, minimal
 from dgla.minimal import RelativeModel, Stage, build_minimal_model
 
-from helpers import rand_minimal_model, rand_relative_automorphism, sample_exp_candidate
+from helpers import (
+    rand_minimal_model,
+    rand_relative_automorphism,
+    sample_exp_candidate,
+    tree_degree,
+)
 
 
 def make_model(gens, diff, base, stages):
     dgla = QuasiFreeDGLA(
         [GradedGenerator(n, d) for n, d in gens],
-        {n: LiePoly.from_terms(parse_expr(t)) for n, t in diff.items()},
+        {n: LiePoly(parse_expr(t)) for n, t in diff.items()},
     )
     return RelativeModel(dgla, base, stages, DGLAMorphism.identity(dgla))
 
@@ -161,6 +166,32 @@ def test_log_of_shift(flat_model):
     )
     theta = log_unipotent(u, 3)
     assert alg.element_expr(theta.image("w")) == "[x,x]"
+
+
+def test_exp_and_log_sum_their_series_past_the_square(flat_model):
+    # delta^3(u) = [y,[x,[x,y]]] != 0, so the coefficients 1/p! and
+    # (-1)^(p+1)/p are read at p = 3, where 1/p! and 1/p differ
+    model = make_model(
+        [("x", 1), ("y", 1), ("w", 2), ("v", 3), ("u", 4)],
+        {},
+        ("x", "y"),
+        (Stage((), ()), Stage(("w",), ()), Stage(("v",), ()), Stage(("u",), ())),
+    )
+    alg = model.dgla
+
+    def el(text, degree):
+        return alg.element(LiePoly(parse_expr(text)), degree)
+
+    delta = RelDerivation(
+        model, 0, {"w": el("[x,y]", 2), "v": el("[x,w]", 3), "u": el("[y,v]", 4)}
+    )
+    step = delta.matrix(4).apply
+    assert any(step(step(step(alg.atom("u").coords))))
+    u = exp_derivation(delta, 4)
+    assert u.image("w") == el("w + [x,y]", 2)
+    assert u.image("v") == el("v + [x,w] + 1/2*[x,[x,y]]", 3)
+    assert u.image("u") == el("u + [y,v] + 1/2*[y,[x,w]] + 1/6*[y,[x,[x,y]]]", 4)
+    assert log_unipotent(u, 4) == delta
 
 
 def test_log_rejects_base_motion(flat_model):
@@ -498,7 +529,7 @@ def _symbolic_value(theta, tree):
         el = theta.images.get(tree)
         return theta.model.dgla.poly(el) if el is not None else LiePoly.zero()
     left, right = tree
-    sign = -1 if (theta.degree * theta.model.dgla.algebra.tree_degree(left)) % 2 else 1
+    sign = -1 if (theta.degree * tree_degree(theta.model.dgla.algebra, left)) % 2 else 1
     return bracket(_symbolic_value(theta, left), LiePoly([(Fraction(1), right)])) + sign * bracket(
         LiePoly([(Fraction(1), left)]), _symbolic_value(theta, right)
     )

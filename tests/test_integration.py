@@ -122,7 +122,7 @@ def test_caches_are_consistent_under_concurrency():
                 GradedGenerator("y", 1),
                 GradedGenerator("z", 3),
             ],
-            {"z": LiePoly.from_terms(parse_expr("[x,y]"))},
+            {"z": LiePoly(parse_expr("[x,y]"))},
         )
 
     sequential = build()

@@ -32,7 +32,7 @@ from helpers import (
 def make_model(gens, diff, base, stages):
     dgla = QuasiFreeDGLA(
         [GradedGenerator(n, d) for n, d in gens],
-        {n: LiePoly.from_terms(parse_expr(t)) for n, t in diff.items()},
+        {n: LiePoly(parse_expr(t)) for n, t in diff.items()},
     )
     q = DGLAMorphism.identity(dgla)
     return RelativeModel(dgla, base, stages, q)

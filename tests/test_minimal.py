@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dgla import minimal
 from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA
 from dgla.errors import DegreeBoundTooSmall, NotSimplyConnected
 from dgla.exprs import parse_expr
@@ -15,13 +18,14 @@ from dgla.minimal import (
     verify_model,
 )
 
-from helpers import rand_minimal_model
+from dgla.formats import canonical_json, model_to_doc
+from helpers import rand_minimal_model, rand_model_input, reference_build_minimal_model
 
 
 def make(gens, diff):
     return QuasiFreeDGLA(
         [GradedGenerator(n, d) for n, d in gens],
-        {n: LiePoly.from_terms(parse_expr(t)) for n, t in diff.items()},
+        {n: LiePoly(parse_expr(t)) for n, t in diff.items()},
     )
 
 
@@ -289,3 +293,45 @@ def test_differential_vanishing_in_the_free_algebra_is_zero():
     # B-span of stage 2, which is the one failure
     assert {name for name, ok, _ in report.checks if not ok} == {"condition-f"}
     assert m.q.chain_defects() == []
+
+
+def _empty_stages(model):
+    return [not (stage.A or stage.B) for stage in model.stages]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), bound=st.integers(1, 4))
+@example(seed=0, bound=3)  # the final stage adds nothing
+@example(seed=7, bound=2)  # an empty stage before one that adds generators
+def test_one_algebra_per_generator_set_gives_the_rebuilt_model(seed, bound):
+    model = build_minimal_model(rand_model_input(random.Random(seed)), bound)
+    reference = reference_build_minimal_model(rand_model_input(random.Random(seed)), bound)
+    assert canonical_json(model_to_doc(model)) == canonical_json(model_to_doc(reference))
+
+
+@pytest.mark.parametrize(
+    "seed, bound, empty",
+    [(0, 3, [False, False, True]), (7, 2, [True, False]), (4, 4, [False, True, True, True])],
+)
+def test_the_examples_have_empty_stages(seed, bound, empty):
+    model = build_minimal_model(rand_model_input(random.Random(seed)), bound)
+    assert _empty_stages(model) == empty
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("bound", [1, 3])
+def test_an_algebra_is_built_before_stage_one_and_after_each_stage_that_adds_generators(
+    seed, bound, monkeypatch
+):
+    built = []
+
+    class Counting(QuasiFreeDGLA):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(minimal, "QuasiFreeDGLA", Counting)
+    model = build_minimal_model(rand_model_input(random.Random(seed)), bound)
+    assert len(built) == 1 + _empty_stages(model).count(False)
+    assert model.dgla is built[-1]
+    assert model.q.source is model.dgla
