@@ -33,7 +33,6 @@ from .linalg import (
     Subspace,
     kernel_basis,
     membership,
-    quotient_data,
 )
 from .minimal import (
     MinimalityReport,
@@ -76,7 +75,6 @@ __all__ = [
     "log_unipotent",
     "membership",
     "pi0_report",
-    "quotient_data",
     "validate",
     "verify_model",
 ]

@@ -83,11 +83,8 @@ def _load_model(path: str):
     with _within_max_degree(path, "structureMap.target.maxDegree"):
         model = model_from_doc(doc, context=path)
         report = validate(model.dgla)
-        if not report.ok:
-            raise FormatError(f"{path}: {report.first}")
-        treport = validate(model.target)
-    if not treport.ok:
-        raise FormatError(f"{path}: structure-map target: {treport.first}")
+    if not report.ok:
+        raise FormatError(f"{path}: {report.first}")
     return model
 
 

@@ -67,6 +67,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    dense_vector,
     kernel_basis,
     membership,
     sparse_vector,
@@ -104,20 +105,19 @@ class HomologyData:
         self.boundaries = Subspace._spanned(algebra.dim(k), d_next._columns)
         # A boundary lies in the cycles iff d kills it; then, the cycle basis
         # being in RREF, its cycle coordinates are its entries at the pivots.
-        for bvec in self.boundaries.basis:
-            if not vec_is_zero(d_k.apply(bvec)):
+        for b in self.boundaries._rows:
+            if d_k._combine(b.items()):
                 raise ArithmeticError("boundary is not a cycle: d*d != 0?")
         pivots = self.cycles.pivots
         self._b_in_z = Subspace._spanned(
             self.cycles.dim,
-            [sparse_vector(bvec[p] for p in pivots) for bvec in self.boundaries.basis],
+            [{i: b[p] for i, p in enumerate(pivots) if p in b} for b in self.boundaries._rows],
         )
         pivots = set(self._b_in_z.pivots)
         self._free = tuple(c for c in range(self.cycles.dim) if c not in pivots)
-        self.reps = tuple(self.cycles.basis[c] for c in self._free)
-        self._section = Matrix._of_columns(
-            [sparse_vector(rep) for rep in self.reps], self.cycles.ambient_dim
-        )
+        rows = [self.cycles._rows[c] for c in self._free]
+        self.reps = tuple(dense_vector(r, self.cycles.ambient_dim) for r in rows)
+        self._section = Matrix._of_columns(rows, self.cycles.ambient_dim)
 
     @property
     def dim(self) -> int:

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA
+from .dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
 from .errors import (
     FormatError,
     MixedDegrees,
@@ -56,6 +56,8 @@ def load_document(path: str | Path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: {e.msg}", e.lineno, e.colno) from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     return doc
@@ -68,6 +70,8 @@ def _parse_field_expr(text, context: str):
         return parse_expr(text)
     except ParseError as e:
         raise ParseError(f"{context}: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{context}: expression nested too deeply") from None
 
 
 def _is_int(value) -> bool:
@@ -466,6 +470,11 @@ def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
     if not isinstance(smap, dict) or "target" not in smap:
         raise FormatError(f"{context}: missing structureMap with target")
     target = dgla_from_doc(smap["target"], context=f"{context}: structureMap target")
+    # the images are evaluated in the target, which builds its algebra, so a
+    # bad target is refused first
+    report = validate(target)
+    if not report.ok:
+        raise FormatError(f"{context}: structure-map target: {report.first}")
     images = morphism_images_from_doc(
         smap.get("images", {}), dgla, target, f"{context}: structureMap"
     )

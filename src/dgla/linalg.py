@@ -14,30 +14,34 @@ complexes, morphisms, maps on homology) comes column by column.  That is
 its only layout.  `data` and `row` are a dense view for the public API,
 built once on first use; `column` and `columns` are dense too.  `apply` and
 `mul` combine columns with the sparse axpy `add_scaled`, which the tensor
-vectors of `freelie` use as well.  `rref` and `kernel_basis` transpose the
-columns into sparse rows for the elimination; `invert` appends unit columns
-and `solve_pivot` appends the right-hand side as a column before it.
+vectors of `freelie` use as well.  A `Subspace` holds its RREF basis as
+sparse rows in the same layout, with their pivots; its `basis` is a dense
+view built the same way.
 
 The package has one elimination engine, the private `_Echelon`: sparse
 rows of primitive integers, each with its minimal key as pivot, reduced
 fraction-free (Bareiss-style, with the gcd divided out) in pivot order.
-`Matrix.rref` clears each row's denominators, inserts it, back-substitutes
-and divides each row by its pivot only at the end; spans, solutions and
-inverses all read that result.  `freelie` keys the same rows by words, with
-one echelon per letter content that both selects the basis and solves for
+One routine, `_rref_rows`, drives it for all of linalg: it clears each
+row's denominators, inserts it, back-substitutes and divides each row by
+its pivot only at the end.  `Matrix.rref` transposes its columns into rows
+for it and back; `invert` appends unit columns and `solve_pivot` appends
+the right-hand side as a column before it.  Spans and kernels hand it their
+sparse rows directly.  `freelie` keys the same rows by words, with one
+echelon per letter content that both selects the basis and solves for
 coordinates.
 
 `kernel_basis` runs the same elimination with the columns keyed in reverse
 (key cols-1-j), so each row's pivot is its rightmost column.  After
-back-substitution a row with pivot p has its other entries only at free
-columns f < p.  The kernel vector of a free column f, with 1 at f and
--row[f]/row[p] at each pivot p, is then zero at every other free column and
-zero left of f: read in order of f, these vectors already are the kernel's
-unique RREF, with the free columns as pivots, so no second reduction runs.
+back-substitution and division a row with pivot p has its other entries
+only at free columns f < p.  The kernel vector of a free column f, with 1
+at f and -row[f] at each pivot p, is then zero at every other free column
+and zero left of f: read in order of f, these vectors already are the
+kernel's unique RREF, with the free columns as pivots, so no second
+reduction runs.
 
 Inside the package, results built from `Fraction`s it computed itself go
 through the trusted constructors `Matrix._of_columns`, `Subspace._spanned`
-(both on sparse columns) and `Subspace._of_basis`, which skip the coercion
+(both on sparse vectors) and `Subspace._of_rows`, which skip the coercion
 and shape checks of the public `Matrix(...)`, `Matrix.from_columns` and
 `Subspace(...)`.
 """
@@ -318,28 +322,15 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form with its pivot columns.
 
-        The pivots are the leading columns of the RREF, left to right.  Each
-        nonzero row is scaled once to integers and inserted into one sparse
-        integer echelon (`_Echelon`, pivot = leftmost column); the echelon is
-        back-substituted and only then is each row divided by its pivot
-        entry, which is where `Fraction`s come back.  The RREF is unique, so
-        the result is the one Fraction Gauss-Jordan elimination gives; it is
-        cached on first use.
+        The pivots are the leading columns of the RREF, left to right.  The
+        rows go through `_rref_rows` and back into columns.  The RREF is
+        unique, so the result is the one Fraction Gauss-Jordan elimination
+        gives; it is cached on first use.
         """
         if self._rref is not None:
             return self._rref
-        echelon = _Echelon()
-        for row in _transpose(self._columns, self.rows):
-            if row:
-                echelon.insert(_clear_denominators(row)[0])
-        echelon.back_substitute()
-        columns = [{} for _ in range(self.cols)]
-        for r, (pcol, row, _) in enumerate(echelon.rows):
-            p = row[pcol]
-            for j, x in row.items():
-                columns[j][r] = Fraction(x, p)
-        pivots = tuple(pcol for pcol, _, _ in echelon.rows)
-        result = (Matrix._of_columns(columns, self.rows), pivots)
+        rows, pivots = _rref_rows(_transpose(self._columns, self.rows))
+        result = (Matrix._of_columns(_transpose(rows, self.cols), self.rows), pivots)
         object.__setattr__(self, "_rref", result)
         return result
 
@@ -376,44 +367,78 @@ def _transpose(columns: Sequence[dict], rows: int) -> list[dict]:
     return out
 
 
-class Subspace:
-    """A subspace of Q^n held by its unique RREF basis (zero rows dropped)."""
+def _rref_rows(rows: Iterable[dict]) -> tuple[list[dict], tuple]:
+    """The nonzero rows of the RREF of these sparse rows, with their pivots.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    Each row is a dict from keys to nonzero `Fraction`s, and each row's
+    pivot is its minimal key.  Each nonzero row is scaled once to integers
+    and inserted into one `_Echelon`; the echelon is back-substituted and
+    only then is each row divided by its pivot entry, which is where
+    `Fraction`s come back.
+    """
+    echelon = _Echelon()
+    for row in rows:
+        if row:
+            echelon.insert(_clear_denominators(row)[0])
+    echelon.back_substitute()
+    out = []
+    for pivot, row, _ in echelon.rows:
+        p = row[pivot]
+        out.append({k: Fraction(x, p) for k, x in row.items()})
+    return out, tuple(pivot for pivot, _, _ in echelon.rows)
+
+
+class Subspace:
+    """A subspace of Q^n held by its unique RREF basis (zero rows dropped).
+
+    The basis is kept as sparse rows, dicts from coordinate to nonzero
+    `Fraction`, with their pivots; `basis` is a dense view for the public
+    API, built once on first use.
+    """
+
+    __slots__ = ("ambient_dim", "pivots", "_rows", "_basis")
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence] = ()):
         vecs = tuple(vector(v) for v in vectors)
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        self._set(ambient_dim, *_rref_basis(Matrix(vecs, cols=ambient_dim)))
+        self._set(ambient_dim, *_rref_rows(sparse_vector(v) for v in vecs))
 
     @classmethod
-    def _spanned(cls, ambient_dim: int, vectors: Sequence[dict]) -> "Subspace":
+    def _spanned(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
         """Trusted `Subspace(...)` for sparse vectors this package computed,
         such as the columns `m._columns` of a `Matrix`."""
-        rows = Matrix._of_columns(_transpose(vectors, ambient_dim), len(vectors))
-        return cls._of_basis(ambient_dim, *_rref_basis(rows))
+        return cls._of_rows(ambient_dim, *_rref_rows(vectors))
 
     @classmethod
-    def _of_basis(cls, ambient_dim: int, basis: tuple[Vector, ...], pivots: tuple[int, ...]) -> "Subspace":
-        """Trusted constructor from a basis that is already the unique RREF,
-        with its pivots."""
+    def _of_rows(cls, ambient_dim: int, rows: Sequence[dict], pivots: tuple[int, ...]) -> "Subspace":
+        """Trusted constructor from sparse rows that already are the unique
+        RREF, with their pivots."""
         sub = object.__new__(cls)
-        sub._set(ambient_dim, basis, pivots)
+        sub._set(ambient_dim, rows, pivots)
         return sub
 
-    def _set(self, ambient_dim: int, basis: tuple[Vector, ...], pivots: tuple[int, ...]) -> None:
+    def _set(self, ambient_dim: int, rows: Sequence[dict], pivots: tuple[int, ...]) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The RREF basis, dense; built once, for the public API."""
+        if self._basis is None:
+            dense = tuple(dense_vector(r, self.ambient_dim) for r in self._rows)
+            object.__setattr__(self, "_basis", dense)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Vector, Vector]:
         """Return (residual, coefficients) of v against the RREF basis.
@@ -423,13 +448,12 @@ class Subspace:
         """
         w = list(vector(v))
         coeffs = []
-        for bvec, p in zip(self.basis, self.pivots):
+        for row, p in zip(self._rows, self.pivots):
             c = w[p]
             coeffs.append(c)
-            if c != 0:
-                for j in range(self.ambient_dim):
-                    if bvec[j] != 0:
-                        w[j] -= c * bvec[j]
+            if c:
+                for j, x in row.items():
+                    w[j] -= c * x
         return tuple(w), tuple(coeffs)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
@@ -440,7 +464,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
@@ -448,16 +472,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
-
-
-def _rref_basis(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """The nonzero RREF rows of m, dense, with their pivots: the unique
-    RREF basis of its row space."""
-    if not m.rows:
-        return (), ()
-    reduced, pivots = m.rref()
-    rows = _transpose(reduced._columns, len(pivots))
-    return tuple(dense_vector(r, m.cols) for r in rows), pivots
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -468,21 +482,19 @@ def kernel_basis(m: Matrix) -> Subspace:
     """
     ncols = m.cols
     last = ncols - 1
-    echelon = _Echelon()
-    for row in _transpose(m._columns, m.rows):
-        if row:
-            echelon.insert(_clear_denominators({last - j: e for j, e in row.items()})[0])
-    echelon.back_substitute()
-    pivots = {last - key for key, _, _ in echelon.rows}
+    rows, keys = _rref_rows(
+        {last - j: e for j, e in row.items()} for row in _transpose(m._columns, m.rows)
+    )
+    pivots = {last - key for key in keys}
     free = tuple(j for j in range(ncols) if j not in pivots)
     slot = {f: i for i, f in enumerate(free)}
     vecs = [{f: _ONE} for f in free]
-    for key, row, _ in echelon.rows:
-        p, r = last - key, row[key]
+    for key, row in zip(keys, rows):
+        p = last - key
         for j, x in row.items():
             if j != key:
-                vecs[slot[last - j]][p] = Fraction(-x, r)
-    return Subspace._of_basis(ncols, tuple(dense_vector(v, ncols) for v in vecs), free)
+                vecs[slot[last - j]][p] = -x
+    return Subspace._of_rows(ncols, vecs, free)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -495,30 +507,6 @@ def invert(m: Matrix) -> Matrix:
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")
     return Matrix._of_columns(reduced._columns[n:], n)
-
-
-def quotient_data(ambient: int, sub: Subspace) -> tuple[Matrix, list[Vector]]:
-    """Projection onto a canonical complement of sub, plus coset reps.
-
-    The complement is spanned by the coordinates that carry no pivot of sub;
-    the representatives are the corresponding standard basis vectors.  The
-    projection first reduces modulo sub, then reads off the complement
-    coordinates, so projection o inclusion-of-reps = identity.
-    """
-    if sub.ambient_dim != ambient:
-        raise ValueError("subspace does not live in the given ambient space")
-    pivot_set = set(sub.pivots)
-    complement = [j for j in range(ambient) if j not in pivot_set]
-    rows = []
-    for c in complement:
-        row = [_ZERO] * ambient
-        row[c] = Fraction(1)
-        for bvec, p in zip(sub.basis, sub.pivots):
-            row[p] = -bvec[c]
-        rows.append(row)
-    projection = Matrix(rows, cols=ambient)
-    reps = [unit_vector(ambient, c) for c in complement]
-    return projection, reps
 
 
 def membership(v: Sequence[Fraction], sub: Subspace) -> Vector | None:

@@ -28,7 +28,7 @@ from .errors import (
     NotSimplyConnected,
 )
 from .freelie import GradedGenerator, LiePoly
-from .linalg import Matrix, Subspace, kernel_basis, solve_pivot
+from .linalg import Matrix, Subspace, dense_vector, kernel_basis, solve_pivot
 
 _STAGE_NAME = re.compile(r"^[ab]_\d+_\d+$")
 
@@ -216,11 +216,11 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
 
         kernel = kernel_basis(hq)
         b_names = []
-        for j, kappa in enumerate(kernel.basis):
+        for j, kappa in enumerate(kernel._rows):
             name = f"b_{k}_{j}"
             b_names.append(name)
             gens.append(GradedGenerator(name, k + 1))
-            cycle = h_model.rep_of(kappa)
+            cycle = h_model.rep_of(dense_vector(kappa, hq.cols))
             diffs[name] = current.poly(Element(k, cycle))
             qv = q.apply(Element(k, cycle))
             eta = solve_pivot(target.d_matrix(k + 1), qv.coords)

@@ -30,8 +30,8 @@ from dgla.linalg import (
     Subspace,
     invert,
     kernel_basis,
-    quotient_data,
     solve_pivot,
+    unit_vector,
     zero_vector,
 )
 from dgla.minimal import RelativeModel, Stage, _require_valid, build_minimal_model
@@ -422,8 +422,9 @@ def reference_coords(solver: _Echelon, dim: int, vec) -> tuple | None:
 # -- reference Fraction Gauss-Jordan elimination -----------------------------
 #
 # The elimination `Matrix.rref` ran on Fractions before its integer kernel,
-# without the cache.  Installed in place of `Matrix.rref`, it gives every
-# function of `dgla.linalg` that reduces a matrix its reference result.
+# without the cache.  `reference_rref_rows` runs it on sparse rows; installed
+# in place of `linalg._rref_rows`, it gives every function of `dgla.linalg`
+# that reduces a matrix, a span or a kernel its reference result.
 
 
 def reference_rref(self: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -452,17 +453,31 @@ def reference_rref(self: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return (Matrix(work, cols=self.cols), tuple(pivots))
 
 
+def reference_rref_rows(rows) -> tuple[list[dict], tuple]:
+    """`reference_rref` on sparse rows: the nonzero RREF rows over the keys
+    that occur, in sorted order, with their pivot keys."""
+    rows = list(rows)
+    keys = sorted({k for row in rows for k in row})
+    dense = Matrix([[row.get(k, 0) for k in keys] for row in rows], cols=len(keys))
+    reduced, pivots = reference_rref(dense)
+    out = [
+        {keys[j]: e for j, e in enumerate(reduced.data[r]) if e} for r in range(len(pivots))
+    ]
+    return out, tuple(keys[p] for p in pivots)
+
+
 @contextlib.contextmanager
 def reference_elimination():
-    """Run `Matrix.rref`, and all of linalg through it, on the reference;
-    yields the list of the matrices it is called on."""
+    """Run `linalg._rref_rows`, and all of linalg through it, on the
+    reference; yields the list of the row lists it is called on."""
     calls = []
 
-    def rref(self):
-        calls.append(self)
-        return reference_rref(self)
+    def rref_rows(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return reference_rref_rows(rows)
 
-    with mock.patch.object(Matrix, "rref", rref):
+    with mock.patch("dgla.linalg._rref_rows", rref_rows):
         yield calls
 
 
@@ -489,6 +504,30 @@ def reference_kernel_basis(m: Matrix) -> Subspace:
 # of the image of the already-inverted part, its cycles lifted through the
 # pivot-rule section, then a correction term subtracted.  The answer is
 # unique, so both constructions must give the same images.
+
+
+def quotient_data(ambient: int, sub: Subspace) -> tuple[Matrix, list]:
+    """Projection onto a canonical complement of sub, plus coset reps.
+
+    The complement is spanned by the coordinates that carry no pivot of sub;
+    the representatives are the corresponding standard basis vectors.  The
+    projection first reduces modulo sub, then reads off the complement
+    coordinates, so projection o inclusion-of-reps = identity.
+    """
+    if sub.ambient_dim != ambient:
+        raise ValueError("subspace does not live in the given ambient space")
+    pivot_set = set(sub.pivots)
+    complement = [j for j in range(ambient) if j not in pivot_set]
+    rows = []
+    for c in complement:
+        row = [Fraction(0)] * ambient
+        row[c] = Fraction(1)
+        for bvec, p in zip(sub.basis, sub.pivots):
+            row[p] = -bvec[c]
+        rows.append(row)
+    projection = Matrix(rows, cols=ambient)
+    reps = [unit_vector(ambient, c) for c in complement]
+    return projection, reps
 
 
 def reference_section(m: Matrix) -> Matrix:

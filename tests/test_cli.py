@@ -634,7 +634,10 @@ def test_equivalent_below_model_degree_names_file_and_flag(files, capsys):
 
 
 def test_model_image_above_max_degree_keeps_its_own_field(files, capsys, tmp_path):
+    # without the degree-3 cell the target validates, so the explicit image
+    # of v is the first thing to reach above the bound
     doc = _model_with_low_target(files)
+    doc["structureMap"]["target"]["dims"] = {"1": 1}
     doc["structureMap"]["images"]["v"] = "0"
     path = write(tmp_path, "low_model.json", doc)
     code, out, err = run(capsys, "pi0", path, "--max-degree", "2")
@@ -946,8 +949,8 @@ def test_model_image_in_an_undeclared_degree_of_the_target_names_the_field(
     files, capsys, tmp_path
 ):
     # e_0_0 exists in the target's dims but degree 0 is no degree of an
-    # element: the image has the wrong degree, and the structure map is
-    # read before the target is validated
+    # element; the target is validated before its images are read, so its
+    # degree-0 piece is what the error names
     doc = json.loads(Path(files["model"]).read_text(encoding="utf-8"))
     doc["structureMap"] = {
         "target": {"kind": "findim_dgla", "dims": {"0": 1, "1": 1}},
@@ -955,13 +958,15 @@ def test_model_image_in_an_undeclared_degree_of_the_target_names_the_field(
     }
     path = write(tmp_path, "degree_zero.json", doc)
     code, _, err = run(capsys, "pi0", path, "--max-degree", "3")
-    _assert_one_line_error(code, err, f"{path}: structureMap: images[x]: expected degree 1")
+    _assert_one_line_error(
+        code, err, f"{path}: structure-map target: degree 0 piece declared: not simply connected"
+    )
 
 
 @pytest.mark.parametrize("degree", [1, 0])
 def test_model_target_with_a_duplicate_generator_exits_with_one_line(capsys, tmp_path, degree):
-    # the structure-map target is read before it is validated, and a
-    # generator left out of the images is sent to the target's zero
+    # a generator left out of the images is sent to the target's zero, which
+    # builds the target's algebra, so the target is validated first
     doc = {
         "kind": "relative_model",
         "generators": [{"name": "x", "degree": degree}],
@@ -979,4 +984,59 @@ def test_model_target_with_a_duplicate_generator_exits_with_one_line(capsys, tmp
     path = write(tmp_path, "dup.json", doc)
     code, out, err = run(capsys, "pi0", path, "--max-degree", "1")
     assert (code, out) == (2, "")
-    _assert_one_line_error(code, err, "")
+    _assert_one_line_error(
+        code, err, f"{path}: structure-map target: duplicate generator name 'y'"
+    )
+
+
+@pytest.mark.parametrize(
+    "generators, images, violation",
+    [
+        ([("y", 1), ("y", 1)], {"x": "y"}, "duplicate generator name 'y'"),
+        ([("y", 1), ("y", 1)], {}, "duplicate generator name 'y'"),
+        ([("y", 0)], {}, "generator 'y' has degree 0: not simply connected"),
+    ],
+    ids=["duplicate-name", "duplicate-name-empty-images", "degree-zero"],
+)
+def test_bad_model_target_names_file_and_field(capsys, tmp_path, generators, images, violation):
+    doc = {
+        "kind": "relative_model",
+        "generators": [{"name": "x", "degree": 1}],
+        "differential": {},
+        "base": ["x"],
+        "stages": [],
+        "structureMap": {
+            "target": {
+                "kind": "dgla",
+                "generators": [{"name": n, "degree": d} for n, d in generators],
+            },
+            "images": images,
+        },
+    }
+    path = write(tmp_path, "m.json", doc)
+    code, out, err = run(capsys, "pi0", path, "--max-degree", "1")
+    assert (code, out) == (2, "")
+    _assert_one_line_error(code, err, f"{path}: structure-map target: {violation}")
+    assert err.count("m.json") == 1
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    _assert_one_line_error(code, err, f"{path}: JSON nested too deeply")
+
+
+def test_deeply_nested_expression_is_a_parse_error(capsys, tmp_path):
+    depth = 5000
+    expr = "[" * depth + "x,x]" + ",x]" * (depth - 1)
+    doc = {
+        "kind": "dgla",
+        "generators": [{"name": "x", "degree": 1}, {"name": "w", "degree": 3}],
+        "differential": {"w": expr},
+    }
+    path = write(tmp_path, "deep_expr.json", doc)
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    _assert_one_line_error(code, err, f"{path}: differential[w]: expression nested too deeply")

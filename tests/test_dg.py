@@ -15,8 +15,9 @@ from dgla.dg import (
 from dgla.errors import DglaError, NotAChainMap
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
-from dgla.linalg import Matrix, Subspace, membership, quotient_data, vec_is_zero
+from dgla.linalg import Matrix, Subspace, membership, vec_is_zero
 from helpers import (
+    quotient_data,
     rand_conjugated_findim,
     rand_quasifree,
     reference_kernel_basis,

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_coeff, rand_minimal_model, reference_elimination, reference_kernel_basis
+from helpers import (
+    rand_coeff,
+    rand_minimal_model,
+    reference_elimination,
+    reference_kernel_basis,
+    reference_rref,
+)
 from dgla.dg import induced_map_on_homology
 from dgla.homotopy import der_boundary_matrix, der_space
 from dgla.linalg import (
@@ -15,7 +21,6 @@ from dgla.linalg import (
     invert,
     kernel_basis,
     membership,
-    quotient_data,
     solve_pivot,
     sparse_vector,
     unit_vector,
@@ -80,44 +85,6 @@ def test_kernel_annihilates_random():
         assert sub.dim == cols - m.rank()
         for v in sub.basis:
             assert vec_is_zero(m.apply(v))
-
-
-def test_quotient_by_axis():
-    proj, reps = quotient_data(2, Subspace(2, [[1, 0]]))
-    assert proj == Matrix([[0, 1]])
-    assert reps == [unit_vector(2, 1)]
-
-
-def test_quotient_by_full_space():
-    proj, reps = quotient_data(2, Subspace(2, [[1, 0], [0, 1]]))
-    assert proj.shape == (0, 2)
-    assert reps == []
-
-
-def test_quotient_diagonal():
-    proj, reps = quotient_data(2, Subspace(2, [[1, 1]]))
-    assert len(reps) == 1
-    assert reps[0] == unit_vector(2, 1)
-    # projection kills the subspace and is the identity on representatives
-    assert vec_is_zero(proj.apply((1, 1)))
-    assert proj.apply(reps[0]) == (Fraction(1),)
-
-
-def test_quotient_projection_retracts_reps_random():
-    rng = random.Random(17)
-    for _ in range(20):
-        ambient = rng.randrange(1, 6)
-        vecs = [
-            [rng.randrange(-2, 3) for _ in range(ambient)]
-            for _ in range(rng.randrange(0, ambient + 1))
-        ]
-        sub = Subspace(ambient, vecs)
-        proj, reps = quotient_data(ambient, sub)
-        for i, rep in enumerate(reps):
-            image = proj.apply(rep)
-            assert image == unit_vector(len(reps), i)
-        for bvec in sub.basis:
-            assert vec_is_zero(proj.apply(bvec))
 
 
 def test_membership_zero_vector():
@@ -356,8 +323,8 @@ def test_integer_kernel_matches_fraction_reference(case, data):
     rows, cols = case
     x = tuple(data.draw(st.lists(_entry, min_size=cols, max_size=cols)))
     rhs = tuple(data.draw(st.lists(_entry, min_size=len(rows), max_size=len(rows))))
-    # kernel_basis runs its own elimination, so its reference is the
-    # two-step kernel on top of the reference rref
+    # kernel_basis reads the kernel off one reversed-key elimination, so its
+    # reference is the two-step kernel on top of the reference elimination
     with reference_elimination():
         expected = _linalg_results(rows, cols, x, rhs, reference_kernel_basis)
     got = _linalg_results(rows, cols, x, rhs)
@@ -388,6 +355,45 @@ def test_kernel_basis_is_the_rref_of_the_null_space(case):
         assert vec_is_zero(m.apply(vec))
     assert kernel.dim == cols - m.rank()
     assert kernel == Subspace(cols, kernel.basis)
+
+
+@given(_rational_matrix(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspaces_hold_the_reference_rref_as_sparse_rows(case, data):
+    rows, cols = case
+    m = Matrix(rows, cols=cols)
+    reduced, pivots = reference_rref(m)
+    with reference_elimination():
+        reference_kernel = reference_kernel_basis(m)
+    expected = [
+        (tuple(reduced.data[: len(pivots)]), pivots),
+        (reference_kernel.basis, reference_kernel.pivots),
+    ]
+    span = Subspace(cols, rows)
+    spanned = Subspace._spanned(cols, [sparse_vector(row) for row in rows])
+    kernel = kernel_basis(m)
+    for sub, (basis, pivots) in zip((span, spanned, kernel), expected[:1] + expected):
+        assert sub.pivots == pivots and sub.dim == len(basis)
+        assert sub._rows == tuple(sparse_vector(vec) for vec in basis)
+        assert all(type(x) is Fraction and x for row in sub._rows for x in row.values())
+        assert sub.basis == basis
+        assert all(type(x) is Fraction for vec in sub.basis for x in vec)
+        again = Subspace(cols, basis)
+        assert sub == again and hash(sub) == hash(again)
+    assert span == spanned and hash(span) == hash(spanned)
+    assert (span == kernel) == (span.basis == kernel.basis)
+    v = tuple(data.draw(st.lists(_entry, min_size=cols, max_size=cols)))
+    for sub in (span, kernel):
+        # the basis is in RREF, so the coefficient of row i is v at pivot i
+        coeffs = tuple(v[p] for p in sub.pivots)
+        residual = tuple(
+            v[j] - sum((c * vec[j] for c, vec in zip(coeffs, sub.basis)), Fraction(0))
+            for j in range(cols)
+        )
+        assert sub.reduce(v) == (residual, coeffs)
+        assert sub.contains(v) == vec_is_zero(residual)
+        inside = tuple(a - b for a, b in zip(v, residual))
+        assert sub.contains(inside) and membership(inside, sub) == coeffs
 
 
 def test_rref_rank_and_nullity_agree_with_sympy():
@@ -484,6 +490,7 @@ def test_spans_inverses_and_solutions_run_through_the_patched_rref():
     runs = {
         "Subspace": lambda m: Subspace(2, data),
         "_spanned": lambda m: Subspace._spanned(2, m._columns),
+        "kernel_basis": kernel_basis,
         "invert": invert,
         "solve_pivot": lambda m: solve_pivot(m, (Fraction(1), Fraction(0))),
         "rank": Matrix.rank,
