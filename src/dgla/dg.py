@@ -172,7 +172,7 @@ class QuasiFreeDGLA(_DGLA):
             name: p for name, p in differential.items() if not p.is_zero()
         }
         self._algebra: FreeGLA | None = None
-        self._d_images: dict[int, TVec] | None = None
+        self._d_images: tuple[int, dict[int, TVec]] | None = None
         self._d: dict[int, Matrix] = {}
 
     @property
@@ -184,16 +184,23 @@ class QuasiFreeDGLA(_DGLA):
     def dim(self, k: int) -> int:
         return self.algebra.dim(k)
 
-    def d_images(self) -> dict[int, TVec]:
-        """d on the generators in tensor form, keyed by generator index."""
+    def d_images(self) -> tuple[int, dict[int, TVec]]:
+        """d on the generators in integer tensor form: (scale, images).
+
+        images[i] is scale * d(x_i) with int values, keyed by generator
+        index; scale is the lcm of all denominators, so d(x_i) is
+        images[i] / scale.  Generators whose differential vanishes in the
+        free Lie algebra have no entry.
+        """
         if self._d_images is None:
             algebra = self.algebra
-            images = {}
+            vecs = {}
             for name, p in self.differential.items():
                 _, vec = algebra.embed(p)
                 if vec:
-                    images[algebra.index_of(name)] = vec
-            self._d_images = images
+                    vecs[algebra.index_of(name)] = vec
+            scale, cells = _integer_cells(vecs)
+            self._d_images = (scale, {i: dict(pairs) for i, pairs in cells.items()})
         return self._d_images
 
     def d_matrix(self, k: int) -> Matrix:
@@ -201,11 +208,13 @@ class QuasiFreeDGLA(_DGLA):
         hit = self._d.get(k)
         if hit is not None:
             return hit
-        algebra, images = self.algebra, self.d_images()
+        algebra = self.algebra
+        scale, images = self.d_images()
         cols = []
         if k >= 1:
             for vec in algebra.degree_basis(k).vectors:
-                cols.append(algebra.sparse_coords(k - 1, algebra.apply_derivation(-1, images, vec)))
+                image = algebra.apply_derivation(-1, images, vec)
+                cols.append(algebra.sparse_coords(k - 1, image, scale))
         return self._d.setdefault(k, Matrix._of_columns(cols, self.dim(k - 1)))
 
     def bracket(self, a: Element, b: Element) -> Element:
@@ -443,7 +452,7 @@ class DGLAMorphism:
         vanishes in the free Lie algebra, such as [x,x] with x even, is zero
         whatever degree its terms have.
         """
-        d_images = self.source.d_images()
+        _, d_images = self.source.d_images()
         defects = []
         for i, g in enumerate(self.source.generators):
             lhs = self.target.d_matrix(g.degree).apply(self.images[g.name].coords)
@@ -560,7 +569,8 @@ def _validate_quasifree(a: QuasiFreeDGLA) -> ValidationReport:
             )
     if violations:
         return ValidationReport(tuple(violations))
-    images = a.d_images()
+    # d^2 on the scaled images is scale^2 times d^2: zero exactly when it is
+    _, images = a.d_images()
     for i, g in enumerate(a.generators):
         if a.algebra.apply_derivation(-1, images, images.get(i, {})):
             violations.append(f"d^2 is nonzero on generator {g.name!r}")
@@ -604,7 +614,7 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
     # Integer structure constants (times D, see the module docstring).  Each
     # bracket is read from its own key, never from its mirror, since an
     # even-degree violation leaves the table not antisymmetric.
-    brk = _integer_cells({key: sparse_vector(vec) for key, vec in table.items()})
+    _, brk = _integer_cells({key: sparse_vector(vec) for key, vec in table.items()})
     # With an antisymmetric table the sorted triples decide (see the module
     # docstring); only when one fails do all triples run, to report each.
     symmetric = not violations
@@ -624,7 +634,7 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
     if violations:
         return ValidationReport(tuple(violations))
     # integer columns of d (times E, see the module docstring)
-    dcol = _integer_cells(
+    _, dcol = _integer_cells(
         {(k, c): col for k, m in a.d_mats.items() for c, col in enumerate(m._columns)}
     )
     for k in degrees:
@@ -701,7 +711,9 @@ def _leibniz_violations(
 ) -> list[str]:
     """Leibniz violations, in loop order, on every ordered pair of basis
     vectors or, with `sorted_only`, on the sorted ones.  `brk` and `dcol`
-    hold the integer structure constants and columns of d."""
+    hold the integer structure constants and columns of d.  As in
+    `_jacobi_violations`, a pair of degrees whose defect degree p+q-1 is
+    empty cannot fail and is skipped."""
     violations: list[str] = []
     for p in degrees:
         for q in degrees:
@@ -712,6 +724,8 @@ def _leibniz_violations(
             if sorted_only and p > q:
                 continue
             n = a.dims.get(p + q - 1, 0)
+            if not n:
+                continue
             sign = -1 if p % 2 else 1
             for i in range(a.dims[p]):
                 dei = dcol.get((p, i), ()) if p - 1 >= 1 else ()
@@ -742,15 +756,16 @@ def _fails_on(law: str, vectors) -> str:
     return f"graded {law} fails on ({names})"
 
 
-def _integer_cells(cells: dict) -> dict:
+def _integer_cells(cells: dict) -> tuple[int, dict]:
     """Sparse rational vectors over one denominator, as sparse int vectors.
 
-    Every vector is multiplied by the lcm of all denominators, so a form of
-    degree n in the cells scales by that lcm to the n and keeps its zeros.
-    The result maps each key to its nonzero (index, numerator) pairs.
+    Every vector is multiplied by the lcm `den` of all denominators, so a
+    form of degree n in the cells scales by den to the n and keeps its
+    zeros.  Returns den and a map from each key to its nonzero (index,
+    numerator) pairs.
     """
     den = math.lcm(*(c.denominator for vec in cells.values() for c in vec.values()))
-    return {
+    return den, {
         key: [(t, c.numerator * (den // c.denominator)) for t, c in vec.items()]
         for key, vec in cells.items()
     }

@@ -21,7 +21,9 @@ have the same length, plain lexicographic order.  Reducing a vector tracks
 an integer combination gamma of the block's basis vectors and a scale s,
 and a vector in the span has coordinates -gamma/s, so the echelon is also
 the content's coordinate solver.  Fractions appear only at the boundary, in
-`basis_coords` and so in `bracket_table` and the d-matrices built from it.
+`basis_coords` and so in `bracket_table` and the d-matrices built from it;
+`basis_coords` also takes an integer scale, so a vector held as scale times
+a rational one (the differential's images) is divided by it only there.
 The enumeration stops once the total rank reaches the dimension the PBW
 series predicts, since no later word can add to the span.
 
@@ -496,14 +498,15 @@ class FreeGLA:
             raise MixedDegrees(f"expected degree {degree}, found {d}")
         return d, self.basis_coords(d, vec)
 
-    def basis_coords(self, k: int, vec: TVec) -> Vector:
-        """Coordinates in the degree-k basis of a Lie element in tensor form.
+    def basis_coords(self, k: int, vec: TVec, scale: int = 1) -> Vector:
+        """Coordinates in the degree-k basis of the Lie element vec / scale,
+        vec in tensor form.
 
         Below degree 1 the piece is zero, so only the empty vector is allowed.
         """
-        return dense_vector(self.sparse_coords(k, vec), self.dim(k))
+        return dense_vector(self.sparse_coords(k, vec, scale), self.dim(k))
 
-    def sparse_coords(self, k: int, vec: TVec) -> dict[int, Fraction]:
+    def sparse_coords(self, k: int, vec: TVec, scale: int = 1) -> dict[int, Fraction]:
         """The nonzero coordinates of `basis_coords`, by basis index."""
         coords: dict[int, Fraction] = {}
         if not vec:
@@ -523,7 +526,7 @@ class FreeGLA:
             v, gamma, s = block.reduce(ints)
             if v:
                 raise _escaped()
-            s *= den
+            s *= den * scale
             for t, x in gamma.items():
                 coords[t] = Fraction(-x, s)
         return coords

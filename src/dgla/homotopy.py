@@ -189,12 +189,14 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
     of degree |w| + r.  In w's own block it holds column j of
     d_matrix(|w| + r); every block g adds the derivation sending w to
     -(-1)^r e_j, applied to d g.  That term is zero when no word of d g
-    contains the letter w, and is then not computed.  Each block starts at
-    the row offset of g's slots in the Der_{r-1} chart.
+    contains the letter w, and is then not computed.  d g is read in its
+    integer form, scale * d g (`d_images`), so that term is divided by the
+    scale before the d-matrix column is added.  Each block starts at the
+    row offset of g's slots in the Der_{r-1} chart.
     """
     dgla = model.dgla
     algebra = dgla.algebra
-    d_images = dgla.d_images()
+    scale, d_images = dgla.d_images()
     sign = -1 if r % 2 else 1
     blocks = []
     rows = 0
@@ -218,7 +220,8 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
             for g, start, k_g, d_g, letters in blocks:
                 value = {}
                 if letter in letters:
-                    value = algebra.sparse_coords(k_g, algebra.apply_derivation(r, theta, d_g))
+                    image = algebra.apply_derivation(r, theta, d_g)
+                    value = algebra.sparse_coords(k_g, image, scale)
                 if g.name == w.name:
                     add_scaled(value, 1, d_cols[j])
                 for i, x in value.items():

@@ -136,13 +136,13 @@ def is_minimal(model: RelativeModel) -> MinimalityReport:
     if model._minimality is not None:
         return model._minimality
     algebra = model.dgla.algebra
-    d_images = model.dgla.d_images()
+    scale, d_images = model.dgla.d_images()
     witnesses = []
     for g in model.fiber_generators:
         vec = d_images.get(algebra.index_of(g.name))
         if vec is None or g.degree - 1 < 1:
             continue
-        coords = algebra.basis_coords(g.degree - 1, vec)
+        coords = algebra.basis_coords(g.degree - 1, vec, scale)
         offending = [
             (coords[idx], name)
             for name, idx in model.fiber_atom_indices(g.degree - 1)
@@ -305,9 +305,10 @@ def verify_model(
     )
 
     # conditions d, e and f read d through d_images, which drops the given
-    # differentials that vanish in the free Lie algebra
+    # differentials that vanish in the free Lie algebra; they test zeros and
+    # a rank, which the images' common scale leaves unchanged
     algebra = model.dgla.algebra
-    d_images = model.dgla.d_images()
+    _, d_images = model.dgla.d_images()
     da_bad = [
         name
         for stage in model.stages

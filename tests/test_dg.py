@@ -15,7 +15,10 @@ from dgla.dg import (
 from dgla.errors import DglaError, NotAChainMap
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
+from dgla.formats import dgla_from_doc
+from dgla.homotopy import der_boundary_matrix
 from dgla.linalg import Matrix, Subspace, membership, vec_is_zero
+from dgla.minimal import RelativeModel, Stage, is_minimal
 from helpers import (
     quotient_data,
     rand_conjugated_findim,
@@ -338,14 +341,44 @@ def _reference_algebras():
         a = rand_quasifree(rng, max_gens=4)
         if a.differential:
             algebras.append(a)
+    # mixed denominators: d is held over the scale lcm(2, 3) = 6
+    algebras.append(
+        make([("x", 1), ("y", 1), ("z", 1), ("w", 3)], {"w": "1/2*[x,y] + 1/3*[x,z]"})
+    )
     return algebras
 
 
-@pytest.mark.parametrize("index", range(7))
+def _scaled(a, c):
+    """The algebra with its whole differential times c; d^2 = 0 is kept."""
+    return QuasiFreeDGLA(a.generators, {name: c * p for name, p in a.differential.items()})
+
+
+@pytest.mark.parametrize("index", range(8))
 def test_d_matrix_matches_symbolic_leibniz(index):
     a = _reference_algebras()[index]
-    for k in range(1, 6):
-        assert a.d_matrix(k) == _symbolic_d_matrix(a, k), k
+    # the scaled copy has non-unit denominators, so d_images has scale != 1
+    for b in (a, _scaled(a, Fraction(2, 3))):
+        for k in range(1, 6):
+            assert b.d_matrix(k) == _symbolic_d_matrix(b, k), k
+
+
+def test_d_images_are_integers_over_one_scale():
+    a = _reference_algebras()[-1]
+    scale, images = a.d_images()
+    assert scale == 6
+    assert all(type(x) is int for vec in images.values() for x in vec.values())
+    w = a.algebra.index_of("w")
+    _, expected = a.algebra.embed(a.differential["w"])
+    assert {word: Fraction(x, scale) for word, x in images[w].items()} == expected
+    # d(w) in the canonical basis keeps its denominators
+    assert a.algebra.basis_coords(2, images[w], scale) == a.element(
+        a.differential["w"]
+    ).coords
+    assert validate(a).ok
+    assert validate(_scaled(a, Fraction(2, 3))).ok
+    # d^2 != 0 is caught under a non-unit scale too
+    bad = make([("x", 1), ("u", 3), ("v", 4)], {"u": "1/2*[x,x]", "v": "1/3*u"})
+    assert validate(bad).violations == ("d^2 is nonzero on generator 'v'",)
 
 
 def test_findim_jacobi_violation_message():
@@ -615,3 +648,93 @@ def test_integer_d_squared_matches_reference(max_degree):
         "d^2 is nonzero from degree 4",
     ]
     assert violations == _reference_validate_findim(g).violations
+
+
+def test_leibniz_skips_empty_degrees_without_hiding_a_violation():
+    # [e_1_0,e_3_0] = e_4_0 and d(e_4_0) = e_3_0: Leibniz fails on both
+    # orders of (e_1_0, e_3_0) and (e_1_0, e_4_0); the pairs of degrees
+    # (3,3), (3,4), (4,3) and (4,4) land in the empty degrees 5, 6 and 7
+    dims = {1: 1, 3: 2, 4: 1}
+    g = FiniteDimDGLA(dims, {(1, 3, 0, 0): (Fraction(1),)}, {4: Matrix([[1], [0]])})
+    expected = _reference_validate_findim(g).violations
+    assert validate(g).violations == expected
+    assert expected == tuple(
+        f"graded Leibniz fails on ({_name(p, i)}, {_name(q, j)})"
+        for (p, i), (q, j) in [((1, 0), (3, 0)), ((1, 0), (4, 0)), ((3, 0), (1, 0)), ((4, 0), (1, 0))]
+    )
+
+
+def test_bracket_free_piece_with_empty_leibniz_degrees_is_accepted():
+    # no bracket lands in degree 5, so the degree-3 pairs are never walked
+    small = dgla_from_doc({"kind": "findim_dgla", "dims": {"1": 2, "3": 30}})
+    assert _reference_validate_findim(small).violations == ()
+    assert validate(small).ok
+    big = dgla_from_doc({"kind": "findim_dgla", "dims": {"1": 2, "3": 3000}})
+    assert validate(big).ok
+
+
+def _minimality_model():
+    # dv = 1/2 w + 2/3 u + 1/5 [x,x]: d is held over the scale 30
+    a = make([("x", 1), ("w", 2), ("u", 2), ("v", 3)], {"v": "1/2*w + 2/3*u + 1/5*[x,x]"})
+    stages = (Stage((), ()), Stage(("w", "u"), ("v",)))
+    return RelativeModel(a, ("x",), stages, DGLAMorphism.identity(a))
+
+
+def test_minimality_witness_keeps_its_denominators():
+    model = _minimality_model()
+    assert model.dgla.d_images()[0] == 30
+    report = is_minimal(model)
+    assert report.witnesses == (
+        ("v", LiePoly([(Fraction(1, 2), "w"), (Fraction(2, 3), "u")])),
+    )
+
+
+def _der_boundary_reference(model, r):
+    """[d, -]: Der_r -> Der_{r-1} column by column from the Fraction images:
+    [d, theta](g) = d(theta g) - (-1)^r theta(d g), theta: w -> e_j."""
+    dgla, algebra = model.dgla, model.dgla.algebra
+    images = {}
+    for name, p in dgla.differential.items():
+        _, vec = algebra.embed(p)
+        if vec:
+            images[algebra.index_of(name)] = vec
+    sign = -1 if r % 2 else 1
+    blocks, rows = [], 0
+    for g in model.fiber_generators:
+        k = g.degree + r - 1
+        if dgla.dim(k):
+            blocks.append((g, rows, k))
+            rows += dgla.dim(k)
+    cols = []
+    for w in model.fiber_generators:
+        k = w.degree + r
+        if dgla.dim(k) == 0:
+            continue
+        for e_j in algebra.degree_basis(k).vectors:
+            theta = {algebra.index_of(w.name): e_j}
+            col = [Fraction(0)] * rows
+            for g, start, k_g in blocks:
+                value = algebra.apply_derivation(r, theta, images.get(algebra.index_of(g.name), {}))
+                value = {word: -sign * x for word, x in value.items()}
+                if g.name == w.name:
+                    for word, x in algebra.apply_derivation(-1, images, e_j).items():
+                        value[word] = value.get(word, 0) + x
+                for i, c in enumerate(algebra.basis_coords(k_g, value)):
+                    col[start + i] = c
+            cols.append(col)
+    return Matrix.from_columns(cols, rows)
+
+
+def test_der_boundary_matrix_matches_fraction_images():
+    # base x, y; fiber u (stage 1) and w with dw = 1/2[x,y] + 1/3[x,u] + 1/5[u,u]
+    a = make(
+        [("x", 1), ("y", 1), ("u", 1), ("w", 3)],
+        {"w": "1/2*[x,y] + 1/3*[x,u] + 1/5*[u,u]"},
+    )
+    stages = (Stage(("u",), ()), Stage((), ("w",)))
+    model = RelativeModel(a, ("x", "y"), stages, DGLAMorphism.identity(a))
+    assert a.d_images()[0] == 30
+    for r in range(-1, 3):
+        got = der_boundary_matrix(model, r)
+        assert got == _der_boundary_reference(model, r), r
+    assert not der_boundary_matrix(model, 0).is_zero()
