@@ -21,6 +21,20 @@ callers, never stored here.  Homology data is memoized single-assignment per
 (algebra, degree); it reads the cycle coordinates of a boundary off the
 pivots of the RREF cycle basis, once d is checked to kill it.
 
+The boundaries B_k = d(L_{k+1}) are held as the RREF of a spanning set,
+which is unique, so any spanning set gives the same rows.  A finite-
+dimensional algebra spans them by the columns of d.  A quasi-free one never
+builds degree k+1: left-normed brackets span a free Lie algebra (Reutenauer,
+Free Lie Algebras, 1993), so L_{k+1} is spanned by its generators and by
+the brackets [a, x] with x a generator and a a basis vector of degree
+p = k+1-|x|.  Their images are the d(x) with |x| = k+1, the d[a, x] when
+dx != 0, and, when dx = 0, d[a, x] = [da, x], which as a runs over the basis
+spans [B_{p-1}, x]: the brackets of x with the RREF rows of the memoized
+B_{p-1}.  Each row is cleared to primitive integers first, which keeps its
+span and keeps the brackets in int arithmetic.  The Leibniz rule holds for
+any derivation, so none of this assumes d^2 = 0, and the d^2 guard of
+`HomologyData` still sees a boundary that is not a cycle.
+
 The d^2, graded Jacobi and Leibniz checks of a finite-dimensional algebra
 run on Python ints: the structure constants are put over one common
 denominator D and the columns of d over one common denominator E, once per
@@ -62,11 +76,13 @@ from .errors import (
     UnknownGenerator,
 )
 from .exprs import Terms, eval_tree, format_terms
-from .freelie import FreeGLA, GradedGenerator, LiePoly, TVec
+from .freelie import FreeGLA, GradedGenerator, LiePoly, TVec, tensor_bracket
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _clear_denominators,
+    add_scaled,
     dense_vector,
     kernel_basis,
     membership,
@@ -100,9 +116,8 @@ class HomologyData:
     def __init__(self, algebra, k: int):
         self.degree = k
         d_k = algebra.d_matrix(k)
-        d_next = algebra.d_matrix(k + 1)
         self.cycles = kernel_basis(d_k)
-        self.boundaries = Subspace._spanned(algebra.dim(k), d_next._columns)
+        self.boundaries = algebra.boundaries(k)
         # A boundary lies in the cycles iff d kills it; then, the cycle basis
         # being in RREF, its cycle coordinates are its entries at the pivots.
         for b in self.boundaries._rows:
@@ -137,16 +152,35 @@ class HomologyData:
 
 
 class _DGLA:
-    """Zero elements and homology, memoized single-assignment per degree,
-    for both kinds of dg Lie algebra, plus the slot of `validate`'s memo;
-    subclasses define `dim` and `d_matrix`."""
+    """Zero elements, boundaries and homology, memoized single-assignment
+    per degree, for both kinds of dg Lie algebra, plus the slot of
+    `validate`'s memo; subclasses define `dim`, `d_matrix` and
+    `boundary_span`."""
 
     def __init__(self):
         self._homology: dict[int, HomologyData] = {}
+        self._boundaries: dict[int, Subspace] = {}
         self._validation: ValidationReport | None = None
 
     def zero(self, k: int) -> Element:
         return Element(k, zero_vector(self.dim(k)))
+
+    def boundaries(self, k: int) -> Subspace:
+        """The image of d in degree k, held by its unique RREF basis.
+
+        `boundary_span(k)` may read the boundaries of lower degrees, so the
+        missing ones are filled first, in one ascending loop, not by
+        recursion.
+        """
+        hit = self._boundaries.get(k)
+        if hit is not None:
+            return hit
+        for j in range(1, k):
+            if j not in self._boundaries:
+                self._boundaries[j] = Subspace._spanned(self.dim(j), self.boundary_span(j))
+        return self._boundaries.setdefault(
+            k, Subspace._spanned(self.dim(k), self.boundary_span(k))
+        )
 
     def homology(self, k: int) -> HomologyData:
         hit = self._homology.get(k)
@@ -216,6 +250,38 @@ class QuasiFreeDGLA(_DGLA):
                 image = algebra.apply_derivation(-1, images, vec)
                 cols.append(algebra.sparse_coords(k - 1, image, scale))
         return self._d.setdefault(k, Matrix._of_columns(cols, self.dim(k - 1)))
+
+    def boundary_span(self, k: int) -> Sequence[dict]:
+        """Sparse degree-k coordinates of a spanning set of d(L_{k+1}),
+        built from bases of degree <= k only (see the module docstring)."""
+        if self.dim(k) == 0:
+            return []
+        algebra = self.algebra
+        # the images are scale * d; a scaled spanning set spans the same
+        _, images = self.d_images()
+        span = []
+        for i, g in enumerate(self.generators):
+            x, dx = {(i,): 1}, images.get(i)
+            p = k + 1 - g.degree
+            if p < 1:
+                if p == 0 and dx:
+                    span.append(algebra.sparse_coords(k, dx))
+            elif dx:
+                # d[a, x] for every basis vector a of degree p
+                for a in algebra.degree_basis(p).vectors:
+                    ax = tensor_bracket(p, a, g.degree, x)
+                    image = algebra.apply_derivation(-1, images, ax)
+                    span.append(algebra.sparse_coords(k, image))
+            elif p > 1:
+                # d[a, x] = [da, x]: the brackets [b, x] with b in B_{p-1}
+                vectors = algebra.degree_basis(p - 1).vectors
+                for row in self.boundaries(p - 1)._rows:
+                    b: TVec = {}
+                    for j, c in _clear_denominators(row)[0].items():
+                        add_scaled(b, c, vectors[j])
+                    bx = tensor_bracket(p - 1, b, g.degree, x)
+                    span.append(algebra.sparse_coords(k, bx))
+        return span
 
     def bracket(self, a: Element, b: Element) -> Element:
         coords = self.algebra.bracket_coords(a.degree, a.coords, b.degree, b.coords)
@@ -321,6 +387,10 @@ class FiniteDimDGLA(_DGLA):
         if k in self.d_mats:
             return self.d_mats[k]
         return Matrix.zero(self.dim(k - 1), self.dim(k))
+
+    def boundary_span(self, k: int) -> Sequence[dict]:
+        """The columns of d_matrix(k + 1), which span its image."""
+        return self.d_matrix(k + 1)._columns
 
     def _bracket_table(self) -> dict[tuple[int, int, int, int], Vector]:
         if self._table is not None:

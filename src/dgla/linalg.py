@@ -94,7 +94,10 @@ def vec_is_zero(v: Vector) -> bool:
 
 def _clear_denominators(entries: dict) -> tuple[dict, int]:
     """(ints, den): the rational values times the lcm den of their
-    denominators, as ints under the same keys."""
+    denominators, as ints under the same keys.  All-int entries come back
+    as they are, with den 1, not copied."""
+    if all(type(a) is int for a in entries.values()):
+        return entries, 1
     den = lcm(*[a.denominator for a in entries.values()])
     return {k: a.numerator * (den // a.denominator) for k, a in entries.items()}, den
 

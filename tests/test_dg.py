@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgla.dg import (
     DGLAMorphism,
@@ -22,6 +24,7 @@ from dgla.minimal import RelativeModel, Stage, is_minimal
 from helpers import (
     quotient_data,
     rand_conjugated_findim,
+    rand_cycle,
     rand_quasifree,
     reference_kernel_basis,
     tree_degree,
@@ -313,6 +316,90 @@ def test_homology_refuses_a_boundary_that_is_not_a_cycle():
         g.homology(2)
     # below the defect homology still works
     assert g.homology(1).dim == 0
+
+
+def _assert_boundaries_span_d_columns(a, top=5):
+    # the top degree first, so its ascending fill builds the lower degrees
+    for k in range(top, 0, -1):
+        got = a.boundaries(k)
+        ref = Subspace._spanned(a.dim(k), a.d_matrix(k + 1)._columns)
+        assert (got._rows, got.pivots) == (ref._rows, ref.pivots), k
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_boundaries_match_the_span_of_d_columns(index):
+    a = _reference_algebras()[index]
+    for b in (a, _scaled(a, Fraction(2, 3))):
+        _assert_boundaries_span_d_columns(b)
+
+
+def test_boundaries_match_the_span_of_d_columns_without_d_squared_zero():
+    # the Leibniz rule holds for any derivation, so the span is still d(L)
+    g = make([("a", 1), ("b", 2), ("c", 3)], {"b": "a", "c": "b"})
+    _assert_boundaries_span_d_columns(g)
+
+
+def test_boundaries_of_a_findim_algebra_are_the_span_of_d_columns():
+    g = rand_conjugated_findim(random.Random(3))
+    _assert_boundaries_span_d_columns(g, top=max(g.dims) - 1)
+
+
+@st.composite
+def _mixed_quasifree(draw):
+    """x of degree 1 with dx = 0, y of degree 2 with dy = c*x, and up to
+    three more generators of degree 1-4 (at most one of degree 1, which
+    keeps degree 6 small), each with d = 0 or a random cycle of the earlier
+    ones: odd and even degrees, dx = 0 and dx != 0 side by side."""
+    rng = draw(st.randoms(use_true_random=False))
+    c = draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))
+    gens = [GradedGenerator("x", 1), GradedGenerator("y", 2)]
+    diffs = {"y": LiePoly([(Fraction(c), "x")])}
+    extra = draw(
+        st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=3).filter(
+            lambda e: sum(d == 1 for d, _ in e) <= 1
+        )
+    )
+    for i, (degree, closed) in enumerate(extra):
+        if not closed:
+            partial = QuasiFreeDGLA(gens, diffs)
+            cycle = rand_cycle(rng, partial, degree - 1)
+            if cycle.degree >= 1 and not cycle.is_zero():
+                diffs[f"t{i}"] = partial.poly(cycle)
+        gens.append(GradedGenerator(f"t{i}", degree))
+    return QuasiFreeDGLA(gens, diffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_mixed_quasifree())
+def test_boundaries_match_the_span_of_d_columns_random(a):
+    assert validate(a).ok
+    _assert_boundaries_span_d_columns(a)
+
+
+def test_homology_ladder_builds_nothing_above_its_top_degree():
+    a, ref = _reference_algebras()[0], _reference_algebras()[0]
+    for top in (4, 5):
+        dims = [a.homology(k).dim for k in range(1, top + 1)]
+        assert max(a.algebra._basis) == top
+        assert max(a._d) == top
+        assert max(a._boundaries) == top
+    # the same dimensions through the columns of d in degree k + 1
+    assert dims == [
+        reference_kernel_basis(ref.d_matrix(k)).dim - ref.d_matrix(k + 1).rank()
+        for k in range(1, 6)
+    ]
+
+
+def test_empty_degree_ladder_to_one_thousand():
+    a = make([("x", 1)], {})
+    assert [a.homology(k).dim for k in range(1, 1001)] == [1, 1] + [0] * 998
+    assert max(a.algebra._basis) == 1000
+    # a fresh algebra asked for the top degree first fills the lower ones
+    # in a loop, far below the recursion limit
+    b = make([("x", 1)], {})
+    assert b.boundaries(1000).dim == 0
+    assert sorted(b._boundaries) == list(range(1, 1001))
+    assert b.boundaries(1).dim == 0
 
 
 def _symbolic_d(a, tree) -> LiePoly:

@@ -16,6 +16,7 @@ from dgla.dg import induced_map_on_homology
 from dgla.homotopy import der_boundary_matrix, der_space
 from dgla.linalg import (
     Matrix,
+    _clear_denominators,
     _Echelon,
     Subspace,
     invert,
@@ -58,6 +59,24 @@ def test_rref_idempotent_random():
         again, pivots2 = reduced.rref()
         assert again == reduced
         assert pivots2 == pivots
+
+
+def test_clear_denominators_returns_int_entries_as_they_are():
+    ints = {(0, 1): 2, (1, 0): -3}
+    out, den = _clear_denominators(ints)
+    assert out is ints and den == 1
+    # a Fraction with denominator 1 still comes back as an int
+    out, den = _clear_denominators({0: Fraction(3), 2: 5})
+    assert out == {0: 3, 2: 5} and den == 1
+    assert all(type(x) is int for x in out.values())
+    out, den = _clear_denominators({0: Fraction(1, 2), 1: Fraction(-2, 3), 4: 1})
+    assert out == {0: 3, 1: -4, 4: 6} and den == 6
+    assert all(type(x) is int for x in out.values())
+    # the echelon copies what it reduces, so sharing the input is safe
+    echelon = _Echelon()
+    assert echelon.insert(ints)
+    v, _, _ = echelon.reduce(ints)
+    assert not v and ints == {(0, 1): 2, (1, 0): -3}
 
 
 def test_kernel_of_zero_matrix_is_everything():
