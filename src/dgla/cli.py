@@ -18,9 +18,13 @@ from pathlib import Path
 
 from .dg import QuasiFreeDGLA, validate
 from .errors import (
+    BaseNotAutomorphism,
     DegreeBoundExceeded,
     DglaError,
     FormatError,
+    NotAChainMap,
+    NotMinimal,
+    NotQuasiIso,
     ParseError,
     TargetNotFiniteType,
 )
@@ -52,26 +56,25 @@ def _emit(text: str):
 
 
 @contextlib.contextmanager
-def _within_max_degree(
-    path: str, field: str = "maxDegree", error: type[DglaError] = TargetNotFiniteType
-):
-    """Name the file and the bound (a maxDegree field or the --max-degree
-    flag) when work reaches above it.
+def _naming_file(path: str, *errors: type[DglaError], field: str = ""):
+    """Name the file, and the field or flag at fault when one is given (a
+    maxDegree field or the --max-degree flag), on errors of these types.
 
     An error that already names the file, such as one from an image
     expression, passes unchanged.
     """
     try:
         yield
-    except error as e:
+    except errors as e:
         if str(e).startswith(f"{path}: "):
             raise
-        raise error(f"{path}: {field}: {e}") from None
+        where = f"{path}: {field}: " if field else f"{path}: "
+        raise type(e)(f"{where}{e}") from None
 
 
 def _load_validated_algebra(path: str):
     algebra = dgla_from_doc(load_document(path), context=path)
-    with _within_max_degree(path):
+    with _naming_file(path, TargetNotFiniteType, field="maxDegree"):
         report = validate(algebra)
     if not report.ok:
         raise FormatError(f"{path}: {report.first}")
@@ -80,7 +83,7 @@ def _load_validated_algebra(path: str):
 
 def _load_model(path: str):
     doc = load_document(path)
-    with _within_max_degree(path, "structureMap.target.maxDegree"):
+    with _naming_file(path, TargetNotFiniteType, field="structureMap.target.maxDegree"):
         model = model_from_doc(doc, context=path)
         report = validate(model.dgla)
     if not report.ok:
@@ -90,7 +93,7 @@ def _load_model(path: str):
 
 def cmd_validate(args) -> int:
     algebra = dgla_from_doc(load_document(args.file), context=args.file)
-    with _within_max_degree(args.file):
+    with _naming_file(args.file, TargetNotFiniteType, field="maxDegree"):
         report = validate(algebra)
     if report.ok:
         _emit(_style("ok", "32") + f": valid {algebra.kind} dg Lie algebra")
@@ -102,7 +105,7 @@ def cmd_validate(args) -> int:
 
 def cmd_homology(args) -> int:
     algebra = _load_validated_algebra(args.file)
-    with _within_max_degree(args.file):
+    with _naming_file(args.file, TargetNotFiniteType, field="maxDegree"):
         dims = {str(k): algebra.homology(k).dim for k in range(1, args.max_degree + 1)}
     if args.format == "table":
         _emit(_style("degree  dim H", "1"))
@@ -130,7 +133,7 @@ def cmd_minimal_model(args) -> int:
         target=target,
         context=args.map,
     )
-    with _within_max_degree(args.target):
+    with _naming_file(args.target, TargetNotFiniteType, field="maxDegree"):
         model = build_minimal_model(f, args.max_degree)
     Path(args.out).write_text(canonical_json(model_to_doc(model)), encoding="utf-8")
     return 0
@@ -139,7 +142,10 @@ def cmd_minimal_model(args) -> int:
 def cmd_invert(args) -> int:
     model = _load_model(args.model)
     endo = endo_from_doc(load_document(args.endo), model, context=args.endo)
-    inverse = invert_relative_quasi_iso(endo, args.max_degree)
+    with _naming_file(args.model, NotMinimal), _naming_file(
+        args.endo, NotQuasiIso, BaseNotAutomorphism, NotAChainMap
+    ):
+        inverse = invert_relative_quasi_iso(endo, args.max_degree)
     checked = [
         g.name
         for g in model.dgla.generators
@@ -165,7 +171,7 @@ def cmd_equivalent(args) -> int:
     model = _load_model(args.model)
     f = endo_from_doc(load_document(args.endo1), model, context=args.endo1)
     g = endo_from_doc(load_document(args.endo2), model, context=args.endo2)
-    with _within_max_degree(args.model, "--max-degree", DegreeBoundExceeded):
+    with _naming_file(args.model, DegreeBoundExceeded, field="--max-degree"):
         verdict = are_homotopic_rel(f, g, args.max_degree)
     witness = None
     if verdict.witness is not None:
@@ -193,7 +199,7 @@ def cmd_equivalent(args) -> int:
 
 def cmd_pi0(args) -> int:
     model = _load_model(args.model)
-    with _within_max_degree(args.model, "--max-degree", DegreeBoundExceeded):
+    with _naming_file(args.model, DegreeBoundExceeded, field="--max-degree"):
         report = pi0_report(model, args.max_degree)
     if args.format == "table":
         _emit(_style("pi0 report", "1"))

@@ -37,7 +37,7 @@ from .errors import (
     NotWordLengthRaising,
 )
 from .freelie import LiePoly
-from .invert import FilteredEndo, _invert_on_generators, is_relative_automorphism
+from .invert import FilteredEndo, invert_relative_quasi_iso, is_relative_automorphism
 from .linalg import (
     Matrix,
     Subspace,
@@ -249,6 +249,17 @@ class DerComplexData:
     def homology_dim(self) -> int:
         return self.cycles.dim - self.boundaries.dim
 
+    @property
+    def dims(self) -> dict[str, int]:
+        """Dimensions of Der_r, Z_r, B_r and H_r, keyed der<r>, z<r>, b<r>, h<r>."""
+        r = self.degree
+        return {
+            f"der{r}": self.dim,
+            f"z{r}": self.cycles.dim,
+            f"b{r}": self.boundaries.dim,
+            f"h{r}": self.homology_dim,
+        }
+
 
 def derivation_basis(model: RelativeModel, r: int, bound: int) -> DerComplexData:
     """The canonical chart on Der_r plus its cycle/boundary subspaces."""
@@ -406,18 +417,11 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
                 f"the {name} endomorphism is not a relative automorphism"
             )
     data0 = derivation_basis(model, 0, bound)
-    dims = {
-        "der0": data0.dim,
-        "z0": data0.cycles.dim,
-        "b0": data0.boundaries.dim,
-        "h0": data0.homology_dim,
-    }
     m = model.max_generator_degree()
-
-    # g is a chain map and bijective in every degree up to m, so it is a
-    # quasi-isomorphism there; only the inversion itself is left to run.
-    g_inv = _invert_on_generators(g, bound)
-    u = f.compose(g_inv)
+    if m > bound:
+        raise DegreeBoundExceeded("bound is smaller than the maximal generator degree")
+    dims = data0.dims
+    u = f.compose(invert_relative_quasi_iso(g, bound))
 
     moved = _moved_linearly(u)
     if moved:
@@ -429,10 +433,8 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
             dims,
             m,
         )
-    # u fixes the base and has no linear fiber part; of log_unipotent's checks
-    # only the bound on base degrees, which derivation_basis skips, is left.
-    if m > bound:
-        raise DegreeBoundExceeded("bound is smaller than the maximal generator degree")
+    # u fixes the base, has no linear fiber part and m <= bound, so every
+    # check of log_unipotent has passed
     theta = _log_series(u)
     theta_vec = data0.space.pack(theta)
     if not vec_is_zero(data0.boundary_out.apply(theta_vec)):
@@ -481,12 +483,7 @@ def pi0_report(model: RelativeModel, bound: int) -> dict:
     return {
         "truncationDegree": m,
         "sigmaDimension": sigma,
-        "derivations": {
-            "der0": data0.dim,
-            "z0": data0.cycles.dim,
-            "b0": data0.boundaries.dim,
-            "h0": data0.homology_dim,
-        },
+        "derivations": data0.dims,
         "conditions": {
             "degreePreserving": sigma * sigma
             - sum(d * d for d in dims_by_degree.values()),

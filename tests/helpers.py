@@ -598,6 +598,19 @@ def reference_staged_inverse(f: FilteredEndo, bound: int) -> FilteredEndo:
     return FilteredEndo(model, images)
 
 
+def reference_homology_check(f: FilteredEndo, bound: int) -> None:
+    """The quasi-isomorphism test `invert_relative_quasi_iso` once ran before
+    its inversion: NotQuasiIso unless H_i(f) is invertible for i <= bound.
+
+    f must be a chain map.  The inversion decides the same question, so the
+    library no longer builds this homology; the tests compare the two.
+    """
+    for i in range(1, bound + 1):
+        hi = induced_map_on_homology(f, i)
+        if hi.rank() != hi.rows:
+            raise NotQuasiIso(f"H_{i} of the endomorphism is singular")
+
+
 # -- reference PBW dimensions ----------------------------------------------------
 
 

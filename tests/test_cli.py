@@ -633,6 +633,86 @@ def test_equivalent_below_model_degree_names_file_and_flag(files, capsys):
     assert out == ""
 
 
+def _xyw_model(tmp_path) -> str:
+    """L(x, y | w): base x, y of degree 1, 4 and fiber w of degree 2, d = 0."""
+    gens = [{"name": "x", "degree": 1}, {"name": "y", "degree": 4}, {"name": "w", "degree": 2}]
+    return write(
+        tmp_path,
+        "xyw.json",
+        {
+            "kind": "relative_model",
+            "generators": gens,
+            "differential": {},
+            "base": ["x", "y"],
+            "stages": [{"A": [], "B": []}, {"A": ["w"], "B": []}],
+            "structureMap": {
+                "target": {"kind": "dgla", "generators": gens, "differential": {}},
+                "images": {"x": "x", "y": "y", "w": "w"},
+            },
+        },
+    )
+
+
+@pytest.mark.parametrize("endo, verdict", [("endo_id", 0), ("endo_scale", 3)])
+def test_equivalent_below_a_base_generator_is_refused_before_any_verdict(
+    files, capsys, tmp_path, endo, verdict
+):
+    # w fits under the bound 2, y does not: exit 2 whether or not w moves
+    model = _xyw_model(tmp_path)
+    argv = ["equivalent", model, files[endo], files["endo_id"], "--max-degree"]
+    code, out, err = run(capsys, *argv, "2")
+    _assert_one_line_error(
+        code, err, f"{model}: --max-degree: bound is smaller than the maximal generator degree"
+    )
+    assert code == 2 and out == ""
+    assert run(capsys, *argv, "4")[0] == verdict
+
+
+def _non_minimal_model(tmp_path) -> str:
+    """Base x; fibers w, v of degree 2, 3 with dv = w, so not minimal."""
+    return write(
+        tmp_path,
+        "non_minimal.json",
+        {
+            "kind": "relative_model",
+            "generators": [
+                {"name": "x", "degree": 1},
+                {"name": "w", "degree": 2},
+                {"name": "v", "degree": 3},
+            ],
+            "differential": {"v": "w"},
+            "base": ["x"],
+            "stages": [{"A": [], "B": []}, {"A": ["w"], "B": ["v"]}],
+            "structureMap": {
+                "target": {"kind": "dgla", "generators": [{"name": "x", "degree": 1}]},
+                "images": {"x": "x", "w": "0", "v": "0"},
+            },
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "model, images, blamed, message",
+    [
+        ("model", {"w": "0"}, "endo", "the endomorphism is singular in degree 2"),
+        ("model", {"v": "0"}, "endo", "endomorphism does not commute with d on v"),
+        ("xyw", {"x": "0"}, "endo", "restriction of the endomorphism to the base is singular"),
+        ("non_minimal", {}, "model", "inversion requires a minimal model; offending generators: v"),
+    ],
+    ids=["not-quasi-iso", "not-a-chain-map", "base-not-automorphism", "not-minimal"],
+)
+def test_invert_refusals_name_their_file(files, capsys, tmp_path, model, images, blamed, message):
+    model = {
+        "model": files["model"],
+        "xyw": _xyw_model(tmp_path),
+        "non_minimal": _non_minimal_model(tmp_path),
+    }[model]
+    endo = write(tmp_path, "refused.json", {"kind": "endo", "images": images})
+    code, out, err = run(capsys, "invert", model, endo, "--max-degree", "4")
+    _assert_one_line_error(code, err, f"{endo if blamed == 'endo' else model}: {message}")
+    assert code == 2 and out == ""
+
+
 def test_model_image_above_max_degree_keeps_its_own_field(files, capsys, tmp_path):
     # without the degree-3 cell the target validates, so the explicit image
     # of v is the first thing to reach above the bound
@@ -796,6 +876,155 @@ def test_fuzzed_findim_documents_never_crash(doc):
         Path(path).write_text(canonical_json(doc), encoding="utf-8")
         for argv in (("validate", path), ("homology", path, "--max-degree", "3")):
             code, _, err = _run_quiet(*argv)
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert len(err.splitlines()) <= 1, err
+            assert "Traceback" not in err
+
+
+_FUZZ_MODELS = (
+    # base x; fibers w, v of degree 2, 3 with dv = [x,x]
+    {
+        "kind": "relative_model",
+        "generators": [
+            {"name": "x", "degree": 1},
+            {"name": "w", "degree": 2},
+            {"name": "v", "degree": 3},
+        ],
+        "differential": {"v": "[x,x]"},
+        "base": ["x"],
+        "stages": [{"A": [], "B": []}, {"A": ["w"], "B": ["v"]}],
+        "structureMap": {
+            "target": {
+                "kind": "dgla",
+                "generators": [{"name": "x", "degree": 1}, {"name": "w", "degree": 2}],
+                "differential": {},
+            },
+            "images": {"x": "x", "w": "w", "v": "0"},
+        },
+    },
+    # base x, y of degree 1, 2, so the degree-2 base block acts on y and
+    # [x,x]; fiber w of degree 3 with dw = [x,x]
+    {
+        "kind": "relative_model",
+        "generators": [
+            {"name": "x", "degree": 1},
+            {"name": "y", "degree": 2},
+            {"name": "w", "degree": 3},
+        ],
+        "differential": {"w": "[x,x]"},
+        "base": ["x", "y"],
+        "stages": [{"A": [], "B": []}, {"A": [], "B": []}, {"A": ["w"], "B": []}],
+        "structureMap": {
+            "target": {
+                "kind": "dgla",
+                "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 2}],
+                "differential": {},
+            },
+            "images": {"x": "x", "y": "y", "w": "0"},
+        },
+    },
+)
+_FUZZ_NAMES = ["x", "y", "w", "v", "q"]
+# images by degree in either model: invertible, singular ("0", a bracket in
+# place of a generator) or not chain maps
+_FUZZ_IMAGES = {
+    1: ["x", "-1*x", "2*x", "0"],
+    2: ["w", "2*w", "w + [x,x]", "y", "-1*y + [x,x]", "y + w", "[x,x]", "0"],
+    3: ["v", "v + [x,w]", "w", "2*w", "w + [x,y]", "[x,y]", "[x,w]", "0"],
+}
+# images of any degree, an unknown name, non-expressions and syntax errors
+_FUZZ_WILD = st.sampled_from(
+    sum(_FUZZ_IMAGES.values(), []) + ["q", "w - w", "1/0*x", "[x,", True, 3]
+)
+_FUZZ_JUNK = st.sampled_from([None, 0, True, "x", [], {}, ["x"], {"x": "x"}])
+
+
+def _fuzz_images(degrees):
+    """Image dicts: mostly generators of the model with images of their own
+    degree, sometimes any name with any image."""
+    fitting = st.sampled_from(sorted(degrees)).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(_FUZZ_IMAGES[degrees[name]]))
+    )
+    wild = st.tuples(st.sampled_from(_FUZZ_NAMES), _FUZZ_WILD)
+    return st.lists(fitting | fitting | wild, max_size=3).map(dict)
+
+
+@st.composite
+def _fuzz_mutated(draw, doc, fields):
+    """doc with up to two fields dropped, replaced by junk or by a draw from
+    `fields` (a strategy per field, drawn more often than junk), or joined
+    by an unknown field."""
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(fields) + ["extra"]))
+        action = draw(st.sampled_from(["drop", "junk", "field", "field"]))
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "junk" or key == "extra":
+            doc[key] = draw(_FUZZ_JUNK)
+        else:
+            doc[key] = draw(fields[key])
+    return doc
+
+
+@st.composite
+def _fuzz_invocation(draw):
+    """A relative_model document, two endo documents and a bound <= 3, often
+    invalid on purpose.
+
+    The model is one of `_FUZZ_MODELS` with up to two fields dropped,
+    replaced or added: generators of other degrees, differentials and
+    structure-map images of the wrong degree, a base or stages naming other
+    generators, a target that is not a dgla.  The endos map generators of
+    that model, mostly to images of the right degree, some singular; their
+    fields are mutated the same way.
+    """
+    model = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_MODELS))))
+    degrees = {g["name"]: g["degree"] for g in model["generators"]}
+    degree = st.sampled_from([1, 2, 3, 3, 0, 5])
+    names = st.sampled_from(_FUZZ_NAMES)
+    fields = {
+        "kind": st.sampled_from(["relative_model", "endo", "dgla"]),
+        "generators": st.lists(
+            st.fixed_dictionaries({"name": names, "degree": degree}), max_size=3
+        ),
+        "differential": _fuzz_images(degrees),
+        "base": st.lists(names, max_size=3),
+        "stages": st.lists(
+            st.fixed_dictionaries({"A": st.lists(names, max_size=2), "B": st.just([])}),
+            max_size=3,
+        ),
+        "structureMap": st.fixed_dictionaries(
+            {
+                "target": st.sampled_from([m["structureMap"]["target"] for m in _FUZZ_MODELS])
+                | _FUZZ_JUNK,
+                "images": _fuzz_images(degrees),
+            }
+        ),
+    }
+    endo_fields = {
+        "kind": st.sampled_from(["endo", "relative_model"]),
+        "images": _fuzz_images(degrees),
+    }
+    endos = [
+        draw(_fuzz_mutated({"kind": "endo", "images": draw(_fuzz_images(degrees))}, endo_fields))
+        for _ in range(2)
+    ]
+    return draw(_fuzz_mutated(model, fields)), endos, draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_fuzz_invocation())
+@example(
+    case=(_FUZZ_MODELS[1], [{"kind": "endo", "images": {"y": "[x,x]"}}, {"kind": "endo"}], 3)
+)  # a chain map whose degree-2 base block is singular
+def test_fuzzed_model_and_endo_documents_never_crash(case):
+    model, endos, bound = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = write(tmp, "model.json", model)
+        first, second = (write(tmp, f"endo{i}.json", e) for i, e in enumerate(endos))
+        for argv in (("invert", path, first), ("equivalent", path, first, second), ("pi0", path)):
+            code, _, err = _run_quiet(*argv, "--max-degree", str(bound))
             assert code in (0, 1, 2, 3), (argv, code)
             assert len(err.splitlines()) <= 1, err
             assert "Traceback" not in err

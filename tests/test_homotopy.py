@@ -363,6 +363,24 @@ def test_equivalent_refuses_a_bound_below_a_base_generator():
     assert are_homotopic_rel(f, f, 4).equivalent
 
 
+@pytest.mark.parametrize("scale", [1, 2], ids=["id", "w-to-2w"])
+def test_equivalent_refuses_a_low_bound_before_any_verdict(scale):
+    # L(x, y | w) with x, y of degree 1, 4 in the base: whether f o g^-1
+    # moves w or not, the bound 2 below |y| is refused, never a verdict
+    model = make_model(
+        [("x", 1), ("y", 4), ("w", 2)],
+        {},
+        ("x", "y"),
+        (Stage((), ()), Stage(("w",), ())),
+    )
+    w = model.dgla.atom("w")
+    f = FilteredEndo(model, {"w": Element(2, tuple(scale * c for c in w.coords))})
+    g = FilteredEndo.identity(model)
+    with pytest.raises(DegreeBoundExceeded, match="maximal generator degree"):
+        are_homotopic_rel(f, g, 2)
+    assert are_homotopic_rel(f, g, 4).equivalent == (scale == 1)
+
+
 def test_pi0_report_counts_a_base_with_brackets():
     # up to degree 3 the stage is x; y, [x,x]; w, [x,y] and the base is all
     # of it but w, so fixesBase counts 4 base vectors against 5

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from dgla.dg import DGLAMorphism, Element, QuasiFreeDGLA
 from dgla.errors import (
     BaseNotAutomorphism,
+    DglaError,
     NotFiltered,
     NotMinimal,
     NotQuasiIso,
@@ -14,17 +16,17 @@ from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
 from dgla.invert import (
     FilteredEndo,
-    _invert_on_generators,
     invert_relative_quasi_iso,
     is_relative_automorphism,
 )
 from dgla.linalg import solve_pivot
-from dgla.minimal import RelativeModel, Stage, verify_model
+from dgla.minimal import RelativeModel, Stage, is_minimal, verify_model
 
 from helpers import (
     rand_coeff,
     rand_minimal_model,
     rand_relative_automorphism,
+    reference_homology_check,
     reference_staged_inverse,
 )
 
@@ -311,7 +313,66 @@ def test_inverse_matches_the_staged_reference():
 
 
 def test_singular_fiber_degree_is_no_quasi_iso(flat_model):
-    # past the preconditions, the fiber-killing endo is refused by f_2 itself
+    # the fiber-killing endo is a chain map, and f_2 itself refuses it
     kills_fiber = FilteredEndo(flat_model, {"w": flat_model.dgla.zero(2)})
     with pytest.raises(NotQuasiIso, match="singular in degree 2"):
-        _invert_on_generators(kills_fiber, 3)
+        invert_relative_quasi_iso(kills_fiber, 3)
+
+
+def _singular_variants(rng, f):
+    """f with one image broken: a fiber generator sent to 0, a base
+    generator sent to 0, and a nonzero fiber atom of a fiber image scaled
+    by 0."""
+    model, alg = f.model, f.model.dgla
+    w = rng.choice(model.fiber_names)
+    variants = [{w: alg.zero(model.degree_of(w))}]
+    if model.base_names:
+        v = rng.choice(model.base_names)
+        variants.append({v: alg.zero(model.degree_of(v))})
+    image = f.image(w)
+    atoms = [idx for _, idx in model.fiber_atom_indices(image.degree) if image.coords[idx]]
+    if atoms:
+        coords = list(image.coords)
+        coords[rng.choice(atoms)] = 0
+        variants.append({w: Element(image.degree, tuple(coords))})
+    return [FilteredEndo(model, {**f.images, **change}) for change in variants]
+
+
+def _refusal(run):
+    """None when run() returns, else the exit code of the DglaError it raised."""
+    try:
+        run()
+    except DglaError as e:
+        return e.exit_code
+    return None
+
+
+def test_inversion_refuses_exactly_what_the_homology_test_refused():
+    # the old rule: the H_i test on a chain map, then the same inversion
+    rng = random.Random(606)
+    seen = Counter()
+    while seen["models"] < 30:
+        model, _ = rand_minimal_model(rng, 3)
+        if not model.fiber_names:
+            continue
+        assert is_minimal(model).is_minimal
+        seen["models"] += 1
+        top = model.max_generator_degree()
+        f = rand_relative_automorphism(rng, model, top)
+        bound = max(1, top - rng.randrange(2))
+        for endo in [f, *_singular_variants(rng, f)]:
+            new = _refusal(lambda: invert_relative_quasi_iso(endo, bound))
+            by_homology = endo.is_chain_map() and _refusal(
+                lambda: reference_homology_check(endo, bound)
+            )
+            old = by_homology or new
+            assert new in (None, 2) and old in (None, 2)
+            assert new == old, (seen["models"], new, old)
+            seen["homology refused"] += bool(by_homology)
+            if new is None:
+                seen["accepted"] += 1
+                g = invert_relative_quasi_iso(endo, bound)
+                reference = reference_staged_inverse(endo, bound)
+                for gen in model.dgla.generators:
+                    assert g.image(gen.name) == reference.image(gen.name), gen.name
+    assert seen["accepted"] >= 30 and seen["homology refused"] >= 15, seen
