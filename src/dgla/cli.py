@@ -25,6 +25,7 @@ from .errors import (
     NotAChainMap,
     NotMinimal,
     NotQuasiIso,
+    NotRelativeAutomorphism,
     ParseError,
     TargetNotFiniteType,
 )
@@ -171,8 +172,14 @@ def cmd_equivalent(args) -> int:
     model = _load_model(args.model)
     f = endo_from_doc(load_document(args.endo1), model, context=args.endo1)
     g = endo_from_doc(load_document(args.endo2), model, context=args.endo2)
-    with _naming_file(args.model, DegreeBoundExceeded, field="--max-degree"):
-        verdict = are_homotopic_rel(f, g, args.max_degree)
+    with _naming_file(args.model, NotMinimal), _naming_file(
+        args.model, DegreeBoundExceeded, field="--max-degree"
+    ):
+        try:
+            verdict = are_homotopic_rel(f, g, args.max_degree)
+        except NotRelativeAutomorphism as e:
+            refused = (args.endo1, args.endo2)[e.position]
+            raise NotRelativeAutomorphism(f"{refused}: {e}") from None
     witness = None
     if verdict.witness is not None:
         witness = {

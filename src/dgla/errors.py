@@ -78,7 +78,11 @@ class NotUnipotentRelative(DglaError):
 
 
 class NotRelativeAutomorphism(DglaError):
-    pass
+    """position: the place (0 or 1) of the refused endo among those compared."""
+
+    def __init__(self, message: str, position: int | None = None):
+        self.position = position
+        super().__init__(message)
 
 
 class NotFiltered(DglaError):

@@ -343,7 +343,12 @@ def _resolve_algebra(ref, base_dir: Path | None, context: str):
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        return dgla_from_doc(load_document(path), context=str(path))
+        try:
+            doc = load_document(path)
+        except (OSError, ValueError) as e:
+            # ValueError: a path with a NUL character cannot be opened
+            raise FormatError(f"{context}: {e}") from None
+        return dgla_from_doc(doc, context=str(path))
     if isinstance(ref, dict):
         return dgla_from_doc(ref, context=context)
     raise FormatError(f"{context}: expected a path or an inline document")

@@ -121,16 +121,11 @@ class RelDerivation:
 
     def linear_fiber_defects(self) -> list[str]:
         """Fiber generators whose image has a nonzero linear fiber part."""
-        bad = []
-        for g in self.model.fiber_generators:
-            el = self.images.get(g.name)
-            if el is None:
-                continue
-            for _, idx in self.model.fiber_atom_indices(el.degree):
-                if el.coords[idx] != 0:
-                    bad.append(g.name)
-                    break
-        return bad
+        return [
+            g.name
+            for g in self.model.fiber_generators
+            if g.name in self.images and self.model.linear_fiber_part(self.images[g.name])
+        ]
 
     def __eq__(self, other) -> bool:
         return (
@@ -360,14 +355,10 @@ def log_unipotent(u: FilteredEndo, bound: int) -> RelDerivation:
 
 def _moved_linearly(u: FilteredEndo) -> list[str]:
     """Fiber generators on which u - id has a nonzero linear fiber part."""
-    model, dgla = u.model, u.model.dgla
     return [
         g.name
-        for g in model.fiber_generators
-        if any(
-            u.image(g.name).coords[idx] != dgla.atom(g.name).coords[idx]
-            for _, idx in model.fiber_atom_indices(g.degree)
-        )
+        for g in u.model.fiber_generators
+        if u.model.linear_fiber_part(u.image(g.name)) != {g.name: 1}
     ]
 
 
@@ -411,10 +402,10 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
     model = f.model
     if not is_minimal(model).is_minimal:
         raise NotMinimal("the ambient model is not minimal")
-    for name, endo in (("first", f), ("second", g)):
+    for position, (name, endo) in enumerate((("first", f), ("second", g))):
         if not is_relative_automorphism(endo):
             raise NotRelativeAutomorphism(
-                f"the {name} endomorphism is not a relative automorphism"
+                f"the {name} endomorphism is not a relative automorphism", position
             )
     data0 = derivation_basis(model, 0, bound)
     m = model.max_generator_degree()

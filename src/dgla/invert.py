@@ -73,21 +73,27 @@ class FilteredEndo(DGLAMorphism):
 
 
 def is_relative_automorphism(f: FilteredEndo) -> bool:
-    """Fixes the base pointwise, chain map, invertible in each degree.
+    """Fixes the base pointwise, chain map, invertible on the generators.
 
-    Degreewise invertibility is checked up to the maximal generator degree,
-    which suffices: it forces the linear part on generators to be invertible
-    and the whole endomorphism is then an automorphism.
+    f fixes the base, so its linear part on the generators of degree t is
+    block-triangular with the identity on the base: invertible iff the
+    block of linear fiber parts of f(w), w the fiber generators of degree t,
+    is.  On the word-length filtration of L_k, f's associated graded is the
+    free Lie functor applied to that linear part.  L_k is finite-dimensional
+    with a finite filtration, so f_k is bijective for every k <= the maximal
+    generator degree iff every block is invertible.
     """
-    dgla = f.model.dgla
-    for name in f.model.base_names:
-        if f.image(name) != dgla.atom(name):
+    model = f.model
+    for name in model.base_names:
+        if f.image(name) != model.dgla.atom(name):
             return False
     if not f.is_chain_map():
         return False
-    for k in range(1, f.model.max_generator_degree() + 1):
-        m = f.matrix(k)
-        if m.rank() != dgla.dim(k):
+    for t in {g.degree for g in model.fiber_generators}:
+        index = {name: p for p, (name, _) in enumerate(model.fiber_atom_indices(t))}
+        parts = [model.linear_fiber_part(f.image(name)) for name in index]
+        block = [{index[w]: c for w, c in part.items()} for part in parts]
+        if Matrix._of_columns(block, len(block)).rank() != len(block):
             return False
     return True
 

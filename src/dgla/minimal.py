@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .dg import DGLAMorphism, Element, QuasiFreeDGLA, induced_map_on_homology, validate
 from .errors import (
@@ -114,13 +115,16 @@ class RelativeModel:
 
     def fiber_atom_indices(self, k: int) -> tuple[tuple[str, int], ...]:
         """(fiber generator, its basis index) pairs in the degree-k basis."""
-        base = set(self.base_names)
-        out = []
-        for g in self.dgla.generators:
-            if g.degree == k and g.name not in base:
-                _, idx = self.dgla.algebra.atom(g.name)
-                out.append((g.name, idx))
-        return tuple(out)
+        return tuple(
+            (g.name, self.dgla.algebra.atom(g.name)[1])
+            for g in self.fiber_generators
+            if g.degree == k
+        )
+
+    def linear_fiber_part(self, el: Element) -> dict[str, Fraction]:
+        """The nonzero coefficients of el at the fiber generators, by name."""
+        pairs = self.fiber_atom_indices(el.degree)
+        return {name: el.coords[idx] for name, idx in pairs if el.coords[idx]}
 
 
 def is_minimal(model: RelativeModel) -> MinimalityReport:
@@ -143,13 +147,9 @@ def is_minimal(model: RelativeModel) -> MinimalityReport:
         if vec is None or g.degree - 1 < 1:
             continue
         coords = algebra.basis_coords(g.degree - 1, vec, scale)
-        offending = [
-            (coords[idx], name)
-            for name, idx in model.fiber_atom_indices(g.degree - 1)
-            if coords[idx] != 0
-        ]
-        if offending:
-            witnesses.append((g.name, LiePoly(offending)))
+        part = model.linear_fiber_part(Element(g.degree - 1, coords))
+        if part:
+            witnesses.append((g.name, LiePoly([(c, name) for name, c in part.items()])))
     model._minimality = MinimalityReport(tuple(witnesses))
     return model._minimality
 

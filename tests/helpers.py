@@ -611,6 +611,24 @@ def reference_homology_check(f: FilteredEndo, bound: int) -> None:
             raise NotQuasiIso(f"H_{i} of the endomorphism is singular")
 
 
+def reference_is_relative_automorphism(f: FilteredEndo) -> bool:
+    """The rank rule `is_relative_automorphism` once ran: f fixes the base
+    pointwise, is a chain map, and f_k has full rank on every L_k up to the
+    maximal generator degree.
+
+    The linear part of f on the generators decides the same question, so
+    the library no longer ranks f_k; the tests compare the two.
+    """
+    dgla = f.model.dgla
+    for name in f.model.base_names:
+        if f.image(name) != dgla.atom(name):
+            return False
+    if not f.is_chain_map():
+        return False
+    top = f.model.max_generator_degree()
+    return all(f.matrix(k).rank() == dgla.dim(k) for k in range(1, top + 1))
+
+
 # -- reference PBW dimensions ----------------------------------------------------
 
 

@@ -713,6 +713,47 @@ def test_invert_refusals_name_their_file(files, capsys, tmp_path, model, images,
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "model, endos, blamed, message",
+    [
+        ("model", ("squish", "endo_id"), "squish", "the first endomorphism is not a relative automorphism"),
+        ("model", ("endo_id", "squish"), "squish", "the second endomorphism is not a relative automorphism"),
+        ("non_minimal", ("endo_id", "endo_id"), "non_minimal", "the ambient model is not minimal"),
+    ],
+    ids=["first", "second", "not-minimal"],
+)
+def test_equivalent_refusals_name_their_file(files, capsys, tmp_path, model, endos, blamed, message):
+    paths = {
+        "model": files["model"],
+        "non_minimal": _non_minimal_model(tmp_path),
+        "endo_id": files["endo_id"],
+        "squish": write(tmp_path, "squish.json", {"kind": "endo", "images": {"w": "0"}}),
+    }
+    argv = ["equivalent", paths[model], *(paths[e] for e in endos), "--max-degree", "3"]
+    code, out, err = run(capsys, *argv)
+    _assert_one_line_error(code, err, f"{paths[blamed]}: {message}")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("field", ["source", "target"])
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ("nope.json", "No such file or directory"),
+        ("sub", "Is a directory"),
+        ("a\x00b", "embedded null byte"),
+    ],
+    ids=["missing", "directory", "nul"],
+)
+def test_unreadable_map_reference_names_map_file_and_field(files, capsys, tmp_path, field, ref, message):
+    (tmp_path / "sub").mkdir()
+    path = write(tmp_path, "map.json", {"kind": "dgla_morphism", field: ref, "images": {"a": "a"}})
+    argv = ["minimal-model", files["sphere"], files["wedge"], path, "--max-degree", "2"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
+    _assert_one_line_error(code, err, f"{path}: {field}: ")
+    assert code == 2 and out == "" and message in err
+
+
 def test_model_image_above_max_degree_keeps_its_own_field(files, capsys, tmp_path):
     # without the degree-3 cell the target validates, so the explicit image
     # of v is the first thing to reach above the bound
@@ -1028,6 +1069,87 @@ def test_fuzzed_model_and_endo_documents_never_crash(case):
             assert code in (0, 1, 2, 3), (argv, code)
             assert len(err.splitlines()) <= 1, err
             assert "Traceback" not in err
+
+
+_FUZZ_MAP_BASE = {
+    "kind": "dgla",
+    "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 3}],
+    "differential": {"y": "[x,x]"},
+}
+_FUZZ_MAP_TARGETS = (
+    {
+        "kind": "dgla",
+        "generators": [
+            {"name": "a", "degree": 1},
+            {"name": "b", "degree": 2},
+            {"name": "c", "degree": 3},
+        ],
+        "differential": {"c": "[a,a]"},
+    },
+    {
+        "kind": "findim_dgla",
+        "dims": {"1": 1, "2": 1},
+        "brackets": [{"left": "e_1_0", "right": "e_1_0", "value": "e_2_0"}],
+    },
+)
+# images of x and y in either target: chain maps, non-chain maps (y to 0 or
+# 2*c against dy = [x,x]), images of the wrong degree, unknown names and
+# non-expressions
+_FUZZ_MAP_IMAGES = st.sampled_from(
+    ["a", "2*a", "0", "e_1_0", "c", "c + [a,b]", "2*c", "[a,b]", "b", "[a,a]", "e_2_0"] * 2
+    + ["q", "a + b", "[a,", "1/0*a", True, 3, None]
+)
+# source and target references: the files given on the command line, a
+# missing path, directories, a file that is no JSON, a NUL byte, and inline
+# documents, good, different or bad
+_FUZZ_MAP_REFS = st.sampled_from(
+    ["base.json", "target.json", "missing.json", "sub", "", "broken.json", "a\x00b"]
+    + [_FUZZ_MAP_BASE, *_FUZZ_MAP_TARGETS, {"kind": "dgla"}, {"kind": "nope"}, {}]
+) | _FUZZ_JUNK
+
+
+@st.composite
+def _fuzz_map_invocation(draw):
+    """A dgla_morphism document, its target and a bound <= 3, often invalid
+    on purpose.
+
+    The map sends the base L(x, y | dy = [x,x]) to a quasi-free or a
+    finite-dimensional target.  Its images are mostly of the right degree,
+    some not chain maps; up to two fields are dropped, replaced or added,
+    among them source and target references that cannot be read.
+    """
+    images = st.dictionaries(st.sampled_from(["x", "y"] * 3 + ["q"]), _FUZZ_MAP_IMAGES, max_size=3)
+    fields = {
+        "kind": st.sampled_from(["dgla_morphism", "endo", "dgla"]),
+        "source": _FUZZ_MAP_REFS,
+        "target": _FUZZ_MAP_REFS,
+        "images": images | _FUZZ_JUNK,
+    }
+    doc = draw(_fuzz_mutated({"kind": "dgla_morphism", "images": draw(images)}, fields))
+    return doc, draw(st.sampled_from(_FUZZ_MAP_TARGETS)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_fuzz_map_invocation())
+@example(case=({"kind": "dgla_morphism", "source": "a\x00b"}, _FUZZ_MAP_TARGETS[0], 2))
+@example(
+    case=({"kind": "dgla_morphism", "images": {"x": "a", "y": "c"}}, _FUZZ_MAP_TARGETS[0], 3)
+)  # a chain map, so a model is built
+def test_fuzzed_morphism_documents_never_crash(case):
+    doc, target, bound = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "sub").mkdir()
+        (tmp / "broken.json").write_text("{", encoding="utf-8")
+        base_path = write(tmp, "base.json", _FUZZ_MAP_BASE)
+        target_path = write(tmp, "target.json", target)
+        argv = ["minimal-model", base_path, target_path, write(tmp, "map.json", doc)]
+        code, _, err = _run_quiet(
+            *argv, "--max-degree", str(bound), "--out", str(tmp / "out.json")
+        )
+        assert code in (0, 1, 2, 3), code
+        assert len(err.splitlines()) <= 1, err
+        assert "Traceback" not in err
 
 
 def test_parser_is_built_once_per_process(files, capsys):

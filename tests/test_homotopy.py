@@ -635,3 +635,50 @@ def test_apply_derivation_matches_symbolic_rule(mixed_parity_model, r):
             _, want = algebra.normalize(_symbolic_value(theta, tree), k + r)
             assert got == want, (k, tree)
             assert theta.matrix(k).column(j) == want, (k, tree)
+
+
+def test_linear_fiber_part_reads_only_fiber_atoms():
+    # base x, u of degree 1, 2 and fibers w, w2, v of degree 2, 2, 3
+    model = make_model(
+        [("x", 1), ("u", 2), ("w", 2), ("w2", 2), ("v", 3)],
+        {},
+        ("x", "u"),
+        (Stage((), ()), Stage(("w", "w2"), ("v",))),
+    )
+    alg = model.dgla
+    el = alg.element(LiePoly(parse_expr("2*w - 1/3*w2 + u + [x,x]")), 2)
+    assert model.linear_fiber_part(el) == {"w": 2, "w2": Fraction(-1, 3)}
+    assert model.linear_fiber_part(alg.atom("v")) == {"v": 1}
+    assert model.linear_fiber_part(alg.element(LiePoly(parse_expr("[x,w]")), 3)) == {}
+    assert model.linear_fiber_part(alg.atom("u")) == {}
+
+
+def test_linear_fiber_readers_keep_their_texts(cycle_model):
+    # the minimality witness, the derivation defects and the verdict reason
+    # read the linear fiber part, in generator order
+    alg = cycle_model.dgla
+    non_minimal = make_model(
+        [("x", 1), ("w", 2), ("u", 2), ("v", 3)],
+        {"v": "2*u + w + [x,x]"},
+        ("x",),
+        (Stage((), ()), Stage(("w", "u"), ("v",))),
+    )
+    assert minimal.is_minimal(non_minimal).witnesses == (
+        ("v", LiePoly([(1, "w"), (2, "u")])),
+    )
+    delta = RelDerivation(
+        cycle_model,
+        0,
+        {"w": alg.atom("w"), "v": alg.element(LiePoly(parse_expr("v + [x,w]")), 3)},
+    )
+    assert delta.linear_fiber_defects() == ["w", "v"]
+    with pytest.raises(
+        NotWordLengthRaising, match=r"^derivation image has a linear fiber part on w, v$"
+    ):
+        exp_derivation(delta, 3)
+    scale = FilteredEndo(cycle_model, {"w": Element(2, tuple(2 * c for c in alg.atom("w").coords))})
+    verdict = are_homotopic_rel(FilteredEndo.identity(cycle_model), scale, 3)
+    assert verdict.reason == (
+        "f o g^-1 has a non-identity linear part on 'w', so it lies outside "
+        "the exponential of the boundary derivations"
+    )

@@ -27,6 +27,7 @@ from helpers import (
     rand_minimal_model,
     rand_relative_automorphism,
     reference_homology_check,
+    reference_is_relative_automorphism,
     reference_staged_inverse,
 )
 
@@ -376,3 +377,73 @@ def test_inversion_refuses_exactly_what_the_homology_test_refused():
                 for gen in model.dgla.generators:
                     assert g.image(gen.name) == reference.image(gen.name), gen.name
     assert seen["accepted"] >= 30 and seen["homology refused"] >= 15, seen
+
+
+def _automorphism_variants(f):
+    """f with one fiber image w changed, for every fiber generator w: its
+    linear fiber part removed, the image doubled, the image replaced by a
+    same-degree peer's, and (tagged "base") a base generator of w's degree
+    without differential added to it."""
+    model, alg = f.model, f.model.dgla
+    _, d_images = alg.d_images()
+    out = []
+    for w in model.fiber_generators:
+        image = f.image(w.name)
+        coords = list(image.coords)
+        for _, idx in model.fiber_atom_indices(w.degree):
+            coords[idx] = 0
+        doubled = tuple(2 * c for c in image.coords)
+        changes = [Element(w.degree, tuple(coords)), Element(w.degree, doubled)]
+        peers = [p for p in model.fiber_generators if p.degree == w.degree and p != w]
+        changes += [f.image(p.name) for p in peers]
+        out += [("fiber", FilteredEndo(model, {**f.images, w.name: el})) for el in changes]
+        for v in model.base_generators:
+            if v.degree == w.degree and alg.algebra.index_of(v.name) not in d_images:
+                plus = tuple(a + b for a, b in zip(image.coords, alg.atom(v.name).coords))
+                out.append(("base", FilteredEndo(model, {**f.images, w.name: Element(w.degree, plus)})))
+    return out
+
+
+def test_generator_rule_accepts_exactly_what_the_rank_rule_accepted():
+    rng = random.Random(2002)
+    seen = Counter()
+    while seen["models"] < 60:
+        model, _ = rand_minimal_model(rng, 3)
+        if not model.fiber_names:
+            continue
+        seen["models"] += 1
+        f = rand_relative_automorphism(rng, model, model.max_generator_degree())
+        for kind, endo in [("fiber", f), *_automorphism_variants(f)]:
+            new = is_relative_automorphism(endo)
+            assert new == reference_is_relative_automorphism(endo), (seen["models"], kind)
+            seen[f"{kind} accepted" if new else f"{kind} refused"] += 1
+            seen["singular chain maps"] += endo.is_chain_map() and not new
+            if kind == "base":
+                # the linear base part leaves the fiber block as it was
+                assert new == endo.is_chain_map()
+    assert seen["fiber accepted"] >= 60 and seen["singular chain maps"] >= 40, seen
+    assert seen["base accepted"] >= 5, seen
+
+
+def test_relative_automorphism_test_builds_no_matrix_of_l_k(monkeypatch):
+    # fresh endos, accepted and refused, so no matrix is cached beforehand
+    rng = random.Random(19)
+    endos = []
+    while len(endos) < 10:
+        model, _ = rand_minimal_model(rng, 3)
+        if model.fiber_names:
+            f = rand_relative_automorphism(rng, model, model.max_generator_degree())
+            w = model.fiber_generators[0]
+            endos.append(FilteredEndo(model, dict(f.images)))
+            endos.append(FilteredEndo(model, {**f.images, w.name: model.dgla.zero(w.degree)}))
+    calls = Counter()
+    matrix = DGLAMorphism.matrix
+
+    def counted(self, k):
+        calls[k] += 1
+        return matrix(self, k)
+
+    monkeypatch.setattr(DGLAMorphism, "matrix", counted)
+    verdicts = [is_relative_automorphism(endo) for endo in endos]
+    assert not calls
+    assert verdicts.count(True) >= 5 and False in verdicts
