@@ -134,7 +134,9 @@ def cmd_minimal_model(args) -> int:
         target=target,
         context=args.map,
     )
-    with _naming_file(args.target, TargetNotFiniteType, field="maxDegree"):
+    with _naming_file(args.target, TargetNotFiniteType, field="maxDegree"), _naming_file(
+        args.map, NotAChainMap, field="images"
+    ):
         model = build_minimal_model(f, args.max_degree)
     Path(args.out).write_text(canonical_json(model_to_doc(model)), encoding="utf-8")
     return 0

@@ -35,13 +35,17 @@ span and keeps the brackets in int arithmetic.  The Leibniz rule holds for
 any derivation, so none of this assumes d^2 = 0, and the d^2 guard of
 `HomologyData` still sees a boundary that is not a cycle.
 
-The d^2, graded Jacobi and Leibniz checks of a finite-dimensional algebra
-run on Python ints: the structure constants are put over one common
-denominator D and the columns of d over one common denominator E, once per
-validation.  d^2 is quadratic in d, the Jacobiator is quadratic in the
-structure constants and Leibniz is bilinear in (brackets, d), so the scaled
-identities are E^2, D^2 and D*E times the rational ones and vanish exactly
-when they do.
+A finite-dimensional algebra holds its structure constants once, as
+integers over one common denominator D (`FiniteDimDGLA.bracket_cells`),
+from the reader on: brackets multiply ints and divide once per output
+coordinate, and its d^2, graded Jacobi and Leibniz checks run on Python
+ints.  Those checks also put the columns of d over one common denominator
+E, once per validation.  d^2 is quadratic in d, the Jacobiator is
+quadratic in the structure constants and Leibniz is bilinear in (brackets,
+d), so the scaled identities are E^2, D^2 and D*E times the rational ones
+and vanish exactly when they do.  Each defect is summed into a list that
+is allocated at its first contribution, so a tuple of basis vectors that no
+structure constant or column of d touches is never scanned.
 
 Most of those checks are skipped by symmetry.  The table is antisymmetric,
 [y,x] = -(-1)^{|x||y|}[x,y] on every pair of basis vectors, exactly when
@@ -81,6 +85,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _ZERO,
     _clear_denominators,
     add_scaled,
     dense_vector,
@@ -343,6 +348,11 @@ class FiniteDimDGLA(_DGLA):
     graded antisymmetry.  Degrees absent from `dims` are zero-dimensional;
     when `max_degree` is set, asking for anything above it raises
     TargetNotFiniteType instead of silently answering zero.
+
+    `brackets` maps (p, q, i, j) to the coordinates of [e_p_i, e_q_j], a
+    tuple of rationals; `of_integer_brackets` takes them as integers over
+    a denominator instead.  Either way they are held once, as the integer
+    table of `bracket_cells`.
     """
 
     kind = "finite-dimensional"
@@ -356,7 +366,6 @@ class FiniteDimDGLA(_DGLA):
     ):
         super().__init__()
         self.dims = {int(k): int(n) for k, n in dims.items() if int(n) != 0}
-        self.raw_brackets = dict(brackets or {})
         self.d_mats = {}
         for k, m in (d_mats or {}).items():
             k = int(k)
@@ -368,8 +377,67 @@ class FiniteDimDGLA(_DGLA):
                 )
             self.d_mats[k] = m
         self.max_degree = max_degree
-        self._table: dict[tuple[int, int, int, int], Vector] | None = None
-        self._conflicts: list[str] = []
+        brackets = brackets or {}
+        self._hold_brackets(
+            {key: _clear_denominators(sparse_vector(vec)) for key, vec in brackets.items()},
+            {key: len(vec) for key, vec in brackets.items()},
+        )
+
+    @classmethod
+    def of_integer_brackets(
+        cls,
+        dims: dict[int, int],
+        brackets: dict[tuple[int, int, int, int], tuple[dict[int, int], int]],
+        d_mats: dict[int, Matrix] | None = None,
+        max_degree: int | None = None,
+    ) -> "FiniteDimDGLA":
+        """The algebra whose bracket [e_p_i, e_q_j] has the coordinates
+        nums[t] / den, for brackets[(p, q, i, j)] = (nums, den) with nums
+        the nonzero int numerators by index t < dims[p + q]."""
+        algebra = cls(dims, None, d_mats, max_degree)
+        lengths = {key: algebra.dims.get(key[0] + key[1], 0) for key in brackets}
+        algebra._hold_brackets(brackets, lengths)
+        return algebra
+
+    def _hold_brackets(self, entries: dict, lengths: dict) -> None:
+        """Put the given (nums, den) entries over one scale, the lcm of their
+        denominators, and mirror each by graded antisymmetry.  A key whose
+        two orientations disagree keeps the value it got first and is
+        recorded as a conflict; `lengths` keeps the number of coordinates
+        each entry was given with, for `validate`."""
+        scale = math.lcm(*(den for _, den in entries.values()))
+        cells: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
+        conflicts: list[str] = []
+        for key in sorted(entries):
+            p, q, i, j = key
+            nums, den = entries[key]
+            m = scale // den
+            cell = sorted((t, v * m) for t, v in nums.items())
+            # [e_j,e_i] = -(-1)^{pq} [e_i,e_j]
+            mirrored = cell if (p * q) % 2 else [(t, -v) for t, v in cell]
+            pairs = [(key, cell)]
+            if (q, p, j, i) != key:
+                pairs.append(((q, p, j, i), mirrored))
+            for at, val in pairs:
+                held = cells.setdefault(at, val)
+                if held is not val and held != val:
+                    conflicts.append(
+                        f"bracket [{_atom_name(at[0], at[2])},{_atom_name(at[1], at[3])}] "
+                        "given twice with inconsistent values"
+                    )
+        self._cells = (scale, cells)
+        self._conflicts = conflicts
+        self._lengths = lengths
+
+    def bracket_cells(self) -> tuple[int, dict[tuple[int, int, int, int], list[tuple[int, int]]]]:
+        """The structure constants in integer form: (scale, cells).
+
+        cells[(p, q, i, j)] lists the nonzero (t, numerator) pairs of
+        [e_p_i, e_q_j] sorted by t, both orientations included; its
+        coordinate t is numerator / scale.  A bracket given as zero has an
+        empty list, one never given has no key.
+        """
+        return self._cells
 
     def dim(self, k: int) -> int:
         if k < 1:
@@ -392,48 +460,25 @@ class FiniteDimDGLA(_DGLA):
         """The columns of d_matrix(k + 1), which span its image."""
         return self.d_matrix(k + 1)._columns
 
-    def _bracket_table(self) -> dict[tuple[int, int, int, int], Vector]:
-        if self._table is not None:
-            return self._table
-        table: dict[tuple[int, int, int, int], Vector] = {}
-        conflicts: list[str] = []
-        for (p, q, i, j), vec in sorted(self.raw_brackets.items()):
-            # [e_j,e_i] = -(-1)^{pq} [e_i,e_j]
-            mirrored = tuple(vec) if (p * q) % 2 else tuple(-c for c in vec)
-            pairs = [((p, q, i, j), tuple(vec))]
-            if (q, p, j, i) != (p, q, i, j):
-                pairs.append(((q, p, j, i), mirrored))
-            for key, val in pairs:
-                if key in table:
-                    if table[key] != val:
-                        conflicts.append(
-                            f"bracket [{_atom_name(key[0], key[2])},{_atom_name(key[1], key[3])}] "
-                            "given twice with inconsistent values"
-                        )
-                else:
-                    table[key] = val
-        self._conflicts = conflicts
-        self._table = table
-        return table
-
     def bracket(self, a: Element, b: Element) -> Element:
-        table = self._bracket_table()
+        """[a, b] in int arithmetic: the coordinates of a and b over their
+        own denominators, one division per output coordinate."""
         k = a.degree + b.degree
-        out = [Fraction(0)] * self.dim(k)
-        for i, ci in enumerate(a.coords):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b.coords):
-                if cj == 0:
-                    continue
-                cell = table.get((a.degree, b.degree, i, j))
-                if cell is None:
-                    continue
-                c = ci * cj
-                for t, val in enumerate(cell):
-                    if val:
-                        out[t] += c * val
-        return Element(k, tuple(out))
+        n = self.dim(k)
+        scale, cells = self._cells
+        xs, den_a = _clear_denominators(sparse_vector(a.coords))
+        ys, den_b = _clear_denominators(sparse_vector(b.coords))
+        p, q = a.degree, b.degree
+        total = [0] * n
+        for i, x in xs.items():
+            for j, y in ys.items():
+                cell = cells.get((p, q, i, j))
+                if cell:
+                    c = x * y
+                    for t, v in cell:
+                        total[t] += c * v
+        den = scale * den_a * den_b
+        return Element(k, tuple(Fraction(v, den) if v else _ZERO for v in total))
 
     def atom(self, name: str) -> Element:
         parts = name.split("_")
@@ -656,35 +701,33 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
             violations.append(f"negative dimension in degree {k}")
     if violations:
         return ValidationReport(tuple(violations))
-    for (p, q, i, j), vec in sorted(a.raw_brackets.items()):
+    for (p, q, i, j), length in sorted(a._lengths.items()):
         if not (0 <= i < a.dims.get(p, 0) and 0 <= j < a.dims.get(q, 0)):
             violations.append(
                 f"bracket entry references missing basis vector "
                 f"({_atom_name(p, i)}, {_atom_name(q, j)})"
             )
-        elif len(vec) != a.dims.get(p + q, 0):
+        elif length != a.dims.get(p + q, 0):
             violations.append(
                 f"bracket of {_atom_name(p, i)} and {_atom_name(q, j)} has "
-                f"{len(vec)} coordinates, expected {a.dims.get(p + q, 0)}"
+                f"{length} coordinates, expected {a.dims.get(p + q, 0)}"
             )
     if violations:
         return ValidationReport(tuple(violations))
-    table = a._bracket_table()
     violations.extend(a._conflicts)
+    # The integer structure constants (times D, see the module docstring).
+    # Each bracket is read from its own key, never from its mirror, since an
+    # even-degree violation leaves the table not antisymmetric.
+    _, brk = a.bracket_cells()
     degrees = sorted(a.dims)
     for p in degrees:
         if p % 2 == 0:
             for i in range(a.dims[p]):
-                cell = table.get((p, p, i, i))
-                if cell and not vec_is_zero(cell):
+                if brk.get((p, p, i, i)):
                     violations.append(
                         f"[{_atom_name(p, i)},{_atom_name(p, i)}] is nonzero "
                         "in even degree"
                     )
-    # Integer structure constants (times D, see the module docstring).  Each
-    # bracket is read from its own key, never from its mirror, since an
-    # even-degree violation leaves the table not antisymmetric.
-    _, brk = _integer_cells({key: sparse_vector(vec) for key, vec in table.items()})
     # With an antisymmetric table the sorted triples decide (see the module
     # docstring); only when one fails do all triples run, to report each.
     symmetric = not violations
@@ -712,12 +755,16 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
             continue
         n = a.dims.get(k - 1, 0)
         for c in range(a.dims.get(k + 1, 0)):
-            total = [0] * n
+            total = None
             # d(d e_c), E^2 times
             for m, x in dcol.get((k + 1, c), ()):
-                for t, y in dcol.get((k, m), ()):
-                    total[t] += x * y
-            if any(total):
+                col = dcol.get((k, m))
+                if col:
+                    if total is None:
+                        total = [0] * n
+                    for t, y in col:
+                        total[t] += x * y
+            if total is not None and any(total):
                 violations.append(f"d^2 is nonzero from degree {k + 1}")
                 break
     # Reaching here, no conflict or even-degree self-bracket was recorded:
@@ -756,21 +803,33 @@ def _jacobi_violations(a: FiniteDimDGLA, brk: dict, degrees, sorted_only: bool) 
                         eij = brk.get((p, q, i, j), ())
                         lmin = j if sorted_only and q == r else 0
                         for l in range(lmin, a.dims[r]):
-                            total = [0] * n
+                            total = None
                             # [e_i,[e_j,e_l]]
                             for m, c in brk.get((q, r, j, l), ()):
-                                for t, v in brk.get((p, q + r, i, m), ()):
-                                    total[t] += c * v
+                                cell = brk.get((p, q + r, i, m))
+                                if cell:
+                                    if total is None:
+                                        total = [0] * n
+                                    for t, v in cell:
+                                        total[t] += c * v
                             # - [[e_i,e_j],e_l]
                             for m, c in eij:
-                                for t, v in brk.get((p + q, r, m, l), ()):
-                                    total[t] -= c * v
+                                cell = brk.get((p + q, r, m, l))
+                                if cell:
+                                    if total is None:
+                                        total = [0] * n
+                                    for t, v in cell:
+                                        total[t] -= c * v
                             # - (-1)^{pq} [e_j,[e_i,e_l]]
                             for m, c in brk.get((p, r, i, l), ()):
-                                c *= sign
-                                for t, v in brk.get((q, p + r, j, m), ()):
-                                    total[t] -= c * v
-                            if any(total):
+                                cell = brk.get((q, p + r, j, m))
+                                if cell:
+                                    if total is None:
+                                        total = [0] * n
+                                    c *= sign
+                                    for t, v in cell:
+                                        total[t] -= c * v
+                            if total is not None and any(total):
                                 triple = ((p, i), (q, j), (r, l))
                                 violations.append(_fails_on("Jacobi", triple))
     return violations
@@ -800,22 +859,34 @@ def _leibniz_violations(
             for i in range(a.dims[p]):
                 dei = dcol.get((p, i), ()) if p - 1 >= 1 else ()
                 for j in range(i if sorted_only and p == q else 0, a.dims[q]):
-                    total = [0] * n
+                    total = None
                     # d[e_i,e_j]
                     for m, c in brk.get((p, q, i, j), ()):
-                        for t, v in dcol.get((p + q, m), ()):
-                            total[t] += c * v
+                        col = dcol.get((p + q, m))
+                        if col:
+                            if total is None:
+                                total = [0] * n
+                            for t, v in col:
+                                total[t] += c * v
                     # - [de_i,e_j]
                     for m, c in dei:
-                        for t, v in brk.get((p - 1, q, m, j), ()):
-                            total[t] -= c * v
+                        cell = brk.get((p - 1, q, m, j))
+                        if cell:
+                            if total is None:
+                                total = [0] * n
+                            for t, v in cell:
+                                total[t] -= c * v
                     # - (-1)^p [e_i,de_j]
                     if q - 1 >= 1:
                         for m, c in dcol.get((q, j), ()):
-                            c *= sign
-                            for t, v in brk.get((p, q - 1, i, m), ()):
-                                total[t] -= c * v
-                    if any(total):
+                            cell = brk.get((p, q - 1, i, m))
+                            if cell:
+                                if total is None:
+                                    total = [0] * n
+                                c *= sign
+                                for t, v in cell:
+                                    total[t] -= c * v
+                    if total is not None and any(total):
                         violations.append(_fails_on("Leibniz", ((p, i), (q, j))))
     return violations
 

@@ -24,6 +24,14 @@ class ParseError(DglaError):
             message = f"line {line}, col {col}: {message}"
         super().__init__(message)
 
+    def within(self, context: str) -> "ParseError":
+        """This error with the file or field it happened in put first, as in
+        "map.json: target: broken.json: line 2, col 1: ..."; the position
+        is kept."""
+        err = ParseError(f"{context}: {self}")
+        err.line, err.col = self.line, self.col
+        return err
+
 
 class FormatError(DglaError):
     """Structurally bad input document (missing field, wrong type, bad name)."""

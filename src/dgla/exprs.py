@@ -212,15 +212,25 @@ def _monomial(sc: _Scanner) -> Terms:
 
 def format_terms(terms: Terms) -> str:
     """Canonical text for a term list (in the order given); '0' when empty."""
+    return format_written_terms(
+        (str(coeff), format_tree(tree)) for coeff, tree in terms if coeff != 0
+    )
+
+
+def format_written_terms(terms) -> str:
+    """`format_terms` of (coefficient, monomial) pairs already written as
+    text: each coefficient a nonzero rational in lowest terms, such as "3",
+    "-1" or "-3/2"."""
     parts: list[str] = []
-    for coeff, tree in terms:
-        if coeff == 0:
+    for coeff, mono in terms:
+        negative = coeff[0] == "-"
+        mag = coeff[1:] if negative else coeff
+        if not parts and negative:
+            # a leading minus always carries its magnitude: "-1*x", not "-x"
+            parts.append(f"-{mag}*{mono}")
             continue
-        mono = format_tree(tree)
-        mag = abs(coeff)
-        body = mono if mag == 1 else f"{mag}*{mono}"
-        if not parts:
-            parts.append(body if coeff > 0 else (f"-{mag}*{mono}" if mag != 1 else f"-1*{mono}"))
-        else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
+        body = mono if mag == "1" else f"{mag}*{mono}"
+        if parts:
+            body = (" - " if negative else " + ") + body
+        parts.append(body)
     return "".join(parts) if parts else "0"

@@ -15,14 +15,17 @@ Document kinds:
 
 Structure constants of a ``findim_dgla`` are read on a fast path when they
 are in the canonical form `format_terms` writes, "c*e_k_i + c*e_k_j - e_k_l"
-with ASCII digits.  Every other value, and every value the fast path cannot
-take (a vector outside the bracket's degree, a zero denominator), goes
-through the general bracket parser, which also raises every error.
+with ASCII digits: the regex yields ints, and no Fraction is built.  Every
+other value, and every value the fast path cannot take (a vector outside
+the bracket's degree, a zero denominator), goes through the general bracket
+parser, which also raises every error.  Either way a value reaches the
+algebra as int numerators over a denominator.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -36,10 +39,10 @@ from .errors import (
     TargetNotFiniteType,
     UnknownGenerator,
 )
-from .exprs import format_terms, parse_expr
+from .exprs import format_written_terms, parse_expr
 from .freelie import GradedGenerator, LiePoly
 from .invert import FilteredEndo
-from .linalg import Matrix, frac
+from .linalg import Matrix, _clear_denominators, frac
 from .minimal import RelativeModel, Stage
 
 
@@ -55,7 +58,7 @@ def load_document(path: str | Path) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: {e.msg}", e.lineno, e.colno) from None
+        raise ParseError(e.msg, e.lineno, e.colno).within(str(path)) from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
@@ -69,7 +72,7 @@ def _parse_field_expr(text, context: str):
     try:
         return parse_expr(text)
     except ParseError as e:
-        raise ParseError(f"{context}: {e}") from None
+        raise e.within(context) from None
     except RecursionError:
         raise ParseError(f"{context}: expression nested too deeply") from None
 
@@ -210,7 +213,7 @@ def _findim_from_doc(doc: dict, context: str) -> FiniteDimDGLA:
     max_degree = doc.get("maxDegree")
     if max_degree is not None and not _is_int(max_degree):
         raise FormatError(f"{context}: maxDegree must be an integer")
-    return FiniteDimDGLA(dims, brackets, d_mats, max_degree)
+    return FiniteDimDGLA.of_integer_brackets(dims, brackets, d_mats, max_degree)
 
 
 def _atom_indices(name, context: str) -> tuple[int, int]:
@@ -236,43 +239,48 @@ _LINEAR_TERM = re.compile(
 
 
 def _linear_fast(text, degree: int, dim: int):
-    """Coordinates of a canonical structure constant, or None.
+    """(nums, den) of a canonical structure constant, or None.
 
-    None leaves the text to the general parser: it is not in the canonical
-    form, names a vector outside degree `degree` or its dimension, has a
-    zero denominator or an integer that `int` refuses.
+    The coordinates are nums[t] / den, with den the lcm of the written
+    denominators and nums the nonzero int numerators by index.  None leaves
+    the text to the general parser: it is not in the canonical form, names
+    a vector outside degree `degree` or its dimension, has a zero
+    denominator or an integer that `int` refuses.
     """
     if not isinstance(text, str) or not _LINEAR.fullmatch(text):
         return None
-    coords = [Fraction(0)] * dim
+    terms = []
     try:
         for op, num, den, k, i in _LINEAR_TERM.findall(text):
             i = int(i)
             if int(k) != degree or i >= dim:
                 return None
-            coeff = int(num or 1)
-            if den:
-                den = int(den)
-                if not den:
-                    return None
-                coeff = Fraction(coeff, den)
-            coords[i] += -coeff if op == "-" else coeff
+            num = int(num or 1)
+            terms.append((i, -num if op == "-" else num, int(den or 1)))
     except ValueError:
         return None
-    return tuple(coords)
+    # lcm is 0 when a denominator is
+    scale = math.lcm(*(den for _, _, den in terms))
+    if not scale:
+        return None
+    nums: dict[int, int] = {}
+    for i, num, den in terms:
+        nums[i] = nums.get(i, 0) + num * (scale // den)
+    return {i: num for i, num in nums.items() if num}, scale
 
 
 def _linear_value(text, degree: int, dim: int, context: str):
-    """A structure constant as a coordinate tuple in degree `degree`.
+    """A structure constant in degree `degree` as (nums, den): its
+    coordinates are nums[t] / den, nums the nonzero int numerators.
 
     Values in the canonical form take `_linear_fast`; everything else, and
     every error, goes through the general bracket parser.
     """
-    coords = _linear_fast(text, degree, dim)
-    if coords is not None:
-        return coords
+    value = _linear_fast(text, degree, dim)
+    if value is not None:
+        return value
     terms = _parse_field_expr(text, context)
-    coords = [Fraction(0)] * dim
+    coords: dict[int, Fraction] = {}
     for coeff, tree in terms:
         if not isinstance(tree, str):
             raise FormatError(f"{context}: structure-constant values must be linear")
@@ -282,8 +290,14 @@ def _linear_value(text, degree: int, dim: int, context: str):
                 f"{context}: {tree} does not live in degree {degree} "
                 f"(dimension {dim})"
             )
-        coords[i] += coeff
-    return tuple(coords)
+        coords[i] = coords.get(i, 0) + coeff
+    return _clear_denominators({i: c for i, c in coords.items() if c})
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def dgla_to_doc(algebra) -> dict:
@@ -304,15 +318,15 @@ def dgla_to_doc(algebra) -> dict:
         }
     if isinstance(algebra, FiniteDimDGLA):
         entries = []
-        table = algebra._bracket_table()
-        for (p, q, i, j) in sorted(table):
+        scale, cells = algebra.bracket_cells()
+        for (p, q, i, j) in sorted(cells):
             if p > q or (p == q and i > j):
                 continue
-            vec = table[(p, q, i, j)]
-            if all(c == 0 for c in vec):
+            cell = cells[(p, q, i, j)]
+            if not cell:
                 continue
-            value = format_terms(
-                [(c, f"e_{p + q}_{t}") for t, c in enumerate(vec) if c != 0]
+            value = format_written_terms(
+                (_ratio_text(v, scale), f"e_{p + q}_{t}") for t, v in cell
             )
             entries.append(
                 {"left": f"e_{p}_{i}", "right": f"e_{q}_{j}", "value": value}
@@ -345,9 +359,11 @@ def _resolve_algebra(ref, base_dir: Path | None, context: str):
             path = base_dir / path
         try:
             doc = load_document(path)
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, FormatError) as e:
             # ValueError: a path with a NUL character cannot be opened
             raise FormatError(f"{context}: {e}") from None
+        except ParseError as e:
+            raise e.within(context) from None
         return dgla_from_doc(doc, context=str(path))
     if isinstance(ref, dict):
         return dgla_from_doc(ref, context=context)

@@ -114,7 +114,14 @@ def _rand_invertible(rng, n: int) -> tuple[Matrix, Matrix]:
 def rand_conjugated_findim(
     rng, free_degrees=(1, 1), top=4, complex_dims=None, max_degree=None
 ) -> FiniteDimDGLA:
-    """Truncated free algebra plus a disk complex, conjugated to dense form.
+    """The algebra of `rand_conjugated_findim_data`."""
+    dims, brackets, d_mats = rand_conjugated_findim_data(rng, free_degrees, top, complex_dims)
+    return FiniteDimDGLA(dims, brackets, d_mats, max_degree)
+
+
+def rand_conjugated_findim_data(rng, free_degrees=(1, 1), top=4, complex_dims=None):
+    """(dims, brackets, d_mats) of a truncated free algebra plus a disk
+    complex, conjugated to dense form.
 
     The free graded Lie algebra on generators of `free_degrees`, cut off
     above `top` (d = 0), is summed with an abelian complex of disjoint disks
@@ -155,7 +162,45 @@ def rand_conjugated_findim(
             body[unpaired[k - 1].pop(0)][unpaired[k].pop()] = Fraction(1)
         d = Matrix(body, cols=dims[k])
         d_mats[k] = change[k - 1][0].mul(d).mul(change[k][1])
-    return FiniteDimDGLA(dims, brackets, d_mats, max_degree)
+    return dims, brackets, d_mats
+
+
+def fraction_bracket_table(brackets) -> tuple[dict, list[str]]:
+    """(table, conflicts): the rational structure constants `brackets`, by
+    key (p, q, i, j), mirrored by graded antisymmetry into dense Fraction
+    tuples, as `FiniteDimDGLA` held them before its integer table.  A key
+    whose two orientations disagree keeps its first value and is listed in
+    conflicts, in the order `validate` reports them."""
+    table: dict = {}
+    conflicts: list[str] = []
+    for (p, q, i, j), vec in sorted(brackets.items()):
+        vec = tuple(Fraction(c) for c in vec)
+        # [e_j,e_i] = -(-1)^{pq} [e_i,e_j]
+        mirrored = vec if (p * q) % 2 else tuple(-c for c in vec)
+        pairs = [((p, q, i, j), vec)]
+        if (q, p, j, i) != (p, q, i, j):
+            pairs.append(((q, p, j, i), mirrored))
+        for key, val in pairs:
+            if key not in table:
+                table[key] = val
+            elif table[key] != val:
+                conflicts.append(
+                    f"bracket [e_{key[0]}_{key[2]},e_{key[1]}_{key[3]}] "
+                    "given twice with inconsistent values"
+                )
+    return table, conflicts
+
+
+def fraction_bracket(algebra: FiniteDimDGLA, table: dict, a: Element, b: Element) -> Element:
+    """[a, b] over a `fraction_bracket_table`, in Fractions; the degree of
+    the result is asked of `algebra`, so a bound above maxDegree raises."""
+    k = a.degree + b.degree
+    out = [Fraction(0)] * algebra.dim(k)
+    for i, ci in enumerate(a.coords):
+        for j, cj in enumerate(b.coords):
+            for t, v in enumerate(table.get((a.degree, b.degree, i, j), ())):
+                out[t] += ci * cj * v
+    return Element(k, tuple(out))
 
 
 def rand_base(rng) -> QuasiFreeDGLA:

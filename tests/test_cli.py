@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -752,6 +753,57 @@ def test_unreadable_map_reference_names_map_file_and_field(files, capsys, tmp_pa
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
     _assert_one_line_error(code, err, f"{path}: {field}: ")
     assert code == 2 and out == "" and message in err
+
+
+def test_json_syntax_error_puts_the_path_first(capsys, tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(broken))
+    _assert_one_line_error(code, err, f"{broken}: line 2, col 1: Expecting property name")
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("field", ["source", "target"])
+def test_broken_map_reference_names_map_file_and_field(files, capsys, tmp_path, field):
+    (tmp_path / "broken.json").write_text("{\n", encoding="utf-8")
+    path = write(tmp_path, "refmap.json", {"kind": "dgla_morphism", field: "broken.json"})
+    argv = ["minimal-model", files["sphere"], files["wedge"], path, "--max-degree", "2"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
+    broken = tmp_path / "broken.json"
+    _assert_one_line_error(
+        code, err, f"{path}: {field}: {broken}: line 2, col 1: Expecting property name"
+    )
+    assert code == 1 and out == ""
+
+
+def test_minimal_model_refusal_of_a_non_chain_map_names_the_map_file(files, capsys, tmp_path):
+    # dz = 0 in the base, but z goes to y with dy = a in the target
+    base = write(tmp_path, "base.json", {
+        "kind": "dgla", "generators": [{"name": "z", "degree": 2}], "differential": {}
+    })
+    target = write(tmp_path, "target.json", {
+        "kind": "dgla",
+        "generators": [{"name": "a", "degree": 1}, {"name": "y", "degree": 2}],
+        "differential": {"y": "a"},
+    })
+    path = write(tmp_path, "map.json", {"kind": "dgla_morphism", "images": {"z": "y"}})
+    argv = ["minimal-model", base, target, path, "--max-degree", "2"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
+    _assert_one_line_error(
+        code, err, f"{path}: images: input map does not commute with the differentials on z"
+    )
+    assert code == 2 and out == ""
+
+
+def test_validate_of_a_large_bracket_free_piece_is_fast(capsys, tmp_path):
+    # nothing touches the pairs (e_1_i, e_3_j), so no defect is scanned for
+    # them; scanning one list of 30000 zeros per pair took over 10 s
+    path = write(tmp_path, "big.json", {"kind": "findim_dgla", "dims": {"1": 2, "3": 30000}})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "validate", path)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.startswith("ok")
+    assert elapsed < 5, elapsed
 
 
 def test_model_image_above_max_degree_keeps_its_own_field(files, capsys, tmp_path):

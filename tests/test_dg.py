@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,16 @@ from dgla.dg import (
 from dgla.errors import DglaError, NotAChainMap
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly, bracket
-from dgla.formats import dgla_from_doc
+from dgla.formats import dgla_from_doc, dgla_to_doc
 from dgla.homotopy import der_boundary_matrix
 from dgla.linalg import Matrix, Subspace, membership, vec_is_zero
 from dgla.minimal import RelativeModel, Stage, is_minimal
 from helpers import (
+    fraction_bracket,
+    fraction_bracket_table,
     quotient_data,
     rand_conjugated_findim,
+    rand_conjugated_findim_data,
     rand_cycle,
     rand_quasifree,
     reference_kernel_basis,
@@ -468,6 +472,101 @@ def test_d_images_are_integers_over_one_scale():
     assert validate(bad).violations == ("d^2 is nonzero on generator 'v'",)
 
 
+def test_bracket_cells_hold_both_orientations_over_one_scale():
+    # [e_1_0,e_2_0] = 1/2 e_3_0 and [e_1_0,e_1_0] = 2/3 e_2_0: scale 6, the
+    # mirror [e_2_0,e_1_0] = -1/2 e_3_0, and a zero entry keeps its key
+    g = FiniteDimDGLA(
+        {1: 1, 2: 1, 3: 1, 4: 1},
+        {(1, 2, 0, 0): (Fraction(1, 2),), (1, 1, 0, 0): (Fraction(2, 3),), (1, 3, 0, 0): (0,)},
+    )
+    assert g.bracket_cells() == (
+        6,
+        {
+            (1, 1, 0, 0): [(0, 4)],
+            (1, 2, 0, 0): [(0, 3)],
+            (2, 1, 0, 0): [(0, -3)],
+            (1, 3, 0, 0): [],
+            (3, 1, 0, 0): [],
+        },
+    )
+
+
+_COORD = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_findim_bracket_matches_fraction_reference(seed, data):
+    # dense conjugated tables with denominators, brackets of elements whose
+    # coordinates have their own denominators; the algebra read back from
+    # its document holds the same table
+    rng = random.Random(seed)
+    free_degrees = rng.choice([(1, 1), (1, 2), (1, 1, 2)])
+    complex_dims = rng.choice([{}, {2: 1, 3: 1}])
+    dims, brackets, d_mats = rand_conjugated_findim_data(rng, free_degrees, 4, complex_dims)
+    table, conflicts = fraction_bracket_table(brackets)
+    assert conflicts == []
+    g = FiniteDimDGLA(dims, brackets, d_mats)
+    read = dgla_from_doc(dgla_to_doc(g))
+    p, q = (data.draw(st.sampled_from(sorted(dims))) for _ in range(2))
+    x, y = (
+        Element(k, tuple(data.draw(st.lists(_COORD, min_size=dims[k], max_size=dims[k]))))
+        for k in (p, q)
+    )
+    expected = fraction_bracket(g, table, x, y)
+    for algebra in (g, read):
+        got = algebra.bracket(x, y)
+        assert got == expected
+        assert all(type(c) is Fraction for c in got.coords)
+
+
+def _asymmetric_table():
+    # [e_1_1,e_1_0] disagrees with [e_1_0,e_1_1] (odd degrees: equal), a zero
+    # [e_1_0,e_2_0] with a nonzero [e_2_0,e_1_0], and both degree-2 vectors
+    # have a nonzero self-bracket
+    dims = {1: 2, 2: 2, 3: 1, 4: 1}
+    brackets = {
+        (2, 2, 1, 1): (Fraction(1),),
+        (1, 1, 1, 0): (Fraction(0), Fraction(1)),
+        (2, 1, 0, 0): (Fraction(1, 2),),
+        (1, 1, 0, 1): (Fraction(1), Fraction(0)),
+        (2, 2, 0, 0): (Fraction(-2),),
+        (1, 2, 0, 0): (Fraction(0),),
+    }
+    return dims, brackets
+
+
+_ASYMMETRIES = (
+    "bracket [e_1_1,e_1_0] given twice with inconsistent values",
+    "bracket [e_1_0,e_1_1] given twice with inconsistent values",
+    "bracket [e_2_0,e_1_0] given twice with inconsistent values",
+    "bracket [e_1_0,e_2_0] given twice with inconsistent values",
+    "[e_2_0,e_2_0] is nonzero in even degree",
+    "[e_2_1,e_2_1] is nonzero in even degree",
+)
+
+
+def test_conflict_and_even_degree_messages_keep_their_order():
+    dims, brackets = _asymmetric_table()
+    got, expected = _both_outcomes(dims, brackets, {})
+    assert got == expected
+    assert got[: len(_ASYMMETRIES)] == _ASYMMETRIES
+    # the same entries read from a document, listed in another order
+    doc = {
+        "kind": "findim_dgla",
+        "dims": {str(k): n for k, n in dims.items()},
+        "brackets": [
+            {
+                "left": _name(p, i),
+                "right": _name(q, j),
+                "value": " + ".join(f"{c}*{_name(p + q, t)}" for t, c in enumerate(vec)),
+            }
+            for (p, q, i, j), vec in reversed(brackets.items())
+        ],
+    }
+    assert validate(dgla_from_doc(doc)).violations == got
+
+
 def test_findim_jacobi_violation_message():
     # [e1,e1] = e2 and [e1,e2] = e3: the Jacobiator on (e1,e1,e1) is 3*e3
     g = FiniteDimDGLA({1: 1, 2: 1, 3: 1}, {(1, 1, 0, 0): (1,), (1, 2, 0, 0): (1,)}, {})
@@ -478,8 +577,10 @@ def _name(k, i):
     return f"e_{k}_{i}"
 
 
-def _reference_validate_findim(a):
-    """The axiom check over Fractions, one `FiniteDimDGLA.bracket` per term."""
+def _reference_validate_findim(a, brackets):
+    """The axiom check over Fractions, one `fraction_bracket` per term, on
+    the algebra `a` built from the rational structure constants
+    `brackets`."""
     violations = []
     for k in sorted(a.dims):
         if k < 1:
@@ -488,7 +589,7 @@ def _reference_validate_findim(a):
             violations.append(f"negative dimension in degree {k}")
     if violations:
         return ValidationReport(tuple(violations))
-    for (p, q, i, j), vec in sorted(a.raw_brackets.items()):
+    for (p, q, i, j), vec in sorted(brackets.items()):
         if not (0 <= i < a.dims.get(p, 0) and 0 <= j < a.dims.get(q, 0)):
             violations.append(
                 f"bracket entry references missing basis vector ({_name(p, i)}, {_name(q, j)})"
@@ -500,8 +601,9 @@ def _reference_validate_findim(a):
             )
     if violations:
         return ValidationReport(tuple(violations))
-    table = a._bracket_table()
-    violations.extend(a._conflicts)
+    table, conflicts = fraction_bracket_table(brackets)
+    violations.extend(conflicts)
+    bracket = partial(fraction_bracket, a, table)
     degrees = sorted(a.dims)
     for p in degrees:
         if p % 2 == 0:
@@ -519,13 +621,13 @@ def _reference_validate_findim(a):
                     ei = a.atom(_name(p, i))
                     for j in range(a.dims[q]):
                         ej = a.atom(_name(q, j))
-                        eij = a.bracket(ei, ej)
+                        eij = bracket(ei, ej)
                         for l in range(a.dims[r]):
                             el = a.atom(_name(r, l))
-                            lhs = a.bracket(ei, a.bracket(ej, el)).coords
+                            lhs = bracket(ei, bracket(ej, el)).coords
                             sign = Fraction(-1 if (p * q) % 2 else 1)
-                            rhs1 = a.bracket(eij, el).coords
-                            rhs2 = a.bracket(ej, a.bracket(ei, el)).coords
+                            rhs1 = bracket(eij, el).coords
+                            rhs2 = bracket(ej, bracket(ei, el)).coords
                             total = tuple(x - y - sign * z for x, y, z in zip(lhs, rhs1, rhs2))
                             if not vec_is_zero(total):
                                 violations.append(
@@ -560,14 +662,14 @@ def _reference_validate_findim(a):
                 for j in range(a.dims[q]):
                     ej = a.atom(_name(q, j))
                     dej = Element(q - 1, a.d_matrix(q).apply(ej.coords))
-                    lhs = a.d_matrix(p + q).apply(a.bracket(ei, ej).coords)
+                    lhs = a.d_matrix(p + q).apply(bracket(ei, ej).coords)
                     sign = Fraction(-1 if p % 2 else 1)
                     rhs = [Fraction(0)] * a.dims.get(p + q - 1, 0)
                     if p - 1 >= 1:
-                        for t, c in enumerate(a.bracket(dei, ej).coords):
+                        for t, c in enumerate(bracket(dei, ej).coords):
                             rhs[t] += c
                     if q - 1 >= 1:
-                        for t, c in enumerate(a.bracket(ei, dej).coords):
+                        for t, c in enumerate(bracket(ei, dej).coords):
                             rhs[t] += sign * c
                     if tuple(lhs) != tuple(rhs):
                         violations.append(
@@ -576,67 +678,69 @@ def _reference_validate_findim(a):
     return ValidationReport(tuple(violations))
 
 
-def _outcome(check, g):
+def _outcome(check, *args):
     try:
-        return check(g).violations
+        return check(*args).violations
     except DglaError as e:
         return (type(e).__name__, str(e))
 
 
-def _copy(g, brackets=None, d_mats=None, max_degree=None):
-    return FiniteDimDGLA(
-        g.dims,
-        g.raw_brackets if brackets is None else brackets,
-        g.d_mats if d_mats is None else d_mats,
-        g.max_degree if max_degree is None else max_degree,
-    )
+def _both_outcomes(dims, brackets, d_mats, max_degree=None):
+    """The outcomes of `validate` and of the Fraction reference on the
+    algebra with these data."""
+    g = FiniteDimDGLA(dims, brackets, d_mats, max_degree)
+    return _outcome(validate, g), _outcome(_reference_validate_findim, g, brackets)
 
 
-def _nudge_bracket(rng, g):
-    raw = dict(g.raw_brackets)
+# Each perturbation maps the data (dims, brackets, d_mats, max_degree) of
+# a valid algebra to new data.
+
+
+def _nudge_bracket(rng, dims, raw, d_mats, max_degree):
+    raw = dict(raw)
     key = rng.choice(sorted(raw))
     vec = list(raw[key])
     vec[rng.randrange(len(vec))] += Fraction(1, 2)
     raw[key] = tuple(vec)
-    return _copy(g, brackets=raw)
+    return dims, raw, d_mats, max_degree
 
 
-def _drop_bracket(rng, g):
-    raw = dict(g.raw_brackets)
+def _drop_bracket(rng, dims, raw, d_mats, max_degree):
+    raw = dict(raw)
     del raw[rng.choice(sorted(raw))]
-    return _copy(g, brackets=raw)
+    return dims, raw, d_mats, max_degree
 
 
-def _mirror_conflict(rng, g):
-    raw = dict(g.raw_brackets)
+def _mirror_conflict(rng, dims, raw, d_mats, max_degree):
+    raw = dict(raw)
     p, q, i, j = rng.choice(sorted(k for k in raw if k[0] != k[1] or k[2] != k[3]))
     raw[(q, p, j, i)] = tuple(c + 1 for c in raw[(p, q, i, j)])
-    return _copy(g, brackets=raw)
+    return dims, raw, d_mats, max_degree
 
 
-def _even_self_bracket(rng, g):
-    p = rng.choice([k for k in sorted(g.dims) if k % 2 == 0 and 2 * k in g.dims])
-    raw = dict(g.raw_brackets)
-    i = rng.randrange(g.dims[p])
-    raw[(p, p, i, i)] = tuple(Fraction(rng.randrange(1, 4), 3) for _ in range(g.dims[2 * p]))
-    return _copy(g, brackets=raw)
+def _even_self_bracket(rng, dims, raw, d_mats, max_degree):
+    p = rng.choice([k for k in sorted(dims) if k % 2 == 0 and 2 * k in dims])
+    raw = dict(raw)
+    i = rng.randrange(dims[p])
+    raw[(p, p, i, i)] = tuple(Fraction(rng.randrange(1, 4), 3) for _ in range(dims[2 * p]))
+    return dims, raw, d_mats, max_degree
 
 
-def _nudge_d(rng, g):
-    d_mats = dict(g.d_mats)
+def _nudge_d(rng, dims, raw, d_mats, max_degree):
+    d_mats = dict(d_mats)
     k = rng.choice(sorted(k for k, m in d_mats.items() if m.rows and m.cols))
     rows = [list(row) for row in d_mats[k].data]
     rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += Fraction(1, 3)
     d_mats[k] = Matrix(rows)
-    return _copy(g, d_mats=d_mats)
+    return dims, raw, d_mats, max_degree
 
 
-def _low_max_degree(rng, g):
-    return _copy(g, max_degree=rng.randrange(1, max(g.dims)))
+def _low_max_degree(rng, dims, raw, d_mats, max_degree):
+    return dims, raw, d_mats, rng.randrange(1, max(dims))
 
 
 _PERTURBATIONS = {
-    "valid": lambda rng, g: _copy(g),
+    "valid": lambda rng, *data: data,
     "bracket-nudged": _nudge_bracket,
     "bracket-dropped": _drop_bracket,
     "mirror-conflict": _mirror_conflict,
@@ -659,9 +763,9 @@ _CONJUGATED_SHAPES = [
 def test_findim_validate_matches_fraction_reference(shape, kind):
     free_degrees, top, complex_dims = _CONJUGATED_SHAPES[shape]
     rng = random.Random(100 * shape + sorted(_PERTURBATIONS).index(kind))
-    g = _PERTURBATIONS[kind](rng, rand_conjugated_findim(rng, free_degrees, top, complex_dims))
-    expected = _outcome(_reference_validate_findim, g)
-    assert _outcome(validate, g) == expected
+    data = rand_conjugated_findim_data(rng, free_degrees, top, complex_dims)
+    got, expected = _both_outcomes(*_PERTURBATIONS[kind](rng, *data, None))
+    assert got == expected
     if kind == "valid":
         assert expected == ()
     elif kind != "low-max-degree":
@@ -679,24 +783,23 @@ def test_findim_validate_matches_fraction_reference(shape, kind):
 )
 def test_findim_small_max_degree_matches_reference(dims, max_degree, first_above):
     # the first degree above maxDegree that the axioms reach is the one named
-    g = FiniteDimDGLA(dims, {}, {}, max_degree=max_degree)
     expected = ()
     if first_above is not None:
         expected = (
             "TargetNotFiniteType",
             f"degree {first_above} exceeds the declared maximum degree {max_degree}",
         )
-    assert _outcome(_reference_validate_findim, g) == expected
-    assert _outcome(validate, g) == expected
+    assert _both_outcomes(dims, {}, {}, max_degree) == (expected, expected)
 
 
 def test_jacobi_verdicts_of_permuted_triples_match_reference():
     # [e_2_0,e_3_0] = e_5_0 and [e_1_0,e_5_0] = e_6_0: the Jacobiator fails
     # on the six orders of (e_1_0, e_2_0, e_3_0) and nowhere else
     dims = {k: 1 for k in range(1, 7)}
-    g = FiniteDimDGLA(dims, {(2, 3, 0, 0): (Fraction(1),), (1, 5, 0, 0): (Fraction(1),)}, {})
-    expected = _reference_validate_findim(g).violations
-    assert validate(g).violations == expected
+    got, expected = _both_outcomes(
+        dims, {(2, 3, 0, 0): (Fraction(1),), (1, 5, 0, 0): (Fraction(1),)}, {}
+    )
+    assert got == expected
     assert expected == tuple(
         f"graded Jacobi fails on ({_name(p, 0)}, {_name(q, 0)}, {_name(r, 0)})"
         for p, q, r in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
@@ -708,9 +811,8 @@ def test_leibniz_verdicts_of_swapped_pairs_match_reference():
     # orders of (e_1_0, e_3_0), and of (e_1_0, e_4_0), a pair of degrees
     # whose bracket the algebra truncates
     dims = {1: 1, 2: 1, 3: 1, 4: 1}
-    g = FiniteDimDGLA(dims, {(1, 3, 0, 0): (Fraction(1),)}, {4: Matrix([[1]])})
-    expected = _reference_validate_findim(g).violations
-    assert validate(g).violations == expected
+    got, expected = _both_outcomes(dims, {(1, 3, 0, 0): (Fraction(1),)}, {4: Matrix([[1]])})
+    assert got == expected
     assert expected == tuple(
         f"graded Leibniz fails on ({_name(p, 0)}, {_name(q, 0)})"
         for p, q in [(1, 3), (1, 4), (3, 1), (4, 1)]
@@ -728,13 +830,12 @@ def test_integer_d_squared_matches_reference(max_degree):
         4: Matrix([[Fraction(1, 3), Fraction(-2, 3)]]),
         5: Matrix([[1], [Fraction(1, 2)]]),
     }
-    g = FiniteDimDGLA(dims, {}, d_mats, max_degree=max_degree)
-    violations = validate(g).violations
+    violations, expected = _both_outcomes(dims, {}, d_mats, max_degree)
     assert [v for v in violations if v.startswith("d^2")] == [
         "d^2 is nonzero from degree 3",
         "d^2 is nonzero from degree 4",
     ]
-    assert violations == _reference_validate_findim(g).violations
+    assert violations == expected
 
 
 def test_leibniz_skips_empty_degrees_without_hiding_a_violation():
@@ -742,9 +843,10 @@ def test_leibniz_skips_empty_degrees_without_hiding_a_violation():
     # orders of (e_1_0, e_3_0) and (e_1_0, e_4_0); the pairs of degrees
     # (3,3), (3,4), (4,3) and (4,4) land in the empty degrees 5, 6 and 7
     dims = {1: 1, 3: 2, 4: 1}
-    g = FiniteDimDGLA(dims, {(1, 3, 0, 0): (Fraction(1),)}, {4: Matrix([[1], [0]])})
-    expected = _reference_validate_findim(g).violations
-    assert validate(g).violations == expected
+    got, expected = _both_outcomes(
+        dims, {(1, 3, 0, 0): (Fraction(1),)}, {4: Matrix([[1], [0]])}
+    )
+    assert got == expected
     assert expected == tuple(
         f"graded Leibniz fails on ({_name(p, i)}, {_name(q, j)})"
         for (p, i), (q, j) in [((1, 0), (3, 0)), ((1, 0), (4, 0)), ((3, 0), (1, 0)), ((4, 0), (1, 0))]
@@ -754,7 +856,7 @@ def test_leibniz_skips_empty_degrees_without_hiding_a_violation():
 def test_bracket_free_piece_with_empty_leibniz_degrees_is_accepted():
     # no bracket lands in degree 5, so the degree-3 pairs are never walked
     small = dgla_from_doc({"kind": "findim_dgla", "dims": {"1": 2, "3": 30}})
-    assert _reference_validate_findim(small).violations == ()
+    assert _reference_validate_findim(small, {}).violations == ()
     assert validate(small).ok
     big = dgla_from_doc({"kind": "findim_dgla", "dims": {"1": 2, "3": 3000}})
     assert validate(big).ok

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from dgla.dg import DGLAMorphism, FiniteDimDGLA, QuasiFreeDGLA, validate
 from dgla.errors import FormatError, ParseError
 from dgla.exprs import format_terms, parse_expr
 from dgla.formats import (
+    _linear_fast,
     _linear_value,
     canonical_json,
     dgla_from_doc,
@@ -23,6 +25,7 @@ from dgla.formats import (
     morphism_to_doc,
 )
 from dgla.minimal import build_minimal_model
+from helpers import rand_conjugated_findim
 
 
 SPHERE = {
@@ -304,6 +307,16 @@ def _linear_outcome(fn, text, degree, dim):
     return coords
 
 
+def _integer_linear_value(text, degree, dim, context):
+    """`_linear_value` as a dense Fraction tuple, once its (nums, den) form
+    is checked: int numerators, all nonzero, at indices below dim, over a
+    positive int denominator."""
+    nums, den = _linear_value(text, degree, dim, context)
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v and 0 <= t < dim for t, v in nums.items())
+    return tuple(Fraction(nums.get(t, 0), den) for t in range(dim))
+
+
 # Each piece is mostly one that the fast path accepts, so that one odd
 # piece among canonical ones is common.
 _NUMBER = st.lists(
@@ -360,4 +373,46 @@ _LINEAR_TEXT = _CANONICAL_TEXT | _odd_linear_text() | st.sampled_from(
 @example(text="2/00*e_2_0", degree=2, dim=1)
 def test_linear_value_matches_the_general_parser(text, degree, dim):
     expected = _linear_outcome(_reference_linear_value, text, degree, dim)
-    assert _linear_outcome(_linear_value, text, degree, dim) == expected
+    assert _linear_outcome(_integer_linear_value, text, degree, dim) == expected
+
+
+def _respelled(value: str, general: bool) -> str:
+    """The same structure constant in another spelling.  With `general`,
+    the terms go unspaced, which only the general parser reads; without
+    it, each term is split in two halves written out of lowest terms, which
+    the canonical grammar still matches."""
+    terms = parse_expr(value)
+    if general:
+        return format_terms(terms).replace(" ", "")
+    pieces = []
+    for coeff, atom in terms:
+        half = coeff / 2
+        sign = "-" if half < 0 else "+"
+        text = f"{3 * abs(half.numerator)}/{3 * half.denominator}*{atom}"
+        pieces += [(sign, text)] * 2
+    first_sign, first = pieces[0]
+    head = ("-" if first_sign == "-" else "") + first
+    return head + "".join(f" {sign} {text}" for sign, text in pieces[1:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("general", [False, True], ids=["canonical-grammar", "general-parser"])
+def test_respelled_structure_constants_give_the_same_algebra(seed, general):
+    algebra = rand_conjugated_findim(random.Random(seed), (1, 1, 2), 4, {2: 1, 3: 1})
+    doc = dgla_to_doc(algebra)
+    respelled = dict(doc, brackets=[dict(e, value=_respelled(e["value"], general)) for e in doc["brackets"]])
+    fast = []
+    for entry in respelled["brackets"]:
+        k = sum(int(entry[side].split("_")[1]) for side in ("left", "right"))
+        fast.append(_linear_fast(entry["value"], k, algebra.dims[k]) is not None)
+    # unspaced values of one term are still canonical
+    assert not all(fast) if general else all(fast)
+    read = dgla_from_doc(respelled)
+    assert validate(read).ok
+    assert canonical_json(dgla_to_doc(read)) == canonical_json(doc)
+    for p in algebra.dims:
+        for q in algebra.dims:
+            for i in range(algebra.dims[p]):
+                for j in range(algebra.dims[q]):
+                    x, y = algebra.atom(f"e_{p}_{i}"), algebra.atom(f"e_{q}_{j}")
+                    assert read.bracket(x, y) == algebra.bracket(x, y)
