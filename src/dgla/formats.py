@@ -13,13 +13,15 @@ Document kinds:
 * ``relative_model``  dgla fields + base, stages, structureMap
 * ``endo``            generator images over a separately supplied model
 
-Structure constants of a ``findim_dgla`` are read on a fast path when they
-are in the canonical form `format_terms` writes, "c*e_k_i + c*e_k_j - e_k_l"
-with ASCII digits: the regex yields ints, and no Fraction is built.  Every
-other value, and every value the fast path cannot take (a vector outside
-the bracket's degree, a zero denominator), goes through the general bracket
-parser, which also raises every error.  Either way a value reaches the
-algebra as int numerators over a denominator.
+Every element field (an image of a morphism, an endo or a structure map)
+and every structure constant in the canonical form `format_terms` writes,
+"0" or "c*m + c*m - m" with ASCII digits, is read by one reader: a regex
+checks the form, and a per-degree table from monomial text to basis index
+(`FreeGLA.monomial_index`, or the atom names e_k_i of a finite-dimensional
+algebra) gives int numerators over one denominator, with no tree built and
+no Fraction parsed.  Any other text goes through the general bracket
+parser, which raises every error.  Differentials keep the parser, because
+they are read before their algebra is validated.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
@@ -42,7 +45,7 @@ from .errors import (
 from .exprs import format_written_terms, parse_expr
 from .freelie import GradedGenerator, LiePoly
 from .invert import FilteredEndo
-from .linalg import Matrix, _clear_denominators, frac
+from .linalg import Matrix, _clear_denominators, dense_vector, frac
 from .minimal import RelativeModel, Stage
 
 
@@ -94,10 +97,20 @@ def _degree_key(key: str, context: str) -> int:
     return k
 
 
+_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _rational(value, context: str) -> Fraction:
-    """A JSON integer or a rational string such as "3/2"."""
-    if _is_int(value) or isinstance(value, str):
+    """A JSON integer or a rational string such as "3/2".  Integers and
+    canonical "a" or "a/b" strings are read by `int`, not by the regex of
+    Fraction(str)."""
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, str):
         try:
+            if _RATIO.fullmatch(value):
+                num, _, den = value.partition("/")
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
             return frac(value)
         except (ValueError, ZeroDivisionError):
             pass
@@ -105,12 +118,75 @@ def _rational(value, context: str) -> Fraction:
 
 
 def _eval_field(algebra, text, degree: int, context: str):
-    """Parse one expression field and evaluate it in `algebra` at `degree`."""
-    terms = _parse_field_expr(text, context)
+    """One expression field as an element of `algebra` in degree `degree`:
+    canonical text by `_read_canonical`, any other by the general parser."""
+    if isinstance(algebra, QuasiFreeDGLA):
+        index = lambda monos: algebra.algebra.monomial_index(degree, monos)
+    else:
+        index = lambda monos: _atom_table(degree, algebra.dims.get(degree, 0))
     try:
-        return algebra.eval_terms(terms, expected_degree=degree)
+        value = _read_canonical(text, index)
+        if value is None:
+            terms = _parse_field_expr(text, context)
+            return algebra.eval_terms(terms, expected_degree=degree)
+        nums, den = value
+        coords = {i: Fraction(v, den) for i, v in nums.items()}
+        return Element(degree, dense_vector(coords, algebra.dim(degree)))
     except (MixedDegrees, UnknownGenerator, TargetNotFiniteType) as e:
         raise type(e)(f"{context}: {e}") from None
+
+
+# The canonical text of an element, as `format_terms` writes it: "0", or
+# "c*m + c*m - m ...", m the text of a monomial and c an INT or INT/POSINT
+# in ASCII digits, "-" only in the first coefficient.
+_COEFF = r"[0-9]+(?:/[0-9]+)?\*"
+_MONO = r"[\w\[\],]+"
+_CANONICAL = re.compile(rf"(?:-?{_COEFF})?{_MONO}(?: [+-] (?:{_COEFF})?{_MONO})*")
+_CANONICAL_TERM = re.compile(rf"(?:^| ([+-]) )(?:(-?[0-9]+)(?:/([0-9]+))?\*)?({_MONO})")
+
+
+def _read_canonical(text, index):
+    """(nums, den) of an element in canonical text, or None.
+
+    The coordinates are nums[i] / den, with den the lcm of the written
+    denominators and nums the nonzero int numerators by basis index; terms
+    of one monomial add up.  `index(monos)` gives the table from monomial
+    text to basis index for the written monomials, or None.  None leaves
+    the text to the general parser: it is not in the canonical form, has a
+    zero denominator or an integer that `int` refuses, or a monomial that
+    has no table or is not in it, even one whose coefficients cancel.
+    """
+    if text == "0":
+        return {}, 1
+    if not isinstance(text, str) or not _CANONICAL.fullmatch(text):
+        return None
+    try:
+        terms = [
+            (mono, -int(num or 1) if op == "-" else int(num or 1), int(den or 1))
+            for op, num, den, mono in _CANONICAL_TERM.findall(text)
+        ]
+    except ValueError:
+        return None
+    # lcm is 0 when a denominator is
+    scale = math.lcm(*(den for _, _, den in terms))
+    if not scale:
+        return None
+    table = index([mono for mono, _, _ in terms])
+    if table is None:
+        return None
+    nums: dict[int, int] = {}
+    for mono, num, den in terms:
+        i = table.get(mono)
+        if i is None:
+            return None
+        nums[i] = nums.get(i, 0) + num * (scale // den)
+    return {i: v for i, v in nums.items() if v}, scale
+
+
+@lru_cache(maxsize=32)
+def _atom_table(k: int, dim: int) -> dict[str, int]:
+    """The table of the atoms e_k_i, i < dim, of a finite-dimensional algebra."""
+    return {f"e_{k}_{i}": i for i in range(dim)}
 
 
 # -- dg Lie algebras ---------------------------------------------------------
@@ -203,13 +279,16 @@ def _findim_from_doc(doc: dict, context: str) -> FiniteDimDGLA:
         entries = [[_rational(e, field) for e in row] for row in rows]
         if any(len(row) != len(entries[0]) for row in entries):
             raise FormatError(f"{field} has rows of different lengths")
-        mat = Matrix(entries) if rows else Matrix.zero(*expected)
-        if mat.shape != expected:
+        shape = (len(entries), len(entries[0])) if entries else expected
+        if shape != expected:
             raise FormatError(
-                f"{context}: differential[{key}] has shape {mat.shape}, "
+                f"{context}: differential[{key}] has shape {shape}, "
                 f"expected {expected}"
             )
-        d_mats[k] = mat
+        columns = [
+            {r: row[j] for r, row in enumerate(entries) if row[j]} for j in range(shape[1])
+        ]
+        d_mats[k] = Matrix._of_columns(columns, shape[0])
     max_degree = doc.get("maxDegree")
     if max_degree is not None and not _is_int(max_degree):
         raise FormatError(f"{context}: maxDegree must be an integer")
@@ -227,56 +306,14 @@ def _atom_indices(name, context: str) -> tuple[int, int]:
     raise FormatError(f"{context}: expected a basis vector name e_<deg>_<i>, got {name!r}")
 
 
-# The canonical text of a structure constant, as `format_terms` writes it:
-# "c*e_k_i + c*e_k_j - e_k_l ...", c an INT or INT/POSINT, "-" only in the
-# first coefficient.  ASCII digits only.
-_COEFF = r"[0-9]+(?:/[0-9]+)?\*"
-_ATOM = r"e_[0-9]+_[0-9]+"
-_LINEAR = re.compile(rf"(?:-?{_COEFF})?{_ATOM}(?: [+-] (?:{_COEFF})?{_ATOM})*")
-_LINEAR_TERM = re.compile(
-    r"(?:^| ([+-]) )(?:(-?[0-9]+)(?:/([0-9]+))?\*)?e_([0-9]+)_([0-9]+)"
-)
-
-
-def _linear_fast(text, degree: int, dim: int):
-    """(nums, den) of a canonical structure constant, or None.
-
-    The coordinates are nums[t] / den, with den the lcm of the written
-    denominators and nums the nonzero int numerators by index.  None leaves
-    the text to the general parser: it is not in the canonical form, names
-    a vector outside degree `degree` or its dimension, has a zero
-    denominator or an integer that `int` refuses.
-    """
-    if not isinstance(text, str) or not _LINEAR.fullmatch(text):
-        return None
-    terms = []
-    try:
-        for op, num, den, k, i in _LINEAR_TERM.findall(text):
-            i = int(i)
-            if int(k) != degree or i >= dim:
-                return None
-            num = int(num or 1)
-            terms.append((i, -num if op == "-" else num, int(den or 1)))
-    except ValueError:
-        return None
-    # lcm is 0 when a denominator is
-    scale = math.lcm(*(den for _, _, den in terms))
-    if not scale:
-        return None
-    nums: dict[int, int] = {}
-    for i, num, den in terms:
-        nums[i] = nums.get(i, 0) + num * (scale // den)
-    return {i: num for i, num in nums.items() if num}, scale
-
-
 def _linear_value(text, degree: int, dim: int, context: str):
     """A structure constant in degree `degree` as (nums, den): its
     coordinates are nums[t] / den, nums the nonzero int numerators.
 
-    Values in the canonical form take `_linear_fast`; everything else, and
-    every error, goes through the general bracket parser.
+    Values in the canonical form take `_read_canonical`; everything else,
+    and every error, goes through the general bracket parser.
     """
-    value = _linear_fast(text, degree, dim)
+    value = _read_canonical(text, lambda monos: _atom_table(degree, dim))
     if value is not None:
         return value
     terms = _parse_field_expr(text, context)

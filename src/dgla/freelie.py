@@ -73,18 +73,21 @@ the pivots follow tuple order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .errors import FormatError, MixedDegrees, NotSimplyConnected, UnknownGenerator
-from .exprs import eval_tree, format_terms, tree_sort_key
+from .exprs import eval_tree, format_terms, format_tree, tree_sort_key
 from .linalg import Vector, _clear_denominators, _Echelon, add_scaled, dense_vector
 
 Word = tuple[int, ...]
 TVec = dict[Word, int | Fraction]
 
+# the generator names in the text of a monomial
+_LETTERS = re.compile(r"[^\[\],]+")
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,7 @@ class FreeGLA:
         self._degrees = tuple(g.degree for g in gens)
         self._embed_cache: dict = {}
         self._basis: dict[int, DegreeBasis] = {}
+        self._monomials: dict[int, dict[str, int]] = {}
         self._pbw: dict[int, int] = {}
         self._witt: dict[tuple[tuple[int, int], ...], int] = {}
         self._oracle: dict[int, list[TVec]] = {}
@@ -397,6 +401,32 @@ class FreeGLA:
             )
         basis = DegreeBasis(k, tuple(monos), tuple(vecs), blocks)
         return self._basis.setdefault(k, basis)
+
+    def monomial_index(self, k: int, texts: Iterable[str]) -> dict[str, int] | None:
+        """{format_tree(m): i} over the degree-k basis monomials m, memoized.
+
+        A table not built yet is built only when the letters of each of
+        `texts` have degrees that sum to k, else the answer is None: text of
+        the wrong degree never builds a basis.  The table is empty when a
+        generator name is no identifier of the expression grammar, since a
+        monomial's text could then read as another tree.
+        """
+        hit = self._monomials.get(k)
+        if hit is not None:
+            return hit
+        try:
+            if any(sum(map(self.degree_of, _LETTERS.findall(t))) != k for t in texts):
+                return None
+        except UnknownGenerator:
+            return None
+        table = {}
+        if all(
+            (g.name[:1].isalpha() or g.name[:1] == "_") and g.name.replace("_", "a").isalnum()
+            for g in self.generators
+        ):
+            monomials = self.degree_basis(k).monomials
+            table = {format_tree(m): i for i, m in enumerate(monomials)}
+        return self._monomials.setdefault(k, table)
 
     def sub_basis(self, k: int, names: Iterable[str]) -> tuple[int, ...]:
         """Indices of the degree-k basis vectors whose words use only `names`:

@@ -218,7 +218,10 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
                     image = algebra.apply_derivation(r, theta, d_g)
                     value = algebra.sparse_coords(k_g, image, scale)
                 if g.name == w.name:
-                    add_scaled(value, 1, d_cols[j])
+                    if value:
+                        add_scaled(value, 1, d_cols[j])
+                    else:
+                        value = d_cols[j]
                 for i, x in value.items():
                     col[start + i] = x
             cols.append(col)
@@ -327,7 +330,8 @@ def _nilpotent_series(start: Vector, x: Vector, step, coeff, k: int, failure: st
             raise ArithmeticError(failure)
         c = coeff(p)
         for i, t in enumerate(term):
-            acc[i] += c * t
+            if t:
+                acc[i] += c * t
 
 
 def log_unipotent(u: FilteredEndo, bound: int) -> RelDerivation:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import tempfile
 import time
 from pathlib import Path
@@ -712,6 +713,81 @@ def test_invert_refusals_name_their_file(files, capsys, tmp_path, model, images,
     code, out, err = run(capsys, "invert", model, endo, "--max-degree", "4")
     _assert_one_line_error(code, err, f"{endo if blamed == 'endo' else model}: {message}")
     assert code == 2 and out == ""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Fail the test, instead of hanging it, once `seconds` have passed."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _xyw_model_doc(w_degree: int, target: dict, w_image: str) -> dict:
+    """L(x, y | w) over the base x, y of degree 1, with d = 0."""
+    return {
+        "kind": "relative_model",
+        "generators": [
+            {"name": "x", "degree": 1},
+            {"name": "y", "degree": 1},
+            {"name": "w", "degree": w_degree},
+        ],
+        "differential": {},
+        "base": ["x", "y"],
+        "stages": [{"A": [], "B": []}, {"A": ["w"], "B": []}],
+        "structureMap": {"target": target, "images": {"x": "x", "y": "y", "w": w_image}},
+    }
+
+
+@pytest.mark.parametrize("image, found", [("x", 1), ("[x,y]", 2)])
+def test_image_of_the_wrong_degree_builds_no_basis_of_its_degree(capsys, tmp_path, image, found):
+    # the degree-1000 basis of L(x, y, w) is far too large to build, so the
+    # image is refused from the degrees of its letters alone
+    doc = _xyw_model_doc(1000, {"kind": "findim_dgla", "dims": {"1": 2}}, "0")
+    doc["structureMap"]["images"].update(x="e_1_0", y="e_1_1")
+    model = write(tmp_path, "model.json", doc)
+    endo = write(tmp_path, "wrong.json", {"kind": "endo", "images": {"w": image}})
+    with _time_limit(5):
+        code, out, err = run(capsys, "invert", model, endo, "--max-degree", "1000")
+    _assert_one_line_error(code, err, f"{endo}: images[w]: expected degree 1000, found {found}")
+    assert code == 2 and out == ""
+
+
+def test_respelled_endo_gives_the_same_inverse(capsys, tmp_path):
+    target = {
+        "kind": "dgla",
+        "generators": [
+            {"name": "x", "degree": 1},
+            {"name": "y", "degree": 1},
+            {"name": "w", "degree": 3},
+        ],
+        "differential": {},
+    }
+    model = write(tmp_path, "model.json", _xyw_model_doc(3, target, "w"))
+    outputs = set()
+    # the canonical text, then reordered and repeated terms, which the
+    # canonical grammar still matches, then odd spacing and non-basis trees
+    # (right-normed, and two that cancel), which only the general parser reads
+    for text in [
+        "w + 3*[[x,y],y]",
+        "3*[[x,y],y] + w",
+        "[[x,y],y] + w + 2*[[x,y],y]",
+        "w +[ x , [x,y]] - 3*[y,[x,y]]+[[x,y],x]",
+    ]:
+        endo = write(tmp_path, "endo.json", {"kind": "endo", "images": {"w": text}})
+        code, out, _ = run(capsys, "invert", model, endo, "--max-degree", "3")
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["inverse"]["images"]["w"] == "w - 3*[[x,y],y]"
 
 
 @pytest.mark.parametrize(

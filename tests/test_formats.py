@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import json
 import random
 from fractions import Fraction
@@ -7,12 +9,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgla.dg import DGLAMorphism, FiniteDimDGLA, QuasiFreeDGLA, validate
-from dgla.errors import FormatError, ParseError
-from dgla.exprs import format_terms, parse_expr
+from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
+from dgla.errors import (
+    FormatError,
+    MixedDegrees,
+    ParseError,
+    TargetNotFiniteType,
+    UnknownGenerator,
+)
+from dgla.exprs import format_terms, format_tree, format_written_terms, parse_expr
 from dgla.formats import (
-    _linear_fast,
+    _atom_table,
+    _eval_field,
     _linear_value,
+    _parse_field_expr,
+    _rational,
+    _read_canonical,
     canonical_json,
     dgla_from_doc,
     dgla_to_doc,
@@ -25,7 +37,7 @@ from dgla.formats import (
     morphism_to_doc,
 )
 from dgla.minimal import build_minimal_model
-from helpers import rand_conjugated_findim
+from helpers import rand_conjugated_findim, rand_findim, rand_minimal_model, rand_quasifree
 
 
 SPHERE = {
@@ -269,6 +281,33 @@ def test_cancelling_differential_round_trips_byte_stable():
     assert '"y"' not in first.split('"differential"')[1].split("}")[0]
 
 
+def _reference_rational(value, context):
+    """`_rational` through Fraction(str) only, without the int path."""
+    if (isinstance(value, int) and not isinstance(value, bool)) or isinstance(value, str):
+        try:
+            return Fraction(value.strip() if isinstance(value, str) else value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise FormatError(f"{context}: expected a rational number, got {json.dumps(value)}")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [3, -7, 0, "579/524", "-3/6", "007", "-0", "0/5", "1.5", " 3 ", "+3", "３", "3/-4",
+     "1/0", "1" * 5000, "2/" + "3" * 5000, "", "-", "x", True, None, 2.5, ["1"]],
+)
+def test_rational_reads_as_the_fraction_parser(value):
+    outcomes = []
+    for read in (_rational, _reference_rational):
+        try:
+            got = read(value, "ctx")
+            assert type(got) is Fraction
+            outcomes.append(got)
+        except FormatError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+
+
 def _reference_linear_value(text, degree, dim, context):
     """`_linear_value` through the general parser only, without a fast path."""
     if not isinstance(text, str):
@@ -404,7 +443,8 @@ def test_respelled_structure_constants_give_the_same_algebra(seed, general):
     fast = []
     for entry in respelled["brackets"]:
         k = sum(int(entry[side].split("_")[1]) for side in ("left", "right"))
-        fast.append(_linear_fast(entry["value"], k, algebra.dims[k]) is not None)
+        table = _atom_table(k, algebra.dims[k])
+        fast.append(_read_canonical(entry["value"], lambda monos: table) is not None)
     # unspaced values of one term are still canonical
     assert not all(fast) if general else all(fast)
     read = dgla_from_doc(respelled)
@@ -416,3 +456,130 @@ def test_respelled_structure_constants_give_the_same_algebra(seed, general):
                 for j in range(algebra.dims[q]):
                     x, y = algebra.atom(f"e_{p}_{i}"), algebra.atom(f"e_{q}_{j}")
                     assert read.bracket(x, y) == algebra.bracket(x, y)
+
+
+def _reference_eval_field(algebra, text, degree, context):
+    """`_eval_field` through the general parser only, without the reader."""
+    terms = _parse_field_expr(text, context)
+    try:
+        return algebra.eval_terms(terms, expected_degree=degree)
+    except (MixedDegrees, UnknownGenerator, TargetNotFiniteType) as e:
+        raise type(e)(f"{context}: {e}") from None
+
+
+@functools.cache
+def _reader_algebras() -> tuple:
+    """Documents of quasi-free algebras with odd and even generators, some
+    the dgla of a minimal model; of finite-dimensional algebras, one with
+    a piece above its maximum degree; and of quasi-free algebras with a
+    generator name that the expression grammar reads otherwise."""
+    docs = [dgla_to_doc(rand_quasifree(random.Random(s), max_gens=4)) for s in range(4)]
+    docs += [dgla_to_doc(rand_minimal_model(random.Random(s), 3)[0].dgla) for s in range(3)]
+    docs += [
+        dgla_to_doc(rand_conjugated_findim(random.Random(s), (1, 1, 2), 4, {2: 1}, top))
+        for s, top in ((0, None), (1, 3))
+    ]
+    docs.append(dgla_to_doc(rand_findim(random.Random(5))))
+    for names in (("x", "y", "[x,y]"), ("x", "2")):
+        generators = [{"name": n, "degree": 1 + ("[" in n)} for n in names]
+        docs.append({"kind": "dgla", "generators": generators, "differential": {}})
+    return tuple(docs)
+
+
+def _monomial_texts(algebra, k: int) -> list[str]:
+    if isinstance(algebra, QuasiFreeDGLA):
+        return [format_tree(m) for m in algebra.algebra.degree_basis(k).monomials]
+    return [f"e_{k}_{i}" for i in range(algebra.dims.get(k, 0))]
+
+
+def _other_trees(algebra):
+    """Trees of any degree, most of them no basis monomial: [y,x],
+    right-normed [x,[y,z]], [x,x] in even degree, unknown names."""
+    if isinstance(algebra, QuasiFreeDGLA):
+        leaves = [g.name for g in algebra.generators]
+    else:
+        leaves = [f"e_{k}_{i}" for k, n in algebra.dims.items() for i in range(n)]
+    leaf = st.sampled_from(leaves + ["u", "e_9_9", "e_1_01", "zz"])
+    return st.recursive(
+        leaf, lambda t: st.builds("[{},{}]".format, t, t), max_leaves=3
+    )
+
+
+_FIELD_COORD = st.sampled_from([0] * 6 + [1, -1, 2, Fraction(3, 2), Fraction(-5, 7)])
+_ODD_COEFF = st.sampled_from(
+    ["1", "-1", "2", "3/2", "0", "-0", "2/4", "1" * 5000, "１", "2/３", "1/0", "007"]
+)
+_SPACINGS = [("+", " + "), ("-", " - "), ("  + ", " + "), ("\n- ", " - "), (" +-", " + ")]
+
+
+@st.composite
+def _element_field(draw):
+    """(document, text, degree): an element of a drawn algebra, written by
+    `element_expr`, and then perhaps respelled, extended or broken."""
+    doc = draw(st.sampled_from(_reader_algebras()))
+    algebra = dgla_from_doc(doc)
+    degree = draw(st.integers(1, 4))
+    monos = _monomial_texts(algebra, degree)
+    coords = draw(st.lists(_FIELD_COORD, min_size=len(monos), max_size=len(monos)))
+    text = algebra.element_expr(Element(degree, tuple(Fraction(c) for c in coords)))
+    pairs = [(str(Fraction(c)), m) for c, m in zip(coords, monos) if c]
+    trees = _other_trees(algebra)
+    if degree > 1:
+        trees |= st.sampled_from(_monomial_texts(algebra, degree - 1) or ["u"])
+    if monos:
+        trees |= st.sampled_from(monos)
+    for step in draw(st.lists(st.integers(0, 7), max_size=3)):
+        if step == 0:  # reordered terms
+            pairs = draw(st.permutations(pairs))
+        elif step == 1 and pairs:  # one term split in two
+            i = draw(st.integers(0, len(pairs) - 1))
+            c, m = pairs[i]
+            part = draw(_FIELD_COORD)
+            with contextlib.suppress(ValueError, ZeroDivisionError):
+                pairs[i:i + 1] = [(str(Fraction(part)), m), (str(Fraction(c) - part), m)]
+        elif step == 2:  # a term and its negative, or a zero term
+            m = draw(trees)
+            c = draw(st.sampled_from(["1", "2/3", "0"]))
+            pairs += [(c, m), ("-" + c, m)] if c != "0" else [("0", m)]
+        elif step == 3:  # one more term, with any coefficient
+            pairs.insert(draw(st.integers(0, len(pairs))), (draw(_ODD_COEFF), draw(trees)))
+        if step <= 3:
+            text = format_written_terms((c.replace("--", ""), m) for c, m in pairs)
+        elif step == 4:  # spacing
+            new, old = draw(st.sampled_from(_SPACINGS))
+            text = text.replace(old, new, 1) if old in text else f" {text}\n"
+        elif step == 5:  # a leading -m
+            text = "-" + text[3:] if text.startswith("-1*") else f"-{draw(trees)} + {text}"
+        elif step == 6:  # a full-width digit
+            text = text.replace(draw(st.sampled_from("0123")), "０", 1)
+        else:  # read at another degree
+            degree = draw(st.sampled_from([degree - 1, degree + 1]))
+    return doc, text, degree
+
+
+def _field_outcome(read, doc, text, degree):
+    """The element or error that `read` gives on a fresh copy of the
+    algebra, and the degrees whose free-Lie basis it built."""
+    algebra = dgla_from_doc(doc)
+    try:
+        el = read(algebra, text, degree, "ctx")
+        assert all(type(c) is Fraction for c in el.coords)
+    except Exception as e:
+        el = (type(e).__name__, str(e))
+    built = set(algebra.algebra._basis) if isinstance(algebra, QuasiFreeDGLA) else set()
+    return el, built
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_element_field())
+@example(case=(_reader_algebras()[-2], "[x,y]", 2))
+@example(case=(_reader_algebras()[-1], "2", 1))
+@example(case=(_reader_algebras()[-1], "2 - 2", 1))
+@example(case=(_reader_algebras()[0], "[x - [x", 1))
+def test_canonical_reader_matches_the_general_parser(case):
+    doc, text, degree = case
+    expected, parser_built = _field_outcome(_reference_eval_field, doc, text, degree)
+    outcome, reader_built = _field_outcome(_eval_field, doc, text, degree)
+    assert outcome == expected
+    # the reader builds no basis of a degree other than the one it reads
+    assert reader_built - parser_built <= {degree}
