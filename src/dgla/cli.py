@@ -57,17 +57,17 @@ def _emit(text: str):
 
 
 @contextlib.contextmanager
-def _naming_file(path: str, *errors: type[DglaError], field: str = ""):
+def _naming_file(path: str, *errors: type[DglaError], field: str = "", named: str = ""):
     """Name the file, and the field or flag at fault when one is given (a
     maxDegree field or the --max-degree flag), on errors of these types.
 
-    An error that already names the file, such as one from an image
-    expression, passes unchanged.
+    An error that already names the file, or the file `named`, such as one
+    from an image expression, passes unchanged.
     """
     try:
         yield
     except errors as e:
-        if str(e).startswith(f"{path}: "):
+        if str(e).startswith(tuple(f"{p}: " for p in (path, named) if p)):
             raise
         where = f"{path}: {field}: " if field else f"{path}: "
         raise type(e)(f"{where}{e}") from None
@@ -127,16 +127,20 @@ def cmd_minimal_model(args) -> int:
         raise FormatError(f"{args.base}: the source of the map must be quasi-free")
     target = _load_validated_algebra(args.target)
     doc = load_document(args.map)
-    f = morphism_from_doc(
-        doc,
-        base_dir=Path(args.map).parent,
-        source=base,
-        target=target,
-        context=args.map,
-    )
+    # the zero image of a generator the map leaves out is built in the
+    # target, so above its maxDegree it is the target's fault; a base name
+    # that clashes with the stage names is the base's
+    with _naming_file(args.target, TargetNotFiniteType, field="maxDegree", named=args.map):
+        f = morphism_from_doc(
+            doc,
+            base_dir=Path(args.map).parent,
+            source=base,
+            target=target,
+            context=args.map,
+        )
     with _naming_file(args.target, TargetNotFiniteType, field="maxDegree"), _naming_file(
         args.map, NotAChainMap, field="images"
-    ):
+    ), _naming_file(args.base, FormatError):
         model = build_minimal_model(f, args.max_degree)
     Path(args.out).write_text(canonical_json(model_to_doc(model)), encoding="utf-8")
     return 0

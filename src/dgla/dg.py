@@ -79,7 +79,7 @@ from .errors import (
     TargetNotFiniteType,
     UnknownGenerator,
 )
-from .exprs import Terms, eval_tree, format_terms
+from .exprs import Terms, eval_tree, format_terms, is_identifier
 from .freelie import FreeGLA, GradedGenerator, LiePoly, TVec, tensor_bracket
 from .linalg import (
     Matrix,
@@ -649,6 +649,8 @@ def _validate_quasifree(a: QuasiFreeDGLA) -> ValidationReport:
     for g in a.generators:
         if g.name in seen:
             violations.append(f"duplicate generator name {g.name!r}")
+        elif not is_identifier(g.name):
+            violations.append(f"generator name {g.name!r} is not an identifier")
         seen.add(g.name)
     for g in a.generators:
         if not isinstance(g.degree, int) or g.degree < 1:

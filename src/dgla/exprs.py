@@ -11,6 +11,11 @@ produces a formal sum of fully parenthesized bracket words over identifiers
 either an identifier or a pair (left_tree, right_tree).  `eval_tree` is the
 one walker that evaluates a Lie map, given on identifiers, on a tree.
 
+An IDENT is a character that is alphabetic or '_', then alphanumeric
+characters or '_' (in the sense of str.isalpha and str.isalnum).  Generator
+names must be identifiers (`is_identifier`), so that a monomial's text reads
+back as that monomial.
+
 A digit of INT is a Unicode decimal digit (category Nd: ASCII or, say,
 full-width '１').  Other digit characters such as '²', and integers longer
 than Python's int-string limit (4300 digits by default), are a ParseError
@@ -24,12 +29,16 @@ dropped in front of monomials.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 
 Tree = object  # str | tuple[Tree, Tree]
 Terms = list[tuple[Fraction, Tree]]
+
+# the generator names in the text of a monomial
+MONOMIAL_LETTERS = re.compile(r"[^\[\],]+")
 
 
 def tree_word_length(tree) -> int:
@@ -70,6 +79,20 @@ def eval_tree(tree, leaf, bracket, memo: dict):
     return memo.setdefault(tree, value)
 
 
+def _ident_end(text: str, pos: int) -> int:
+    """The end of the IDENT that starts at `pos`, or `pos` when none does."""
+    if pos < len(text) and (text[pos].isalpha() or text[pos] == "_"):
+        pos += 1
+        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            pos += 1
+    return pos
+
+
+def is_identifier(name: str) -> bool:
+    """Whether `name` is one whole IDENT, so that it reads back as itself."""
+    return name != "" and _ident_end(name, 0) == len(name)
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -99,15 +122,7 @@ class _Scanner:
 
     def ident(self) -> str:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
+        start, self.pos = self.pos, _ident_end(self.text, self.pos)
         if start == self.pos:
             raise self.error("expected identifier")
         return self.text[start:self.pos]
@@ -140,19 +155,18 @@ def parse_expr(text: str) -> Terms:
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise sc.error("unexpected trailing input")
+    return combine_terms(terms)
+
+
+def combine_terms(terms) -> Terms:
+    """The terms with equal trees added up, in `tree_sort_key` order, and
+    the zero ones dropped."""
     combined: dict[tuple, tuple[Fraction, Tree]] = {}
     for coeff, tree in terms:
         key = tree_sort_key(tree)
-        if key in combined:
-            prev, _ = combined[key]
-            combined[key] = (prev + coeff, tree)
-        else:
-            combined[key] = (coeff, tree)
-    return [
-        (coeff, tree)
-        for key, (coeff, tree) in sorted(combined.items())
-        if coeff != 0
-    ]
+        prev = combined.get(key)
+        combined[key] = (Fraction(coeff) if prev is None else prev[0] + coeff, tree)
+    return [(coeff, tree) for _, (coeff, tree) in sorted(combined.items()) if coeff != 0]
 
 
 def _expr(sc: _Scanner) -> Terms:

@@ -442,26 +442,17 @@ def morphism_from_doc(
 ) -> DGLAMorphism:
     if doc.get("kind") not in (None, "dgla_morphism"):
         raise FormatError(f"{context}: expected a dgla_morphism document")
-    if source is None:
-        if "source" not in doc:
-            raise FormatError(f"{context}: no source given")
-        source = _resolve_algebra(doc["source"], base_dir, f"{context}: source")
-    elif "source" in doc:
-        embedded = _resolve_algebra(doc["source"], base_dir, f"{context}: source")
-        if canonical_json(dgla_to_doc(embedded)) != canonical_json(dgla_to_doc(source)):
-            raise FormatError(
-                f"{context}: embedded source disagrees with the supplied one"
-            )
-    if target is None:
-        if "target" not in doc:
-            raise FormatError(f"{context}: no target given")
-        target = _resolve_algebra(doc["target"], base_dir, f"{context}: target")
-    elif "target" in doc:
-        embedded = _resolve_algebra(doc["target"], base_dir, f"{context}: target")
-        if canonical_json(dgla_to_doc(embedded)) != canonical_json(dgla_to_doc(target)):
-            raise FormatError(
-                f"{context}: embedded target disagrees with the supplied one"
-            )
+    given = {"source": source, "target": target}
+    for end, supplied in given.items():
+        if end in doc:
+            embedded = _resolve_algebra(doc[end], base_dir, f"{context}: {end}")
+            if supplied is None:
+                given[end] = embedded
+            elif canonical_json(dgla_to_doc(embedded)) != canonical_json(dgla_to_doc(supplied)):
+                raise FormatError(f"{context}: embedded {end} disagrees with the supplied one")
+        elif supplied is None:
+            raise FormatError(f"{context}: no {end} given")
+    source, target = given.values()
     images = morphism_images_from_doc(
         doc.get("images", {}), source, target, context
     )

@@ -73,21 +73,17 @@ the pivots follow tuple order.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .errors import FormatError, MixedDegrees, NotSimplyConnected, UnknownGenerator
-from .exprs import eval_tree, format_terms, format_tree, tree_sort_key
+from .exprs import MONOMIAL_LETTERS, combine_terms, eval_tree, format_terms, format_tree, is_identifier
 from .linalg import Vector, _clear_denominators, _Echelon, add_scaled, dense_vector
 
 Word = tuple[int, ...]
 TVec = dict[Word, int | Fraction]
-
-# the generator names in the text of a monomial
-_LETTERS = re.compile(r"[^\[\],]+")
 
 
 @dataclass(frozen=True)
@@ -106,21 +102,7 @@ class LiePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[Fraction, object]] = ()):
-        combined: dict[tuple, tuple[Fraction, object]] = {}
-        for coeff, tree in terms:
-            key = tree_sort_key(tree)
-            if key in combined:
-                prev, _ = combined[key]
-                combined[key] = (prev + coeff, tree)
-            else:
-                combined[key] = (Fraction(coeff), tree)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(
-                (c, t) for _, (c, t) in sorted(combined.items()) if c != 0
-            ),
-        )
+        object.__setattr__(self, "terms", tuple(combine_terms(terms)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LiePoly is immutable")
@@ -247,6 +229,9 @@ class DegreeBasis:
 class FreeGLA:
     """Free graded Lie algebra on an ordered list of positive-degree generators.
 
+    Generator names are distinct identifiers of the expression grammar, so
+    the text of each monomial reads back as that monomial.
+
     Immutable after construction; per-degree data is computed on demand and
     memoized single-assignment, so concurrent readers see one canonical
     answer.
@@ -258,6 +243,8 @@ class FreeGLA:
         for g in gens:
             if g.name in seen:
                 raise FormatError(f"duplicate generator name {g.name!r}")
+            if not is_identifier(g.name):
+                raise FormatError(f"generator name {g.name!r} is not an identifier")
             seen.add(g.name)
             if not isinstance(g.degree, int) or g.degree < 1:
                 raise NotSimplyConnected(
@@ -407,26 +394,18 @@ class FreeGLA:
 
         A table not built yet is built only when the letters of each of
         `texts` have degrees that sum to k, else the answer is None: text of
-        the wrong degree never builds a basis.  The table is empty when a
-        generator name is no identifier of the expression grammar, since a
-        monomial's text could then read as another tree.
+        the wrong degree never builds a basis.
         """
         hit = self._monomials.get(k)
         if hit is not None:
             return hit
         try:
-            if any(sum(map(self.degree_of, _LETTERS.findall(t))) != k for t in texts):
+            if any(sum(map(self.degree_of, MONOMIAL_LETTERS.findall(t))) != k for t in texts):
                 return None
         except UnknownGenerator:
             return None
-        table = {}
-        if all(
-            (g.name[:1].isalpha() or g.name[:1] == "_") and g.name.replace("_", "a").isalnum()
-            for g in self.generators
-        ):
-            monomials = self.degree_basis(k).monomials
-            table = {format_tree(m): i for i, m in enumerate(monomials)}
-        return self._monomials.setdefault(k, table)
+        monomials = self.degree_basis(k).monomials
+        return self._monomials.setdefault(k, {format_tree(m): i for i, m in enumerate(monomials)})
 
     def sub_basis(self, k: int, names: Iterable[str]) -> tuple[int, ...]:
         """Indices of the degree-k basis vectors whose words use only `names`:

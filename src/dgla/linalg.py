@@ -210,7 +210,7 @@ def _primitive(pivot, v: dict, rho: dict[int, int]) -> tuple[object, dict, dict[
 class Matrix:
     """Immutable matrix of exact rationals, held by its sparse columns."""
 
-    __slots__ = ("rows", "cols", "_columns", "_data", "_rref")
+    __slots__ = ("rows", "cols", "_columns", "_data")
 
     def __init__(self, data: Sequence[Sequence], cols: int | None = None):
         rows = tuple(tuple(frac(e) for e in row) for row in data)
@@ -243,7 +243,6 @@ class Matrix:
         object.__setattr__(self, "cols", len(columns))
         object.__setattr__(self, "_columns", tuple(columns))
         object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_rref", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -328,14 +327,10 @@ class Matrix:
         The pivots are the leading columns of the RREF, left to right.  The
         rows go through `_rref_rows` and back into columns.  The RREF is
         unique, so the result is the one Fraction Gauss-Jordan elimination
-        gives; it is cached on first use.
+        gives.
         """
-        if self._rref is not None:
-            return self._rref
         rows, pivots = _rref_rows(_transpose(self._columns, self.rows))
-        result = (Matrix._of_columns(_transpose(rows, self.cols), self.rows), pivots)
-        object.__setattr__(self, "_rref", result)
-        return result
+        return Matrix._of_columns(_transpose(rows, self.cols), self.rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -466,8 +466,8 @@ def reference_coords(solver: _Echelon, dim: int, vec) -> tuple | None:
 
 # -- reference Fraction Gauss-Jordan elimination -----------------------------
 #
-# The elimination `Matrix.rref` ran on Fractions before its integer kernel,
-# without the cache.  `reference_rref_rows` runs it on sparse rows; installed
+# The elimination `Matrix.rref` ran on Fractions before its integer kernel.
+# `reference_rref_rows` runs it on sparse rows; installed
 # in place of `linalg._rref_rows`, it gives every function of `dgla.linalg`
 # that reduces a matrix, a span or a kernel its reference result.
 

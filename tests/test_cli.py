@@ -570,6 +570,66 @@ def test_minimal_model_above_max_degree_names_file_and_field(files, capsys, tmp_
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "images, blamed",
+    [
+        # the zero image of y, which the map leaves out, is built in the target
+        ({"x": "e_1_0"}, "target"),
+        # an image the map gives keeps its own file and field, once
+        ({"x": "e_1_0", "y": "0"}, "map"),
+    ],
+)
+def test_minimal_model_image_above_max_degree_names_one_file(capsys, tmp_path, images, blamed):
+    paths = {
+        "base": write(tmp_path, "base.json", _FUZZ_MAP_BASE),
+        "target": write(tmp_path, "low.json", _LOW_MAX_DEGREE),
+        "map": write(tmp_path, "map.json", {"kind": "dgla_morphism", "images": images}),
+    }
+    out_path = tmp_path / "model_out.json"
+    code, out, err = run(
+        capsys, "minimal-model", *paths.values(), "--max-degree", "3", "--out", str(out_path)
+    )
+    field = "maxDegree" if blamed == "target" else "images[y]"
+    assert code == 2
+    assert err == (
+        f"error: {paths[blamed]}: {field}: degree 3 exceeds the declared maximum degree 2\n"
+    )
+    assert out == "" and not out_path.exists()
+
+
+def test_minimal_model_base_name_clash_names_the_base_file(files, capsys, tmp_path):
+    base = write(
+        tmp_path,
+        "base.json",
+        {"kind": "dgla", "generators": [{"name": "a_1_0", "degree": 1}], "differential": {}},
+    )
+    f = write(tmp_path, "map.json", {"kind": "dgla_morphism", "images": {"a_1_0": "a"}})
+    out_path = tmp_path / "model_out.json"
+    code, out, err = run(
+        capsys, "minimal-model", base, files["sphere"], f, "--max-degree", "2", "--out", str(out_path)
+    )
+    assert code == 2
+    _assert_one_line_error(code, err, f"{base}: base generator name 'a_1_0' collides with ")
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("name", ["[x,y]", "2"])
+def test_validate_lists_a_generator_name_that_is_no_identifier(capsys, tmp_path, name):
+    # such a name would print monomials that read back as other elements
+    doc = {
+        "kind": "dgla",
+        "generators": [{"name": n, "degree": 1} for n in ("x", "y", name)],
+        "differential": {},
+    }
+    path = write(tmp_path, "odd.json", doc)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2 and err == ""
+    assert out == f"violation: generator name {name!r} is not an identifier\n"
+    code, out, err = run(capsys, "homology", path, "--max-degree", "2")
+    assert out == ""
+    _assert_one_line_error(code, err, f"{path}: generator name {name!r} is not an identifier")
+
+
 def _model_with_low_target(files):
     # the target declares maxDegree 2 but has a degree-3 cell, and the
     # degree-3 generator v has no explicit image, so its zero image is the
@@ -952,6 +1012,16 @@ def _run_quiet(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_refusal_names_a_file(code, err, argv):
+    """Every refusal names its file: each stderr line of an exit-1 or
+    exit-2 run starts with "error: ", a file given on the command line
+    (all of them end in .json here) and ": "."""
+    if code in (1, 2):
+        prefixes = tuple(f"error: {a}: " for a in argv if a.endswith(".json"))
+        for line in err.splitlines():
+            assert not line or line.startswith(prefixes), (argv, line)
+
+
 @settings(max_examples=60, deadline=None)
 @given(doc=_fuzz_dgla_doc())
 @example(
@@ -970,6 +1040,7 @@ def test_fuzzed_dgla_documents_never_crash(doc):
             assert code in (0, 1, 2, 3), (argv, code)
             assert len(err.splitlines()) <= 1, err
             assert "Traceback" not in err
+            _assert_refusal_names_a_file(code, err, argv)
 
 
 @st.composite
@@ -1048,6 +1119,7 @@ def test_fuzzed_findim_documents_never_crash(doc):
             assert code in (0, 1, 2, 3), (argv, code)
             assert len(err.splitlines()) <= 1, err
             assert "Traceback" not in err
+            _assert_refusal_names_a_file(code, err, argv)
 
 
 _FUZZ_MODELS = (
@@ -1197,6 +1269,7 @@ def test_fuzzed_model_and_endo_documents_never_crash(case):
             assert code in (0, 1, 2, 3), (argv, code)
             assert len(err.splitlines()) <= 1, err
             assert "Traceback" not in err
+            _assert_refusal_names_a_file(code, err, argv)
 
 
 _FUZZ_MAP_BASE = {
@@ -1218,6 +1291,13 @@ _FUZZ_MAP_TARGETS = (
         "kind": "findim_dgla",
         "dims": {"1": 1, "2": 1},
         "brackets": [{"left": "e_1_0", "right": "e_1_0", "value": "e_2_0"}],
+    },
+    # the zero image of a y that the map leaves out lies above maxDegree
+    {
+        "kind": "findim_dgla",
+        "dims": {"1": 1, "2": 1},
+        "brackets": [{"left": "e_1_0", "right": "e_1_0", "value": "e_2_0"}],
+        "maxDegree": 2,
     },
 )
 # images of x and y in either target: chain maps, non-chain maps (y to 0 or
@@ -1278,6 +1358,7 @@ def test_fuzzed_morphism_documents_never_crash(case):
         assert code in (0, 1, 2, 3), code
         assert len(err.splitlines()) <= 1, err
         assert "Traceback" not in err
+        _assert_refusal_names_a_file(code, err, argv)
 
 
 def test_parser_is_built_once_per_process(files, capsys):

@@ -927,3 +927,9 @@ def test_der_boundary_matrix_matches_fraction_images():
         got = der_boundary_matrix(model, r)
         assert got == _der_boundary_reference(model, r), r
     assert not der_boundary_matrix(model, 0).is_zero()
+
+
+@pytest.mark.parametrize("name", ["[x,y]", "2"])
+def test_validate_reports_a_generator_name_that_is_no_identifier(name):
+    g = QuasiFreeDGLA([GradedGenerator(n, 1) for n in ("x", "y", name)], {})
+    assert validate(g).violations == (f"generator name {name!r} is not an identifier",)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgla.errors import MixedDegrees, NotSimplyConnected, UnknownGenerator
+from dgla.errors import FormatError, MixedDegrees, NotSimplyConnected, ParseError, UnknownGenerator
+from dgla.exprs import _Scanner, is_identifier, parse_expr
 from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, bracket, tensor_bracket
 from helpers import (
     _Echelon,
@@ -634,3 +635,33 @@ def test_sub_basis_below_degree_one_and_on_unknown_names():
     assert alg.sub_basis(3, alg.names()) == tuple(range(alg.dim(3)))
     with pytest.raises(UnknownGenerator):
         alg.sub_basis(2, ["nope"])
+
+
+@pytest.mark.parametrize("name", ["[x,y]", "2", "", "w-1", " x", "x y"])
+def test_a_generator_name_that_is_no_identifier_is_refused(name):
+    # the text of a monomial in such a name could read as another tree
+    with pytest.raises(FormatError, match=r"^generator name .* is not an identifier$"):
+        FreeGLA([GradedGenerator("x", 1), GradedGenerator(name, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | st.from_regex(r"[^\W\d]\w*", fullmatch=True))
+@example(text="x²")
+@example(text="_１")
+@example(text="１x")
+@example(text="ǅ")
+def test_is_identifier_is_what_the_scanner_reads_as_one_name(text):
+    try:
+        scanned = _Scanner(text).ident()
+    except ParseError:
+        scanned = None
+    rule = (text[:1].isalpha() or text[:1] == "_") and all(
+        c.isalnum() or c == "_" for c in text
+    )
+    assert is_identifier(text) == (scanned == text) == rule
+    # so exactly an identifier reads back as the one generator it names
+    try:
+        read = parse_expr(text)
+    except ParseError:
+        read = None
+    assert is_identifier(text) == (read == [(Fraction(1), text)])
