@@ -67,7 +67,6 @@ symmetry; a valid algebra never pays for that second run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Sequence
@@ -613,8 +612,7 @@ def induced_map_on_homology(f: DGLAMorphism, k: int) -> Matrix:
     return Matrix._of_columns(cols, ht.dim)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property

@@ -73,7 +73,6 @@ the pivots follow tuple order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Sequence
@@ -86,10 +85,31 @@ Word = tuple[int, ...]
 TVec = dict[Word, int | Fraction]
 
 
-@dataclass(frozen=True)
 class GradedGenerator:
-    name: str
-    degree: int
+    """A named generator of a degree: immutable, equal and hashed by value."""
+
+    __slots__ = ("name", "degree")
+
+    def __init__(self, name: str, degree: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedGenerator is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.degree == other.degree
+
+    def __hash__(self):
+        return hash((self.name, self.degree))
+
+    def __repr__(self):
+        return f"GradedGenerator(name={self.name!r}, degree={self.degree!r})"
+
+    def __reduce__(self):
+        return GradedGenerator, (self.name, self.degree)
 
 
 class LiePoly:
@@ -205,7 +225,6 @@ def _embed_bracket(left: tuple[int, TVec], right: tuple[int, TVec]) -> tuple[int
     return left[0] + right[0], tensor_bracket(*left, *right)
 
 
-@dataclass(frozen=True)
 class DegreeBasis:
     """Canonical ordered basis of one homogeneous piece.
 
@@ -216,10 +235,19 @@ class DegreeBasis:
     solve for the coordinates of any tensor vector in the span.
     """
 
-    degree: int
-    monomials: tuple
-    vectors: tuple
-    blocks: dict
+    __slots__ = ("degree", "monomials", "vectors", "blocks")
+
+    def __init__(self, degree: int, monomials: tuple, vectors: tuple, blocks: dict):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "monomials", monomials)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DegreeBasis is immutable")
+
+    def __reduce__(self):
+        return DegreeBasis, (self.degree, self.monomials, self.vectors, self.blocks)
 
     @property
     def dim(self) -> int:

@@ -23,9 +23,9 @@ stated for; the relaxation keeps exp defined on all boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .dg import Element
 from .errors import (
@@ -136,8 +136,7 @@ class RelDerivation:
         )
 
 
-@dataclass(frozen=True)
-class DerSpace:
+class DerSpace(NamedTuple):
     """Coordinate chart on Der_r: one slot per (fiber generator, basis index)."""
 
     model: RelativeModel
@@ -228,8 +227,7 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
     return Matrix._of_columns(cols, rows)
 
 
-@dataclass(frozen=True)
-class DerComplexData:
+class DerComplexData(NamedTuple):
     """One degree of the relative derivation complex, with its neighbours."""
 
     degree: int
@@ -383,8 +381,7 @@ def _log_series(u: FilteredEndo) -> RelDerivation:
     return RelDerivation(u.model, 0, images)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     equivalent: bool
     witness: RelDerivation | None
     reason: str

@@ -18,8 +18,8 @@ the target).  When q(z) = 0 this reduces to q(b) = 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dg import DGLAMorphism, Element, QuasiFreeDGLA, induced_map_on_homology, validate
 from .errors import (
@@ -34,14 +34,12 @@ from .linalg import Matrix, Subspace, dense_vector, kernel_basis, solve_pivot
 _STAGE_NAME = re.compile(r"^[ab]_\d+_\d+$")
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     A: tuple[str, ...]
     B: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     witnesses: tuple[tuple[str, LiePoly], ...]
 
     @property
@@ -49,8 +47,7 @@ class MinimalityReport:
         return not self.witnesses
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
     checks: tuple[tuple[str, bool, str], ...]
 
     @property
