@@ -26,7 +26,6 @@ from .errors import (
     NotMinimal,
     NotQuasiIso,
     NotRelativeAutomorphism,
-    ParseError,
     TargetNotFiniteType,
 )
 from .formats import (
@@ -57,44 +56,41 @@ def _emit(text: str):
 
 
 @contextlib.contextmanager
-def _naming_file(path: str, *errors: type[DglaError], field: str = "", named: str = ""):
-    """Name the file, and the field or flag at fault when one is given (a
-    maxDegree field or the --max-degree flag), on errors of these types.
-
-    An error that already names the file, or the file `named`, such as one
-    from an image expression, passes unchanged.
-    """
+def _naming_file(errors, *where: str):
+    """Put an error of these types that has no place yet at `where`: the
+    file, then the field or flag at fault when one is given (a maxDegree
+    field or the --max-degree flag).  An error that has its place, such as
+    one from an image expression, passes unchanged."""
     try:
         yield
     except errors as e:
-        if str(e).startswith(tuple(f"{p}: " for p in (path, named) if p)):
-            raise
-        where = f"{path}: {field}: " if field else f"{path}: "
-        raise type(e)(f"{where}{e}") from None
+        if not e.where:
+            e.within(*where)
+        raise
 
 
 def _load_validated_algebra(path: str):
-    algebra = dgla_from_doc(load_document(path), context=path)
-    with _naming_file(path, TargetNotFiniteType, field="maxDegree"):
+    algebra = dgla_from_doc(load_document(path), path)
+    with _naming_file(TargetNotFiniteType, path, "maxDegree"):
         report = validate(algebra)
     if not report.ok:
-        raise FormatError(f"{path}: {report.first}")
+        raise FormatError(report.first).within(path)
     return algebra
 
 
 def _load_model(path: str):
     doc = load_document(path)
-    with _naming_file(path, TargetNotFiniteType, field="structureMap.target.maxDegree"):
+    with _naming_file(TargetNotFiniteType, path, "structureMap.target.maxDegree"):
         model = model_from_doc(doc, context=path)
         report = validate(model.dgla)
     if not report.ok:
-        raise FormatError(f"{path}: {report.first}")
+        raise FormatError(report.first).within(path)
     return model
 
 
 def cmd_validate(args) -> int:
-    algebra = dgla_from_doc(load_document(args.file), context=args.file)
-    with _naming_file(args.file, TargetNotFiniteType, field="maxDegree"):
+    algebra = dgla_from_doc(load_document(args.file), args.file)
+    with _naming_file(TargetNotFiniteType, args.file, "maxDegree"):
         report = validate(algebra)
     if report.ok:
         _emit(_style("ok", "32") + f": valid {algebra.kind} dg Lie algebra")
@@ -106,7 +102,7 @@ def cmd_validate(args) -> int:
 
 def cmd_homology(args) -> int:
     algebra = _load_validated_algebra(args.file)
-    with _naming_file(args.file, TargetNotFiniteType, field="maxDegree"):
+    with _naming_file(TargetNotFiniteType, args.file, "maxDegree"):
         dims = {str(k): algebra.homology(k).dim for k in range(1, args.max_degree + 1)}
     if args.format == "table":
         _emit(_style("degree  dim H", "1"))
@@ -124,13 +120,13 @@ def cmd_homology(args) -> int:
 def cmd_minimal_model(args) -> int:
     base = _load_validated_algebra(args.base)
     if not isinstance(base, QuasiFreeDGLA):
-        raise FormatError(f"{args.base}: the source of the map must be quasi-free")
+        raise FormatError("the source of the map must be quasi-free").within(args.base)
     target = _load_validated_algebra(args.target)
     doc = load_document(args.map)
     # the zero image of a generator the map leaves out is built in the
     # target, so above its maxDegree it is the target's fault; a base name
     # that clashes with the stage names is the base's
-    with _naming_file(args.target, TargetNotFiniteType, field="maxDegree", named=args.map):
+    with _naming_file(TargetNotFiniteType, args.target, "maxDegree"):
         f = morphism_from_doc(
             doc,
             base_dir=Path(args.map).parent,
@@ -138,9 +134,9 @@ def cmd_minimal_model(args) -> int:
             target=target,
             context=args.map,
         )
-    with _naming_file(args.target, TargetNotFiniteType, field="maxDegree"), _naming_file(
-        args.map, NotAChainMap, field="images"
-    ), _naming_file(args.base, FormatError):
+    with _naming_file(TargetNotFiniteType, args.target, "maxDegree"), _naming_file(
+        NotAChainMap, args.map, "images"
+    ), _naming_file(FormatError, args.base):
         model = build_minimal_model(f, args.max_degree)
     Path(args.out).write_text(canonical_json(model_to_doc(model)), encoding="utf-8")
     return 0
@@ -149,8 +145,8 @@ def cmd_minimal_model(args) -> int:
 def cmd_invert(args) -> int:
     model = _load_model(args.model)
     endo = endo_from_doc(load_document(args.endo), model, context=args.endo)
-    with _naming_file(args.model, NotMinimal), _naming_file(
-        args.endo, NotQuasiIso, BaseNotAutomorphism, NotAChainMap
+    with _naming_file(NotMinimal, args.model), _naming_file(
+        (NotQuasiIso, BaseNotAutomorphism, NotAChainMap), args.endo
     ):
         inverse = invert_relative_quasi_iso(endo, args.max_degree)
     checked = [
@@ -178,14 +174,13 @@ def cmd_equivalent(args) -> int:
     model = _load_model(args.model)
     f = endo_from_doc(load_document(args.endo1), model, context=args.endo1)
     g = endo_from_doc(load_document(args.endo2), model, context=args.endo2)
-    with _naming_file(args.model, NotMinimal), _naming_file(
-        args.model, DegreeBoundExceeded, field="--max-degree"
+    with _naming_file(NotMinimal, args.model), _naming_file(
+        DegreeBoundExceeded, args.model, "--max-degree"
     ):
         try:
             verdict = are_homotopic_rel(f, g, args.max_degree)
         except NotRelativeAutomorphism as e:
-            refused = (args.endo1, args.endo2)[e.position]
-            raise NotRelativeAutomorphism(f"{refused}: {e}") from None
+            raise e.within((args.endo1, args.endo2)[e.position])
     witness = None
     if verdict.witness is not None:
         witness = {
@@ -212,7 +207,7 @@ def cmd_equivalent(args) -> int:
 
 def cmd_pi0(args) -> int:
     model = _load_model(args.model)
-    with _naming_file(args.model, DegreeBoundExceeded, field="--max-degree"):
+    with _naming_file(DegreeBoundExceeded, args.model, "--max-degree"):
         report = pi0_report(model, args.max_degree)
     if args.format == "table":
         _emit(_style("pi0 report", "1"))
@@ -306,14 +301,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except DglaError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        # the file first, as for every other refusal
+        message = e if e.filename is None else f"{e.filename}: {e.strerror}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

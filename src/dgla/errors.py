@@ -3,6 +3,13 @@
 Every error carries the CLI exit code it maps to: 1 for syntax problems in
 input files, 2 for semantically invalid input or violated preconditions.
 Negative verdicts (exit 3) are ordinary return values, not exceptions.
+
+An error carries its place as data: `where`, a tuple of the file first,
+then the fields or flags inside it, as ("map.json", "images[y]").  Whoever
+knows a place puts it in front with `within`, which returns the same error,
+so subclass data such as a ParseError's position survives.  `str(e)` is the
+one renderer: the places, then the message, joined by ": ".  A ParseError
+with a position in its text keeps it as its innermost place, "line L, col C".
 """
 
 from __future__ import annotations
@@ -10,6 +17,15 @@ from __future__ import annotations
 
 class DglaError(Exception):
     exit_code = 2
+    where: tuple[str, ...] = ()
+
+    def within(self, *where: str) -> DglaError:
+        """This error, with `where` put in front of the places it has."""
+        self.where = (*where, *self.where)
+        return self
+
+    def __str__(self) -> str:
+        return ": ".join((*self.where, super().__str__()))
 
 
 class ParseError(DglaError):
@@ -18,19 +34,10 @@ class ParseError(DglaError):
     exit_code = 1
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line = line
-        self.col = col
-        if line is not None:
-            message = f"line {line}, col {col}: {message}"
         super().__init__(message)
-
-    def within(self, context: str) -> "ParseError":
-        """This error with the file or field it happened in put first, as in
-        "map.json: target: broken.json: line 2, col 1: ..."; the position
-        is kept."""
-        err = ParseError(f"{context}: {self}")
-        err.line, err.col = self.line, self.col
-        return err
+        self.line, self.col = line, col
+        if line is not None:
+            self.where = (f"line {line}, col {col}",)
 
 
 class FormatError(DglaError):

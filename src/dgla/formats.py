@@ -55,29 +55,29 @@ def canonical_json(doc) -> str:
 
 def load_document(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    try:
-        doc = json.loads(text)
+        error = ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})")
     except json.JSONDecodeError as e:
-        raise ParseError(e.msg, e.lineno, e.colno).within(str(path)) from None
+        error = ParseError(e.msg, e.lineno, e.colno)
     except RecursionError:
-        raise ParseError(f"{path}: JSON nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object at top level")
-    return doc
+        error = ParseError("JSON nested too deeply")
+    else:
+        if isinstance(doc, dict):
+            return doc
+        error = FormatError("expected a JSON object at top level")
+    raise error.within(str(path))
 
 
-def _parse_field_expr(text, context: str):
+def _parse_field_expr(text, *where: str):
     if not isinstance(text, str):
-        raise FormatError(f"{context}: expected a bracket-expression string")
+        raise FormatError("expected a bracket-expression string").within(*where)
     try:
         return parse_expr(text)
     except ParseError as e:
-        raise e.within(context) from None
+        raise e.within(*where) from None
     except RecursionError:
-        raise ParseError(f"{context}: expression nested too deeply") from None
+        raise ParseError("expression nested too deeply").within(*where) from None
 
 
 def _is_int(value) -> bool:
@@ -85,7 +85,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _degree_key(key: str, context: str) -> int:
+def _degree_key(key: str, *where: str) -> int:
     """A degree key in its one canonical spelling, as `str(k)` writes it, so
     that no two keys of a mapping name the same degree."""
     try:
@@ -93,14 +93,14 @@ def _degree_key(key: str, context: str) -> int:
     except ValueError:
         k = None
     if k is None or str(k) != key:
-        raise FormatError(f"{context}: bad degree key {key!r}")
+        raise FormatError(f"bad degree key {key!r}").within(*where)
     return k
 
 
 _RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _rational(value, context: str) -> Fraction:
+def _rational(value, *where: str) -> Fraction:
     """A JSON integer or a rational string such as "3/2".  Integers and
     canonical "a" or "a/b" strings are read by `int`, not by the regex of
     Fraction(str)."""
@@ -114,10 +114,10 @@ def _rational(value, context: str) -> Fraction:
             return frac(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise FormatError(f"{context}: expected a rational number, got {json.dumps(value)}")
+    raise FormatError(f"expected a rational number, got {json.dumps(value)}").within(*where)
 
 
-def _eval_field(algebra, text, degree: int, context: str):
+def _eval_field(algebra, text, degree: int, *where: str):
     """One expression field as an element of `algebra` in degree `degree`:
     canonical text by `_read_canonical`, any other by the general parser."""
     if isinstance(algebra, QuasiFreeDGLA):
@@ -127,13 +127,13 @@ def _eval_field(algebra, text, degree: int, context: str):
     try:
         value = _read_canonical(text, index)
         if value is None:
-            terms = _parse_field_expr(text, context)
+            terms = _parse_field_expr(text, *where)
             return algebra.eval_terms(terms, expected_degree=degree)
         nums, den = value
         coords = {i: Fraction(v, den) for i, v in nums.items()}
         return Element(degree, dense_vector(coords, algebra.dim(degree)))
     except (MixedDegrees, UnknownGenerator, TargetNotFiniteType) as e:
-        raise type(e)(f"{context}: {e}") from None
+        raise e.within(*where) from None
 
 
 # The canonical text of an element, as `format_terms` writes it: "0", or
@@ -192,110 +192,103 @@ def _atom_table(k: int, dim: int) -> dict[str, int]:
 # -- dg Lie algebras ---------------------------------------------------------
 
 
-def dgla_from_doc(doc: dict, context: str = "dgla"):
+def dgla_from_doc(doc: dict, *where: str):
+    """The algebra of a dgla or findim_dgla document; its errors are put
+    at `where`, the file and the field it was read from."""
     if not isinstance(doc, dict):
-        raise FormatError(f"{context}: expected a dgla or findim_dgla object")
+        raise FormatError("expected a dgla or findim_dgla object").within(*where)
     kind = doc.get("kind")
     if kind == "dgla":
-        return _quasifree_from_doc(doc, context)
+        return _quasifree_from_doc(doc, *where)
     if kind == "findim_dgla":
-        return _findim_from_doc(doc, context)
-    raise FormatError(f"{context}: unknown document kind {kind!r}")
+        return _findim_from_doc(doc, *where)
+    raise FormatError(f"unknown document kind {kind!r}").within(*where)
 
 
-def _quasifree_from_doc(doc: dict, context: str) -> QuasiFreeDGLA:
+def _quasifree_from_doc(doc: dict, *where: str) -> QuasiFreeDGLA:
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list):
-        raise FormatError(f"{context}: missing generator list")
+        raise FormatError("missing generator list").within(*where)
     gens = []
     for i, entry in enumerate(raw_gens):
         if not isinstance(entry, dict) or "name" not in entry or "degree" not in entry:
-            raise FormatError(f"{context}: generator entries need name and degree")
+            raise FormatError("generator entries need name and degree").within(*where)
         name, degree = entry["name"], entry["degree"]
         if not isinstance(name, str):
-            raise FormatError(
-                f"{context}: generators[{i}].name: expected a string, got {json.dumps(name)}"
+            raise FormatError(f"expected a string, got {json.dumps(name)}").within(
+                *where, f"generators[{i}].name"
             )
         if not _is_int(degree):
-            raise FormatError(
-                f"{context}: generators[{i}].degree: expected an integer, "
-                f"got {json.dumps(degree)}"
+            raise FormatError(f"expected an integer, got {json.dumps(degree)}").within(
+                *where, f"generators[{i}].degree"
             )
         gens.append(GradedGenerator(name, degree))
     differential = {}
     raw_diff = doc.get("differential", {})
     if not isinstance(raw_diff, dict):
-        raise FormatError(f"{context}: differential must be a mapping")
+        raise FormatError("differential must be a mapping").within(*where)
     for name in sorted(raw_diff):
-        terms = _parse_field_expr(raw_diff[name], f"{context}: differential[{name}]")
+        terms = _parse_field_expr(raw_diff[name], *where, f"differential[{name}]")
         differential[name] = LiePoly(terms)
     return QuasiFreeDGLA(gens, differential)
 
 
-def _findim_from_doc(doc: dict, context: str) -> FiniteDimDGLA:
+def _findim_from_doc(doc: dict, *where: str) -> FiniteDimDGLA:
     raw_dims = doc.get("dims")
     if not isinstance(raw_dims, dict):
-        raise FormatError(f"{context}: missing dims mapping")
+        raise FormatError("missing dims mapping").within(*where)
     dims = {}
     for key, value in raw_dims.items():
-        k = _degree_key(key, f"{context}: dims")
+        k = _degree_key(key, *where, "dims")
         if not _is_int(value) or value < 0:
-            raise FormatError(f"{context}: bad dimension for degree {key}")
+            raise FormatError(f"bad dimension for degree {key}").within(*where)
         if value:
             dims[k] = value
     brackets = {}
     raw_brackets = doc.get("brackets", [])
     if not isinstance(raw_brackets, list):
-        raise FormatError(f"{context}: brackets must be an array")
+        raise FormatError("brackets must be an array").within(*where)
     for entry in raw_brackets:
         if not isinstance(entry, dict) or not {"left", "right", "value"} <= set(entry):
-            raise FormatError(f"{context}: bracket entries need left/right/value")
-        left = _atom_indices(entry["left"], context)
-        right = _atom_indices(entry["right"], context)
-        p, i = left
-        q, j = right
-        value = _linear_value(
-            entry["value"], p + q, dims.get(p + q, 0), f"{context}: bracket value"
-        )
+            raise FormatError("bracket entries need left/right/value").within(*where)
+        p, i = _atom_indices(entry["left"], *where)
+        q, j = _atom_indices(entry["right"], *where)
+        value = _linear_value(entry["value"], p + q, dims.get(p + q, 0), *where, "bracket value")
         key = (p, q, i, j)
         if key in brackets:
             raise FormatError(
-                f"{context}: duplicate bracket entry for ({entry['left']}, "
-                f"{entry['right']})"
-            )
+                f"duplicate bracket entry for ({entry['left']}, {entry['right']})"
+            ).within(*where)
         brackets[key] = value
     d_mats = {}
     raw_d = doc.get("differential", {})
     if not isinstance(raw_d, dict):
-        raise FormatError(f"{context}: differential must be a mapping")
-    degrees = {key: _degree_key(key, f"{context}: differential") for key in raw_d}
+        raise FormatError("differential must be a mapping").within(*where)
+    degrees = {key: _degree_key(key, *where, "differential") for key in raw_d}
     for key in sorted(raw_d, key=degrees.__getitem__):
         k = degrees[key]
-        field = f"{context}: differential[{key}]"
+        field = f"differential[{key}]"
         rows = raw_d[key]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise FormatError(f"{field} must be an array of rows")
+            raise FormatError(f"{field} must be an array of rows").within(*where)
         expected = (dims.get(k - 1, 0), dims.get(k, 0))
-        entries = [[_rational(e, field) for e in row] for row in rows]
+        entries = [[_rational(e, *where, field) for e in row] for row in rows]
         if any(len(row) != len(entries[0]) for row in entries):
-            raise FormatError(f"{field} has rows of different lengths")
+            raise FormatError(f"{field} has rows of different lengths").within(*where)
         shape = (len(entries), len(entries[0])) if entries else expected
         if shape != expected:
-            raise FormatError(
-                f"{context}: differential[{key}] has shape {shape}, "
-                f"expected {expected}"
-            )
+            raise FormatError(f"{field} has shape {shape}, expected {expected}").within(*where)
         columns = [
             {r: row[j] for r, row in enumerate(entries) if row[j]} for j in range(shape[1])
         ]
         d_mats[k] = Matrix._of_columns(columns, shape[0])
     max_degree = doc.get("maxDegree")
     if max_degree is not None and not _is_int(max_degree):
-        raise FormatError(f"{context}: maxDegree must be an integer")
+        raise FormatError("maxDegree must be an integer").within(*where)
     return FiniteDimDGLA.of_integer_brackets(dims, brackets, d_mats, max_degree)
 
 
-def _atom_indices(name, context: str) -> tuple[int, int]:
+def _atom_indices(name, *where: str) -> tuple[int, int]:
     if isinstance(name, str):
         parts = name.split("_")
         if len(parts) == 3 and parts[0] == "e":
@@ -303,10 +296,10 @@ def _atom_indices(name, context: str) -> tuple[int, int]:
                 return int(parts[1]), int(parts[2])
             except ValueError:
                 pass
-    raise FormatError(f"{context}: expected a basis vector name e_<deg>_<i>, got {name!r}")
+    raise FormatError(f"expected a basis vector name e_<deg>_<i>, got {name!r}").within(*where)
 
 
-def _linear_value(text, degree: int, dim: int, context: str):
+def _linear_value(text, degree: int, dim: int, *where: str):
     """A structure constant in degree `degree` as (nums, den): its
     coordinates are nums[t] / den, nums the nonzero int numerators.
 
@@ -316,17 +309,16 @@ def _linear_value(text, degree: int, dim: int, context: str):
     value = _read_canonical(text, lambda monos: _atom_table(degree, dim))
     if value is not None:
         return value
-    terms = _parse_field_expr(text, context)
+    terms = _parse_field_expr(text, *where)
     coords: dict[int, Fraction] = {}
     for coeff, tree in terms:
         if not isinstance(tree, str):
-            raise FormatError(f"{context}: structure-constant values must be linear")
-        k, i = _atom_indices(tree, context)
+            raise FormatError("structure-constant values must be linear").within(*where)
+        k, i = _atom_indices(tree, *where)
         if k != degree or not 0 <= i < dim:
             raise FormatError(
-                f"{context}: {tree} does not live in degree {degree} "
-                f"(dimension {dim})"
-            )
+                f"{tree} does not live in degree {degree} (dimension {dim})"
+            ).within(*where)
         coords[i] = coords.get(i, 0) + coeff
     return _clear_denominators({i: c for i, c in coords.items() if c})
 
@@ -389,44 +381,42 @@ def dgla_to_doc(algebra) -> dict:
 # -- morphisms ----------------------------------------------------------------
 
 
-def _resolve_algebra(ref, base_dir: Path | None, context: str):
+def _resolve_algebra(ref, base_dir: Path | None, *where: str):
     if isinstance(ref, str):
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         try:
             doc = load_document(path)
-        except (OSError, ValueError, FormatError) as e:
+        except (OSError, ValueError) as e:
             # ValueError: a path with a NUL character cannot be opened
-            raise FormatError(f"{context}: {e}") from None
-        except ParseError as e:
-            raise e.within(context) from None
-        return dgla_from_doc(doc, context=str(path))
+            raise FormatError(str(e)).within(*where) from None
+        except (FormatError, ParseError) as e:
+            raise e.within(*where) from None
+        return dgla_from_doc(doc, str(path))
     if isinstance(ref, dict):
-        return dgla_from_doc(ref, context=context)
-    raise FormatError(f"{context}: expected a path or an inline document")
+        return dgla_from_doc(ref, *where)
+    raise FormatError("expected a path or an inline document").within(*where)
 
 
-def _images_from_doc(raw_images, source, target, context: str) -> dict[str, Element]:
+def _images_from_doc(raw_images, source, target, *where: str) -> dict[str, Element]:
     """The images a document gives to generators of source, in target."""
     if not isinstance(raw_images, dict):
-        raise FormatError(f"{context}: images must be a mapping")
+        raise FormatError("images must be a mapping").within(*where)
     images = {}
     names = {g.name: g.degree for g in source.generators}
     for name in sorted(raw_images):
         if name not in names:
-            raise FormatError(f"{context}: image for unknown generator {name!r}")
+            raise FormatError(f"image for unknown generator {name!r}").within(*where)
         images[name] = _eval_field(
-            target, raw_images[name], names[name], f"{context}: images[{name}]"
+            target, raw_images[name], names[name], *where, f"images[{name}]"
         )
     return images
 
 
-def morphism_images_from_doc(
-    raw_images: dict, source, target, context: str
-) -> dict[str, Element]:
+def morphism_images_from_doc(raw_images: dict, source, target, *where: str) -> dict[str, Element]:
     """The images of a morphism document; a generator it leaves out goes to 0."""
-    images = _images_from_doc(raw_images, source, target, context)
+    images = _images_from_doc(raw_images, source, target, *where)
     for g in source.generators:
         if g.name not in images:
             images[g.name] = target.zero(g.degree)
@@ -441,21 +431,20 @@ def morphism_from_doc(
     context: str = "morphism",
 ) -> DGLAMorphism:
     if doc.get("kind") not in (None, "dgla_morphism"):
-        raise FormatError(f"{context}: expected a dgla_morphism document")
+        raise FormatError("expected a dgla_morphism document").within(context)
     given = {"source": source, "target": target}
     for end, supplied in given.items():
         if end in doc:
-            embedded = _resolve_algebra(doc[end], base_dir, f"{context}: {end}")
+            embedded = _resolve_algebra(doc[end], base_dir, context, end)
             if supplied is None:
                 given[end] = embedded
             elif canonical_json(dgla_to_doc(embedded)) != canonical_json(dgla_to_doc(supplied)):
-                raise FormatError(f"{context}: embedded {end} disagrees with the supplied one")
+                message = f"embedded {end} disagrees with the supplied one"
+                raise FormatError(message).within(context)
         elif supplied is None:
-            raise FormatError(f"{context}: no {end} given")
+            raise FormatError(f"no {end} given").within(context)
     source, target = given.values()
-    images = morphism_images_from_doc(
-        doc.get("images", {}), source, target, context
-    )
+    images = morphism_images_from_doc(doc.get("images", {}), source, target, context)
     return DGLAMorphism(source, target, images)
 
 
@@ -494,44 +483,43 @@ def model_to_doc(model: RelativeModel) -> dict:
 
 def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
     if doc.get("kind") != "relative_model":
-        raise FormatError(f"{context}: expected a relative_model document")
+        raise FormatError("expected a relative_model document").within(context)
     dgla = _quasifree_from_doc(doc, context)
     base = doc.get("base")
     if not isinstance(base, list) or not all(isinstance(n, str) for n in base):
-        raise FormatError(f"{context}: base must be a list of generator names")
+        raise FormatError("base must be a list of generator names").within(context)
     raw_stages = doc.get("stages")
     if not isinstance(raw_stages, list):
-        raise FormatError(f"{context}: missing stages list")
+        raise FormatError("missing stages list").within(context)
     stages = []
     for i, entry in enumerate(raw_stages):
         if not isinstance(entry, dict):
-            raise FormatError(f"{context}: stage entries must be objects")
+            raise FormatError("stage entries must be objects").within(context)
         parts = []
         for part in ("A", "B"):
             raw = entry.get(part, [])
             if not isinstance(raw, list) or not all(isinstance(n, str) for n in raw):
-                raise FormatError(
-                    f"{context}: stages[{i}].{part}: must be a list of generator names"
+                raise FormatError("must be a list of generator names").within(
+                    context, f"stages[{i}].{part}"
                 )
             parts.append(tuple(raw))
         stages.append(Stage(*parts))
     smap = doc.get("structureMap")
     if not isinstance(smap, dict) or "target" not in smap:
-        raise FormatError(f"{context}: missing structureMap with target")
-    target = dgla_from_doc(smap["target"], context=f"{context}: structureMap target")
+        raise FormatError("missing structureMap with target").within(context)
+    target = dgla_from_doc(smap["target"], context, "structureMap target")
     # the images are evaluated in the target, which builds its algebra, so a
     # bad target is refused first
     report = validate(target)
     if not report.ok:
-        raise FormatError(f"{context}: structure-map target: {report.first}")
-    images = morphism_images_from_doc(
-        smap.get("images", {}), dgla, target, f"{context}: structureMap"
-    )
+        raise FormatError(report.first).within(context, "structure-map target")
+    raw_images = smap.get("images", {})
+    images = morphism_images_from_doc(raw_images, dgla, target, context, "structureMap")
     q = DGLAMorphism(dgla, target, images)
     try:
         return RelativeModel(dgla, tuple(base), tuple(stages), q)
-    except FormatError as exc:
-        raise FormatError(f"{context}: base/stages: {exc}") from None
+    except FormatError as e:
+        raise e.within(context, "base/stages") from None
 
 
 # -- endomorphisms --------------------------------------------------------------
@@ -539,13 +527,13 @@ def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
 
 def endo_from_doc(doc: dict, model: RelativeModel, context: str = "endo") -> FilteredEndo:
     if doc.get("kind") != "endo":
-        raise FormatError(f"{context}: expected an endo document")
+        raise FormatError("expected an endo document").within(context)
     # a generator the document leaves out is fixed, by FilteredEndo
     images = _images_from_doc(doc.get("images", {}), model.dgla, model.dgla, context)
     try:
         return FilteredEndo(model, images)
     except NotFiltered as e:
-        raise NotFiltered(f"{context}: images: {e}") from None
+        raise e.within(context, "images") from None
 
 
 def endo_to_doc(endo: FilteredEndo) -> dict:

@@ -127,6 +127,9 @@ class LiePoly:
     def __setattr__(self, name, value):
         raise AttributeError("LiePoly is immutable")
 
+    def __reduce__(self):
+        return LiePoly, (self.terms,)
+
     @classmethod
     def zero(cls) -> "LiePoly":
         return cls()

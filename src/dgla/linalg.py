@@ -247,6 +247,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix._of_columns, (self._columns, self.rows)
+
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls._of_columns([{}] * cols, rows)
@@ -425,6 +428,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return Subspace._of_rows, (self.ambient_dim, self._rows, self.pivots)
 
     @property
     def basis(self) -> tuple[Vector, ...]:

@@ -1600,3 +1600,271 @@ def test_deeply_nested_expression_is_a_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "validate", path)
     assert (code, out) == (1, "")
     _assert_one_line_error(code, err, f"{path}: differential[w]: expression nested too deeply")
+
+
+def _located(argv, blamed, message, code=2):
+    """A refusal, with exit code `code`, that names its file, and field or
+    flag, today.
+
+    `argv` gives the fixture's files by key and other documents inline; a
+    callable in it is called with (files, tmp_path) first.  An inline
+    document is written to doc<i>.json, i its place in argv.  `blamed` is
+    the key or place of the file the line starts with, and `{tmp}` in
+    `message` stands for the test's directory.
+    """
+
+    def case(files, tmp_path):
+        paths, args = dict(files), []
+        for i, arg in enumerate(argv):
+            if callable(arg):
+                arg = arg(files, tmp_path)
+            if isinstance(arg, dict):
+                arg = write(tmp_path, f"doc{i}.json", arg)
+            paths[i] = str(paths.get(arg, arg))
+            args.append(paths[i])
+        return args, f"{paths[blamed]}: {message.format(tmp=tmp_path)}", code
+
+    return case
+
+
+def _out(files, tmp_path):
+    return str(tmp_path / "out.json")
+
+
+def _map(images):
+    return {"kind": "dgla_morphism", "images": images}
+
+
+def _endo(images):
+    return {"kind": "endo", "images": images}
+
+
+def _gens(*pairs):
+    return {"kind": "dgla", "generators": [{"name": n, "degree": k} for n, k in pairs]}
+
+
+def _with_broken_json(doc):
+    def build(files, tmp_path):
+        (tmp_path / "broken.json").write_text("{\n", encoding="utf-8")
+        return doc
+
+    return build
+
+
+def _latin1_file(files, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "dgla", "generators": [{"name": "é"}]}'.encode("latin-1"))
+    return path
+
+
+_ABOVE = "degree 3 exceeds the declared maximum degree 2"
+_LOCATED_REFUSALS = {
+    # the _naming_file sites of the CLI
+    "validate-maxDegree": _located(
+        ["validate", {"kind": "findim_dgla", "dims": {"2": 1, "6": 1}, "maxDegree": 1}],
+        1,
+        "maxDegree: degree 2 exceeds the declared maximum degree 1",
+    ),
+    "homology-maxDegree": _located(
+        ["homology", {"kind": "findim_dgla", "dims": {"2": 1, "6": 1}, "maxDegree": 1},
+         "--max-degree", "2"],
+        1,
+        "maxDegree: degree 2 exceeds the declared maximum degree 1",
+    ),
+    "homology-ladder-maxDegree": _located(
+        ["homology", {"kind": "findim_dgla", "dims": {"1": 1}, "maxDegree": 2},
+         "--max-degree", "3"],
+        1,
+        f"maxDegree: {_ABOVE}",
+    ),
+    "model-target-maxDegree": _located(
+        ["pi0", lambda files, _: _model_with_low_target(files), "--max-degree", "2"],
+        1,
+        f"structureMap.target.maxDegree: {_ABOVE}",
+    ),
+    "map-target-maxDegree": _located(
+        ["minimal-model", "sphere", _LOW_MAX_DEGREE, _map({"a": "e_1_0"}), "--max-degree", "2",
+         "--out", _out],
+        2,
+        f"maxDegree: {_ABOVE}",
+    ),
+    "left-out-generator-target-maxDegree": _located(
+        ["minimal-model", _FUZZ_MAP_BASE, _LOW_MAX_DEGREE, _map({"x": "e_1_0"}), "--max-degree",
+         "3", "--out", _out],
+        2,
+        f"maxDegree: {_ABOVE}",
+    ),
+    "non-chain-map": _located(
+        ["minimal-model", {**_gens(("z", 2)), "differential": {}},
+         {**_gens(("a", 1), ("y", 2)), "differential": {"y": "a"}}, _map({"z": "y"}),
+         "--max-degree", "2", "--out", _out],
+        3,
+        "images: input map does not commute with the differentials on z",
+    ),
+    "stage-name-clash": _located(
+        ["minimal-model", _gens(("a_1_0", 1)), _gens(("a", 1)), _map({"a_1_0": "a"}),
+         "--max-degree", "2", "--out", _out],
+        1,
+        "base generator name 'a_1_0' collides with the reserved stage naming scheme "
+        "a_<stage>_<index> / b_<stage>_<index>",
+    ),
+    "not-minimal": _located(
+        ["invert", lambda _, tmp_path: _non_minimal_model(tmp_path), _endo({}),
+         "--max-degree", "4"],
+        1,
+        "inversion requires a minimal model; offending generators: v",
+    ),
+    "not-quasi-iso": _located(
+        ["invert", "model", _endo({"w": "0"}), "--max-degree", "4"],
+        2,
+        "the endomorphism is singular in degree 2, so it is not a quasi-isomorphism there",
+    ),
+    "base-not-automorphism": _located(
+        ["invert", lambda _, tmp_path: _xyw_model(tmp_path), _endo({"x": "0"}), "--max-degree",
+         "4"],
+        2,
+        "restriction of the endomorphism to the base is singular in degree 1",
+    ),
+    "not-a-chain-map": _located(
+        ["invert", "model", _endo({"v": "0"}), "--max-degree", "4"],
+        2,
+        "endomorphism does not commute with d on v",
+    ),
+    "equivalent-max-degree": _located(
+        ["equivalent", "model", "endo_id", "endo_shift", "--max-degree", "2"],
+        "model",
+        "--max-degree: derivations of degree 0 need bases up to degree 3, beyond the bound 2",
+    ),
+    "pi0-max-degree": _located(
+        ["pi0", "model", "--max-degree", "2"],
+        "model",
+        "--max-degree: model has generators of degree 3, beyond the bound 2",
+    ),
+    # the CLI's own refusals
+    "homology-violation": _located(
+        ["homology", {**_gens(("[x,y]", 1)), "differential": {}}, "--max-degree", "2"],
+        1,
+        "generator name '[x,y]' is not an identifier",
+    ),
+    "source-not-quasi-free": _located(
+        ["minimal-model", {"kind": "findim_dgla", "dims": {"1": 1}}, "sphere", _map({}),
+         "--max-degree", "2", "--out", _out],
+        1,
+        "the source of the map must be quasi-free",
+    ),
+    "equivalent-first-endo": _located(
+        ["equivalent", "model", _endo({"w": "0"}), "endo_id", "--max-degree", "3"],
+        2,
+        "the first endomorphism is not a relative automorphism",
+    ),
+    "equivalent-second-endo": _located(
+        ["equivalent", "model", "endo_id", _endo({"w": "0"}), "--max-degree", "3"],
+        3,
+        "the second endomorphism is not a relative automorphism",
+    ),
+    "equivalent-not-minimal": _located(
+        ["equivalent", lambda _, tmp_path: _non_minimal_model(tmp_path), "endo_id", "endo_id",
+         "--max-degree", "3"],
+        1,
+        "the ambient model is not minimal",
+    ),
+    # the readers of documents
+    "not-utf8": _located(
+        ["validate", _latin1_file],
+        1,
+        "not UTF-8 text (invalid continuation byte at byte 42)",
+        code=1,
+    ),
+    "json-syntax-in-reference": _located(
+        ["minimal-model", "sphere", "wedge",
+         _with_broken_json(_map({}) | {"source": "broken.json"}), "--max-degree", "2",
+         "--out", _out],
+        3,
+        "source: {tmp}/broken.json: line 2, col 1: Expecting property name enclosed in double "
+        "quotes",
+        code=1,
+    ),
+    "unreadable-reference": _located(
+        ["minimal-model", "sphere", "wedge", _map({}) | {"target": "nope.json"}, "--max-degree",
+         "2", "--out", _out],
+        3,
+        "target: [Errno 2] No such file or directory: '{tmp}/nope.json'",
+    ),
+    "parse-error-in-image": _located(
+        ["invert", "model", _endo({"w": "[x,"}), "--max-degree", "3"],
+        2,
+        "images[w]: line 1, col 4: expected identifier",
+        code=1,
+    ),
+    "parse-error-in-differential": _located(
+        ["validate", {**_gens(("x", 1), ("y", 2)), "differential": {"y": "x +"}}],
+        1,
+        "differential[y]: line 1, col 4: expected identifier",
+        code=1,
+    ),
+    "wrong-degree-image": _located(
+        ["invert", "model", _endo({"w": "v"}), "--max-degree", "3"],
+        2,
+        "images[w]: expected degree 2, found 3",
+    ),
+    "unknown-generator-in-image": _located(
+        ["invert", "model", _endo({"w": "[x,q]"}), "--max-degree", "3"],
+        2,
+        "images[w]: unknown generator 'q'",
+    ),
+    "image-above-maxDegree": _located(
+        ["pi0",
+         lambda files, _: _model_with_low_target(files)
+         | {"structureMap": {"target": {"kind": "findim_dgla", "dims": {"1": 1}, "maxDegree": 2},
+                             "images": {"x": "e_1_0", "w": "0", "v": "0"}}},
+         "--max-degree", "2"],
+        1,
+        f"structureMap: images[v]: {_ABOVE}",
+    ),
+    "model-target-violation": _located(
+        ["pi0",
+         {"kind": "relative_model", "generators": [{"name": "x", "degree": 1}], "base": ["x"],
+          "stages": [], "structureMap": {"target": _gens(("y", 0))}},
+         "--max-degree", "1"],
+        1,
+        "structure-map target: generator 'y' has degree 0: not simply connected",
+    ),
+    "not-filtered": _located(
+        # in L(x, y | w), the image of the base generator y holds the fiber w
+        ["invert", lambda _, tmp_path: _xyw_model(tmp_path), _endo({"y": "y + [x,[x,w]]"}),
+         "--max-degree", "4"],
+        2,
+        "images: image of base generator 'y' leaves the base subalgebra",
+    ),
+    "base-stages": _located(
+        ["pi0", lambda files, _: _model_with(files, base=["q"]), "--max-degree", "3"],
+        1,
+        "base/stages: generator order must list the base, then each stage's A-generators "
+        "followed by its B-generators",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOCATED_REFUSALS))
+def test_located_refusals_keep_their_whole_line(files, capsys, tmp_path, case):
+    argv, line, code = _LOCATED_REFUSALS[case](files, tmp_path)
+    assert run(capsys, *argv) == (code, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["validate", "{tmp}/missing.json"], "{tmp}/missing.json: No such file or directory"),
+        (["validate", "{tmp}/somedir"], "{tmp}/somedir: Is a directory"),
+        (
+            ["minimal-model", "{sphere}", "{wedge}", "{incl}", "--max-degree", "2",
+             "--out", "{tmp}/nodir/out.json"],
+            "{tmp}/nodir/out.json: No such file or directory",
+        ),
+    ],
+    ids=["missing-input", "directory-input", "unwritable-out"],
+)
+def test_os_errors_put_the_file_first(files, capsys, tmp_path, argv, line):
+    (tmp_path / "somedir").mkdir()
+    argv = [a.format(**files) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {line.format(tmp=tmp_path)}\n")

@@ -127,7 +127,7 @@ def test_expression_error_carries_position():
 )
 def test_findim_bad_fields_are_format_errors(changes, field):
     with pytest.raises(FormatError) as exc:
-        dgla_from_doc(dict(FINDIM, **changes), context="t.json")
+        dgla_from_doc(dict(FINDIM, **changes), "t.json")
     assert str(exc.value).startswith(f"t.json: {field}")
 
 

@@ -109,3 +109,29 @@ def test_degree_basis_pickles_by_value(records):
         basis.degree, basis.monomials, basis.vectors
     )
     assert again.blocks.keys() == basis.blocks.keys()
+
+
+def _immutable_values():
+    from dgla.freelie import LiePoly
+    from dgla.linalg import Matrix, Subspace
+
+    return {
+        "Matrix": (Matrix([[1, 2], [3, 4]]), "rows"),
+        "Subspace": (Subspace(2, [(1, 0)]), "dim"),
+        "LiePoly": (LiePoly.gen("x") + LiePoly.gen("y"), "terms"),
+    }
+
+
+@pytest.mark.parametrize("name", ["Matrix", "Subspace", "LiePoly"])
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_immutable_value_is_copied_and_pickled_by_value(name, duplicate):
+    value, field = _immutable_values()[name]
+    again = duplicate(value)
+    assert type(again) is type(value)
+    assert again == value
+    with pytest.raises(AttributeError):
+        setattr(again, field, None)
