@@ -18,8 +18,9 @@ walker `exprs.eval_tree`.
 
 Everything is computed over Q; a degree bound is always explicit in the
 callers, never stored here.  Homology data is memoized single-assignment per
-(algebra, degree); it reads the cycle coordinates of a boundary off the
-pivots of the RREF cycle basis, once d is checked to kill it.
+(algebra, degree).  It builds the cycles, the boundaries and the d^2 guard
+at once, and `dim` reads only those; the quotient, which holds the
+representatives sparse, is built on first read.
 
 The boundaries B_k = d(L_{k+1}) are held as the RREF of a spanning set,
 which is unique, so any spanning set gives the same rows.  A finite-
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -87,9 +88,7 @@ from .linalg import (
     _ZERO,
     _clear_denominators,
     add_scaled,
-    dense_vector,
     kernel_basis,
-    membership,
     sparse_vector,
     unit_vector,
     vec_is_zero,
@@ -110,11 +109,11 @@ class Element(NamedTuple):
 class HomologyData:
     """Cycles, boundaries and canonical representatives in one degree.
 
-    Representatives are genuine cycles: boundaries are rewritten in
-    cycle-basis coordinates and the quotient is taken there.  Its canonical
-    complement is spanned by the coordinates c that carry no pivot of B in
-    Z, so the representatives are the cycle-basis rows c, and a class has
-    the coordinates c of a cycle reduced modulo B in Z.
+    Representatives are genuine cycles: the quotient is taken in cycle-basis
+    coordinates, where its canonical complement is spanned by the
+    coordinates c that carry no pivot of B in Z.  So the representatives
+    are the cycle-basis rows c, the sparse columns of `reps`, and a class
+    has the coordinates c of a cycle reduced modulo B in Z.
     """
 
     def __init__(self, algebra, k: int):
@@ -122,37 +121,36 @@ class HomologyData:
         d_k = algebra.d_matrix(k)
         self.cycles = kernel_basis(d_k)
         self.boundaries = algebra.boundaries(k)
-        # A boundary lies in the cycles iff d kills it; then, the cycle basis
-        # being in RREF, its cycle coordinates are its entries at the pivots.
         for b in self.boundaries._rows:
             if d_k._combine(b.items()):
                 raise ArithmeticError("boundary is not a cycle: d*d != 0?")
-        pivots = self.cycles.pivots
-        self._b_in_z = Subspace._spanned(
-            self.cycles.dim,
-            [{i: b[p] for i, p in enumerate(pivots) if p in b} for b in self.boundaries._rows],
-        )
-        pivots = set(self._b_in_z.pivots)
-        self._free = tuple(c for c in range(self.cycles.dim) if c not in pivots)
-        rows = [self.cycles._rows[c] for c in self._free]
-        self.reps = tuple(dense_vector(r, self.cycles.ambient_dim) for r in rows)
-        self._section = Matrix._of_columns(rows, self.cycles.ambient_dim)
 
     @property
     def dim(self) -> int:
         return self.cycles.dim - self.boundaries.dim
 
-    def class_coords(self, v: Sequence[Fraction]) -> Vector:
-        """Homology class of a cycle, in the canonical representative basis."""
-        coords = membership(v, self.cycles)
-        if coords is None:
-            raise ValueError("vector is not a cycle")
-        residual, _ = self._b_in_z.reduce(coords)
-        return tuple(residual[c] for c in self._free)
+    @cached_property
+    def _quotient(self) -> tuple[Subspace, tuple[int, ...], Matrix]:
+        """(B in Z, the free coordinates, the representatives).  d kills each
+        boundary, so its cycle coordinates are its entries at the pivots."""
+        z = self.cycles
+        rows = [{i: b[p] for i, p in enumerate(z.pivots) if p in b} for b in self.boundaries._rows]
+        b_in_z = Subspace._spanned(z.dim, rows)
+        free = tuple(sorted(set(range(z.dim)).difference(b_in_z.pivots)))
+        return b_in_z, free, Matrix._of_columns([z._rows[c] for c in free], z.ambient_dim)
 
-    def rep_of(self, hcoords: Sequence[Fraction]) -> Vector:
-        """The canonical cycle representing a homology class (section of Z->H)."""
-        return self._section.apply(hcoords)
+    @property
+    def reps(self) -> Matrix:
+        return self._quotient[2]
+
+    def class_coords(self, v: dict) -> dict:
+        """Homology class of a sparse cycle, sparse, in the `reps` basis."""
+        b_in_z, free, _ = self._quotient
+        residual, coords = self.cycles._reduce(v)
+        if residual:
+            raise ValueError("vector is not a cycle")
+        residual, _ = b_in_z._reduce(coords)
+        return {i: residual[c] for i, c in enumerate(free) if c in residual}
 
 
 class _DGLA:
@@ -608,7 +606,8 @@ def induced_map_on_homology(f: DGLAMorphism, k: int) -> Matrix:
         )
     hs = f.source.homology(k)
     ht = f.target.homology(k)
-    cols = [sparse_vector(ht.class_coords(f.matrix(k).apply(rep))) for rep in hs.reps]
+    fk = f.matrix(k)
+    cols = [ht.class_coords(fk._combine(rep.items())) for rep in hs.reps._columns]
     return Matrix._of_columns(cols, ht.dim)
 
 

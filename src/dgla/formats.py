@@ -9,7 +9,8 @@ Document kinds:
 
 * ``dgla``            quasi-free algebra: generators + differential exprs
 * ``findim_dgla``     dims per degree, bracket structure constants, d matrices
-* ``dgla_morphism``   source/target (inline doc or path) + generator images
+* ``dgla_morphism``   source/target (inline doc or path) + generator images;
+                      read only, since no command writes a morphism
 * ``relative_model``  dgla fields + base, stages, structureMap
 * ``endo``            generator images over a separately supplied model
 
@@ -446,18 +447,6 @@ def morphism_from_doc(
     source, target = given.values()
     images = morphism_images_from_doc(doc.get("images", {}), source, target, context)
     return DGLAMorphism(source, target, images)
-
-
-def morphism_to_doc(f: DGLAMorphism) -> dict:
-    return {
-        "kind": "dgla_morphism",
-        "source": dgla_to_doc(f.source),
-        "target": dgla_to_doc(f.target),
-        "images": {
-            g.name: f.target.element_expr(f.images[g.name])
-            for g in f.source.generators
-        },
-    }
 
 
 # -- relative models -----------------------------------------------------------

@@ -16,7 +16,8 @@ built once on first use; `column` and `columns` are dense too.  `apply` and
 `mul` combine columns with the sparse axpy `add_scaled`, which the tensor
 vectors of `freelie` use as well.  A `Subspace` holds its RREF basis as
 sparse rows in the same layout, with their pivots; its `basis` is a dense
-view built the same way.
+view built the same way, and its dense `reduce`, `contains` and
+`membership` are views over one sparse reduction, `Subspace._reduce`.
 
 The package has one elimination engine, the private `_Echelon`: sparse
 rows of primitive integers, each with its minimal key as pivot, reduced
@@ -444,25 +445,33 @@ class Subspace:
     def dim(self) -> int:
         return len(self._rows)
 
+    def _reduce(self, v: dict) -> tuple[dict, dict]:
+        """(residual, coefficients) of a sparse v against the RREF basis.
+
+        Both are sparse, the coefficients keyed by row: residual = v - sum
+        of coefficients[i] * row i, and it has no pivot coordinate.
+        """
+        w = dict(v)
+        coeffs = {}
+        for i, (row, p) in enumerate(zip(self._rows, self.pivots)):
+            c = w.get(p)
+            if c:
+                coeffs[i] = c
+                add_scaled(w, -c, row)
+        return w, coeffs
+
     def reduce(self, v: Sequence[Fraction]) -> tuple[Vector, Vector]:
         """Return (residual, coefficients) of v against the RREF basis.
 
         residual = v - sum(coefficients[i] * basis[i]); residual has zeros in
         all pivot coordinates.  v lies in the subspace iff residual == 0.
         """
-        w = list(vector(v))
-        coeffs = []
-        for row, p in zip(self._rows, self.pivots):
-            c = w[p]
-            coeffs.append(c)
-            if c:
-                for j, x in row.items():
-                    w[j] -= c * x
-        return tuple(w), tuple(coeffs)
+        v = vector(v)
+        residual, coeffs = self._reduce(sparse_vector(v))
+        return dense_vector(residual, len(v)), dense_vector(coeffs, self.dim)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        residual, _ = self.reduce(v)
-        return vec_is_zero(residual)
+        return not self._reduce(sparse_vector(vector(v)))[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -515,10 +524,8 @@ def invert(m: Matrix) -> Matrix:
 
 def membership(v: Sequence[Fraction], sub: Subspace) -> Vector | None:
     """Coordinates of v in sub's basis when v lies in sub, else None."""
-    residual, coeffs = sub.reduce(v)
-    if vec_is_zero(residual):
-        return coeffs
-    return None
+    residual, coeffs = sub._reduce(sparse_vector(vector(v)))
+    return None if residual else dense_vector(coeffs, sub.dim)
 
 
 def solve_pivot(m: Matrix, v: Sequence[Fraction]) -> Vector | None:

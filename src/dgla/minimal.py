@@ -86,23 +86,14 @@ class RelativeModel:
             )
         self._by_name = {g.name: g for g in dgla.generators}
         self._minimality: MinimalityReport | None = None
+        self.base_generators = tuple(self._by_name[n] for n in self.base_names)
+        base = set(self.base_names)
+        self.fiber_names = tuple(g.name for g in dgla.generators if g.name not in base)
+        self.fiber_generators = tuple(self._by_name[n] for n in self.fiber_names)
 
     @property
     def target(self):
         return self.q.target
-
-    @property
-    def base_generators(self) -> tuple[GradedGenerator, ...]:
-        return tuple(self._by_name[n] for n in self.base_names)
-
-    @property
-    def fiber_names(self) -> tuple[str, ...]:
-        base = set(self.base_names)
-        return tuple(g.name for g in self.dgla.generators if g.name not in base)
-
-    @property
-    def fiber_generators(self) -> tuple[GradedGenerator, ...]:
-        return tuple(self._by_name[n] for n in self.fiber_names)
 
     def degree_of(self, name: str) -> int:
         return self._by_name[name].degree
@@ -203,13 +194,13 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
         # The cokernel of H_k(q) is spanned by the classes at the non-pivot
         # coordinates of its image; each is represented by that rep.
         image = set(Subspace._spanned(h_target.dim, hq._columns).pivots)
-        coker_reps = [rep for c, rep in enumerate(h_target.reps) if c not in image]
+        coker_reps = [rep for c, rep in enumerate(h_target.reps._columns) if c not in image]
         a_names = []
         for i, rep in enumerate(coker_reps):
             name = f"a_{k}_{i}"
             a_names.append(name)
             gens.append(GradedGenerator(name, k))
-            qimages[name] = Element(k, rep)
+            qimages[name] = Element(k, dense_vector(rep, target.dim(k)))
 
         kernel = kernel_basis(hq)
         b_names = []
@@ -217,10 +208,9 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
             name = f"b_{k}_{j}"
             b_names.append(name)
             gens.append(GradedGenerator(name, k + 1))
-            cycle = h_model.rep_of(dense_vector(kappa, hq.cols))
-            diffs[name] = current.poly(Element(k, cycle))
-            qv = q.apply(Element(k, cycle))
-            eta = solve_pivot(target.d_matrix(k + 1), qv.coords)
+            cycle = Element(k, dense_vector(h_model.reps._combine(kappa.items()), current.dim(k)))
+            diffs[name] = current.poly(cycle)
+            eta = solve_pivot(target.d_matrix(k + 1), q.apply(cycle).coords)
             if eta is None:
                 raise ArithmeticError(
                     "structure-map value of a kernel cycle is not a boundary; "

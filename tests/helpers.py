@@ -28,10 +28,13 @@ from dgla.invert import FilteredEndo, _base_inverse_images, is_relative_automorp
 from dgla.linalg import (
     Matrix,
     Subspace,
+    dense_vector,
     invert,
     kernel_basis,
     solve_pivot,
+    sparse_vector,
     unit_vector,
+    vector,
     zero_vector,
 )
 from dgla.minimal import RelativeModel, Stage, _require_valid, build_minimal_model
@@ -575,6 +578,21 @@ def quotient_data(ambient: int, sub: Subspace) -> tuple[Matrix, list]:
     return projection, reps
 
 
+class DenseHomology:
+    """A `HomologyData` read through dense vectors: its representatives as
+    a tuple, the class of a dense cycle, and the cycle of a class."""
+
+    def __init__(self, h):
+        self.h = h
+        self.reps = tuple(h.reps.columns())
+
+    def class_coords(self, v) -> tuple:
+        return dense_vector(self.h.class_coords(sparse_vector(vector(v))), self.h.dim)
+
+    def rep_of(self, hcoords) -> tuple:
+        return self.h.reps.apply(hcoords)
+
+
 def reference_section(m: Matrix) -> Matrix:
     """Right inverse s with m*s = identity, supported on the pivot columns;
     raises ValueError when m is not onto."""
@@ -767,7 +785,7 @@ def reference_build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
         h_target = target.homology(k)
         hq = induced_map_on_homology(q, k)
         image = set(Subspace._spanned(h_target.dim, hq._columns).pivots)
-        coker_reps = [rep for c, rep in enumerate(h_target.reps) if c not in image]
+        coker_reps = [rep for c, rep in enumerate(DenseHomology(h_target).reps) if c not in image]
         a_names = []
         for i, rep in enumerate(coker_reps):
             a_names.append(f"a_{k}_{i}")
@@ -777,7 +795,7 @@ def reference_build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
         for j, kappa in enumerate(kernel_basis(hq).basis):
             b_names.append(f"b_{k}_{j}")
             gens.append(GradedGenerator(b_names[-1], k + 1))
-            cycle = h_model.rep_of(kappa)
+            cycle = DenseHomology(h_model).rep_of(kappa)
             diffs[b_names[-1]] = current.poly(Element(k, cycle))
             qv = q.apply(Element(k, cycle))
             qimages[b_names[-1]] = Element(k + 1, solve_pivot(target.d_matrix(k + 1), qv.coords))

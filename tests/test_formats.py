@@ -34,7 +34,6 @@ from dgla.formats import (
     model_from_doc,
     model_to_doc,
     morphism_from_doc,
-    morphism_to_doc,
 )
 from dgla.minimal import build_minimal_model
 from helpers import rand_conjugated_findim, rand_findim, rand_minimal_model, rand_quasifree
@@ -139,7 +138,7 @@ def test_load_document_bad_json(tmp_path):
     assert exc.value.line == 1
 
 
-def test_morphism_round_trip(tmp_path):
+def test_morphism_reads_inline_algebras():
     doc = {
         "kind": "dgla_morphism",
         "source": SPHERE,
@@ -148,9 +147,7 @@ def test_morphism_round_trip(tmp_path):
     }
     f = morphism_from_doc(doc)
     assert f.is_chain_map()
-    out = morphism_to_doc(f)
-    again = morphism_to_doc(morphism_from_doc(out))
-    assert canonical_json(out) == canonical_json(again)
+    assert f.image("x") == f.target.atom("x")
 
 
 def test_morphism_source_by_path(tmp_path):
