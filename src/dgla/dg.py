@@ -44,9 +44,15 @@ ints.  Those checks also put the columns of d over one common denominator
 E, once per validation.  d^2 is quadratic in d, the Jacobiator is
 quadratic in the structure constants and Leibniz is bilinear in (brackets,
 d), so the scaled identities are E^2, D^2 and D*E times the rational ones
-and vanish exactly when they do.  Each defect is summed into a list that
-is allocated at its first contribution, so a tuple of basis vectors that no
-structure constant or column of d touches is never scanned.
+and vanish exactly when they do.
+
+Every term of those identities is c times a vector looked up by m, over
+the (m, c) of one sparse vector: [e_i,[e_j,e_l]] sums c [e_i,e_m] over the
+(m, c) of [e_j,e_l].  One accumulator, `_add_terms`, adds each term, read
+from views built once per validation: the brackets [e_p_i,e_q_j] keyed by
+(p, q, i) and by (p, q, j), and the columns of d by degree.  It allocates
+a defect's list of ints at its first contribution, so a tuple of basis
+vectors that nothing touches allocates and scans nothing.
 
 Most of those checks are skipped by symmetry.  The table is antisymmetric,
 [y,x] = -(-1)^{|x||y|}[x,y] on every pair of basis vectors, exactly when
@@ -316,6 +322,17 @@ def _atom_name(k: int, i: int) -> str:
     return f"e_{k}_{i}"
 
 
+def _read_atom_name(name) -> tuple[int, int] | None:
+    """(k, i) of a basis vector name, or None.  A name is read only in the
+    spelling `_atom_name` writes, so no two names are one basis vector."""
+    try:
+        e, k, i = name.split("_")
+        k, i = int(k), int(i)
+    except (AttributeError, ValueError):
+        return None
+    return (k, i) if _atom_name(k, i) == name else None
+
+
 def _sum_terms(terms, value, zero, degree: int | None, what: str) -> Element:
     """Sum of coeff * value(tree) over (coeff, tree) terms of one degree;
     zero(degree) when there are none.  `what` names the sum in errors."""
@@ -478,14 +495,10 @@ class FiniteDimDGLA(_DGLA):
         return Element(k, tuple(Fraction(v, den) if v else _ZERO for v in total))
 
     def atom(self, name: str) -> Element:
-        parts = name.split("_")
-        if len(parts) == 3 and parts[0] == "e":
-            try:
-                k, i = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise UnknownGenerator(f"unknown basis vector {name!r}") from None
-            if 0 <= i < self.dims.get(k, 0):
-                return Element(k, unit_vector(self.dim(k), i))
+        indices = _read_atom_name(name)
+        if indices is not None and 0 <= indices[1] < self.dims.get(indices[0], 0):
+            k, i = indices
+            return Element(k, unit_vector(self.dim(k), i))
         raise UnknownGenerator(f"unknown basis vector {name!r}")
 
     def eval_terms(self, terms: Terms, expected_degree: int | None = None) -> Element:
@@ -727,12 +740,18 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
                         f"[{_atom_name(p, i)},{_atom_name(p, i)}] is nonzero "
                         "in even degree"
                     )
+    # the two bracket views of the module docstring
+    left: dict = {}
+    right: dict = {}
+    for (p, q, i, j), cell in brk.items():
+        left.setdefault((p, q, i), {})[j] = cell
+        right.setdefault((p, q, j), {})[i] = cell
     # With an antisymmetric table the sorted triples decide (see the module
     # docstring); only when one fails do all triples run, to report each.
     symmetric = not violations
-    jacobi = _jacobi_violations(a, brk, degrees, sorted_only=symmetric)
+    jacobi = _jacobi_violations(a, left, right, degrees, sorted_only=symmetric)
     if symmetric and jacobi:
-        jacobi = _jacobi_violations(a, brk, degrees, sorted_only=False)
+        jacobi = _jacobi_violations(a, left, right, degrees, sorted_only=False)
     violations.extend(jacobi)
     if violations:
         return ValidationReport(tuple(violations))
@@ -745,40 +764,50 @@ def _validate_findim(a: FiniteDimDGLA) -> ValidationReport:
             )
     if violations:
         return ValidationReport(tuple(violations))
-    # integer columns of d (times E, see the module docstring)
-    _, dcol = _integer_cells(
-        {(k, c): col for k, m in a.d_mats.items() for c, col in enumerate(m._columns)}
-    )
+    # integer columns of d (times E, see the module docstring) by degree,
+    # dcols[k] = {c: d(e_k_c)}
+    cols = {(k, c): col for k, m in a.d_mats.items() for c, col in enumerate(m._columns)}
+    dcols: dict = {}
+    for (k, c), col in _integer_cells(cols)[1].items():
+        dcols.setdefault(k, {})[c] = col
     for k in degrees:
         if a.max_degree is not None and k + 1 > a.max_degree:
             continue
-        n = a.dims.get(k - 1, 0)
-        for c in range(a.dims.get(k + 1, 0)):
-            total = None
+        for col in dcols.get(k + 1, {}).values():
             # d(d e_c), E^2 times
-            for m, x in dcol.get((k + 1, c), ()):
-                col = dcol.get((k, m))
-                if col:
-                    if total is None:
-                        total = [0] * n
-                    for t, y in col:
-                        total[t] += x * y
+            total = _add_terms(None, a.dims.get(k - 1, 0), col, dcols.get(k, {}), 1)
             if total is not None and any(total):
                 violations.append(f"d^2 is nonzero from degree {k + 1}")
                 break
     # Reaching here, no conflict or even-degree self-bracket was recorded:
     # the table is antisymmetric, so the sorted pairs decide.
-    leibniz = _leibniz_violations(a, brk, dcol, degrees, sorted_only=True)
+    leibniz = _leibniz_violations(a, left, right, dcols, degrees, sorted_only=True)
     if leibniz:
-        leibniz = _leibniz_violations(a, brk, dcol, degrees, sorted_only=False)
+        leibniz = _leibniz_violations(a, left, right, dcols, degrees, sorted_only=False)
     violations.extend(leibniz)
     return ValidationReport(tuple(violations))
 
 
-def _jacobi_violations(a: FiniteDimDGLA, brk: dict, degrees, sorted_only: bool) -> list[str]:
+def _add_terms(total: list[int] | None, n: int, coeffs, cells: dict, sign: int):
+    """total + sign * sum of c * cells[m] over the (m, c) of `coeffs`, each
+    cell a sparse int vector of length n; `total` is None until the first
+    contribution (see the module docstring)."""
+    for m, c in coeffs:
+        cell = cells.get(m)
+        if cell:
+            if total is None:
+                total = [0] * n
+            c *= sign
+            for t, v in cell:
+                total[t] += c * v
+    return total
+
+
+def _jacobi_violations(a: FiniteDimDGLA, left, right, degrees, sorted_only: bool) -> list[str]:
     """Graded Jacobi violations of a finite-dimensional table, in loop order,
     on every ordered triple of basis vectors or, with `sorted_only`, on the
-    sorted ones.  `brk` holds the integer structure constants."""
+    sorted ones.  `left` and `right` are the views of the integer
+    structure constants that `_validate_findim` builds."""
     violations: list[str] = []
     maxdeg = max(degrees, default=0)
     for p in degrees:
@@ -796,38 +825,22 @@ def _jacobi_violations(a: FiniteDimDGLA, brk: dict, degrees, sorted_only: bool) 
                     continue
                 sign = -1 if (p * q) % 2 else 1
                 for i in range(a.dims[p]):
+                    # [e_i,-] on degrees q+r, q and r; [e_j,-] on r and p+r
+                    i_qr = left.get((p, q + r, i), {})
+                    i_q = left.get((p, q, i), {})
+                    i_r = left.get((p, r, i), {})
                     for j in range(a.dims[q]):
                         if sorted_only and p == q and j < i:
                             continue
-                        eij = brk.get((p, q, i, j), ())
+                        j_r = left.get((q, r, j), {})
+                        j_pr = left.get((q, p + r, j), {})
+                        eij = i_q.get(j, ())
                         lmin = j if sorted_only and q == r else 0
                         for l in range(lmin, a.dims[r]):
-                            total = None
-                            # [e_i,[e_j,e_l]]
-                            for m, c in brk.get((q, r, j, l), ()):
-                                cell = brk.get((p, q + r, i, m))
-                                if cell:
-                                    if total is None:
-                                        total = [0] * n
-                                    for t, v in cell:
-                                        total[t] += c * v
-                            # - [[e_i,e_j],e_l]
-                            for m, c in eij:
-                                cell = brk.get((p + q, r, m, l))
-                                if cell:
-                                    if total is None:
-                                        total = [0] * n
-                                    for t, v in cell:
-                                        total[t] -= c * v
-                            # - (-1)^{pq} [e_j,[e_i,e_l]]
-                            for m, c in brk.get((p, r, i, l), ()):
-                                cell = brk.get((q, p + r, j, m))
-                                if cell:
-                                    if total is None:
-                                        total = [0] * n
-                                    c *= sign
-                                    for t, v in cell:
-                                        total[t] -= c * v
+                            # [e_i,[e_j,e_l]] - [[e_i,e_j],e_l] - (-1)^{pq} [e_j,[e_i,e_l]]
+                            total = _add_terms(None, n, j_r.get(l, ()), i_qr, 1)
+                            total = _add_terms(total, n, eij, right.get((p + q, r, l), {}), -1)
+                            total = _add_terms(total, n, i_r.get(l, ()), j_pr, -sign)
                             if total is not None and any(total):
                                 triple = ((p, i), (q, j), (r, l))
                                 violations.append(_fails_on("Jacobi", triple))
@@ -835,11 +848,11 @@ def _jacobi_violations(a: FiniteDimDGLA, brk: dict, degrees, sorted_only: bool) 
 
 
 def _leibniz_violations(
-    a: FiniteDimDGLA, brk: dict, dcol: dict, degrees, sorted_only: bool
+    a: FiniteDimDGLA, left, right, dcols, degrees, sorted_only: bool
 ) -> list[str]:
     """Leibniz violations, in loop order, on every ordered pair of basis
-    vectors or, with `sorted_only`, on the sorted ones.  `brk` and `dcol`
-    hold the integer structure constants and columns of d.  As in
+    vectors or, with `sorted_only`, on the sorted ones.  `left`, `right`
+    and `dcols` are the views that `_validate_findim` builds.  As in
     `_jacobi_violations`, a pair of degrees whose defect degree p+q-1 is
     empty cannot fail and is skipped."""
     violations: list[str] = []
@@ -855,36 +868,19 @@ def _leibniz_violations(
             if not n:
                 continue
             sign = -1 if p % 2 else 1
+            d_pq = dcols.get(p + q, {})
+            d_p = dcols.get(p, {}) if p > 1 else {}
+            d_q = dcols.get(q, {}) if q > 1 else {}
             for i in range(a.dims[p]):
-                dei = dcol.get((p, i), ()) if p - 1 >= 1 else ()
+                # [e_i,-] on degrees q and q-1
+                i_q = left.get((p, q, i), {})
+                i_dq = left.get((p, q - 1, i), {})
+                dei = d_p.get(i, ())
                 for j in range(i if sorted_only and p == q else 0, a.dims[q]):
-                    total = None
-                    # d[e_i,e_j]
-                    for m, c in brk.get((p, q, i, j), ()):
-                        col = dcol.get((p + q, m))
-                        if col:
-                            if total is None:
-                                total = [0] * n
-                            for t, v in col:
-                                total[t] += c * v
-                    # - [de_i,e_j]
-                    for m, c in dei:
-                        cell = brk.get((p - 1, q, m, j))
-                        if cell:
-                            if total is None:
-                                total = [0] * n
-                            for t, v in cell:
-                                total[t] -= c * v
-                    # - (-1)^p [e_i,de_j]
-                    if q - 1 >= 1:
-                        for m, c in dcol.get((q, j), ()):
-                            cell = brk.get((p, q - 1, i, m))
-                            if cell:
-                                if total is None:
-                                    total = [0] * n
-                                c *= sign
-                                for t, v in cell:
-                                    total[t] -= c * v
+                    # d[e_i,e_j] - [de_i,e_j] - (-1)^p [e_i,de_j]
+                    total = _add_terms(None, n, i_q.get(j, ()), d_pq, 1)
+                    total = _add_terms(total, n, dei, right.get((p - 1, q, j), {}), -1)
+                    total = _add_terms(total, n, d_q.get(j, ()), i_dq, -sign)
                     if total is not None and any(total):
                         violations.append(_fails_on("Leibniz", ((p, i), (q, j))))
     return violations

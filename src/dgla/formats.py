@@ -34,7 +34,9 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, validate
+from .dg import (
+    DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, _atom_name, _read_atom_name, validate
+)
 from .errors import (
     FormatError,
     MixedDegrees,
@@ -187,7 +189,7 @@ def _read_canonical(text, index):
 @lru_cache(maxsize=32)
 def _atom_table(k: int, dim: int) -> dict[str, int]:
     """The table of the atoms e_k_i, i < dim, of a finite-dimensional algebra."""
-    return {f"e_{k}_{i}": i for i in range(dim)}
+    return {_atom_name(k, i): i for i in range(dim)}
 
 
 # -- dg Lie algebras ---------------------------------------------------------
@@ -290,14 +292,12 @@ def _findim_from_doc(doc: dict, *where: str) -> FiniteDimDGLA:
 
 
 def _atom_indices(name, *where: str) -> tuple[int, int]:
-    if isinstance(name, str):
-        parts = name.split("_")
-        if len(parts) == 3 and parts[0] == "e":
-            try:
-                return int(parts[1]), int(parts[2])
-            except ValueError:
-                pass
-    raise FormatError(f"expected a basis vector name e_<deg>_<i>, got {name!r}").within(*where)
+    indices = _read_atom_name(name)
+    if indices is None:
+        raise FormatError(
+            f"expected a basis vector name e_<deg>_<i>, got {name!r}"
+        ).within(*where)
+    return indices
 
 
 def _linear_value(text, degree: int, dim: int, *where: str):
@@ -356,10 +356,10 @@ def dgla_to_doc(algebra) -> dict:
             if not cell:
                 continue
             value = format_written_terms(
-                (_ratio_text(v, scale), f"e_{p + q}_{t}") for t, v in cell
+                (_ratio_text(v, scale), _atom_name(p + q, t)) for t, v in cell
             )
             entries.append(
-                {"left": f"e_{p}_{i}", "right": f"e_{q}_{j}", "value": value}
+                {"left": _atom_name(p, i), "right": _atom_name(q, j), "value": value}
             )
         diff = {}
         for k in sorted(algebra.d_mats):

@@ -1505,6 +1505,56 @@ def test_non_canonical_degree_keys_are_refused(capsys, tmp_path, field, key):
     assert err == f"error: {path}: {field}: bad degree key {key!r}\n"
 
 
+_ATOM_SPELLINGS = ["e_1_01", "e_1_+1", "e_1_ 1", "e_1_\u0661", "e_01_1"]
+
+
+def _atom_doc(**entry):
+    bracket = {"left": "e_1_0", "right": "e_1_1", "value": "e_2_0"}
+    return {"kind": "findim_dgla", "dims": {"1": 2, "2": 1}, "brackets": [{**bracket, **entry}]}
+
+
+@pytest.mark.parametrize("name", _ATOM_SPELLINGS)
+@pytest.mark.parametrize("field", ["left", "right"])
+def test_non_canonical_atom_names_are_refused_in_brackets(capsys, tmp_path, field, name):
+    # each name spells e_1_1 to int(); read as it, it would be written back
+    # in another spelling
+    path = write(tmp_path, "atoms.json", _atom_doc(**{field: name}))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: expected a basis vector name e_<deg>_<i>, got {name!r}\n"
+
+
+@pytest.mark.parametrize("name", ["e_2_00", "e_02_0", "e_2_\u0660"])
+def test_non_canonical_atom_names_are_refused_in_bracket_values(capsys, tmp_path, name):
+    path = write(tmp_path, "atoms.json", _atom_doc(value=name))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: bracket value: expected a basis vector name e_<deg>_<i>, got {name!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, code, message",
+    [
+        ("e_1_01", 2, "unknown basis vector 'e_1_01'"),
+        ("e_1_+1", 1, "line 1, col 7: nonzero constant term: elements have no degree-0 part"),
+        ("e_1_ 1", 1, "line 1, col 6: unexpected trailing input"),
+        ("e_1_\u0661", 2, "unknown basis vector 'e_1_\u0661'"),
+        ("e_01_1", 2, "unknown basis vector 'e_01_1'"),
+    ],
+)
+def test_non_canonical_atom_names_are_refused_in_images(files, capsys, tmp_path, name, code, message):
+    # an expression leaf is an unknown basis vector; "e_1_+1" and "e_1_ 1"
+    # are not one leaf, and the parser refuses them
+    target = write(tmp_path, "target.json", _atom_doc())
+    path = write(tmp_path, "map.json", {"kind": "dgla_morphism", "images": {"a": name}})
+    argv = ["minimal-model", files["sphere"], target, path, "--max-degree", "2"]
+    got, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
+    assert (got, out) == (code, "")
+    assert err == f"error: {path}: images[a]: {message}\n"
+
+
 def test_model_image_in_an_undeclared_degree_of_the_target_names_the_field(
     files, capsys, tmp_path
 ):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgla import dg
 from dgla.dg import (
     DGLAMorphism,
     Element,
@@ -804,6 +805,23 @@ def test_findim_small_max_degree_matches_reference(dims, max_degree, first_above
             f"degree {first_above} exceeds the declared maximum degree {max_degree}",
         )
     assert _both_outcomes(dims, {}, {}, max_degree) == (expected, expected)
+
+
+def test_untouched_pairs_allocate_no_defect(monkeypatch):
+    # no structure constant or column of d touches the 60000 pairs
+    # (e_1_i, e_3_j), so the accumulator allocates no defect list for them
+    add_terms = dg._add_terms
+    calls = []
+
+    def counting(*args):
+        total = add_terms(*args)
+        calls.append(total is not None)
+        return total
+
+    monkeypatch.setattr(dg, "_add_terms", counting)
+    assert validate(FiniteDimDGLA({1: 2, 3: 30000})).ok
+    assert len(calls) >= 3 * 2 * 30000
+    assert not any(calls)
 
 
 def test_jacobi_verdicts_of_permuted_triples_match_reference():

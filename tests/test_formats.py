@@ -322,6 +322,8 @@ def _reference_linear_value(text, degree, dim, context):
             if len(parts) != 3 or parts[0] != "e":
                 raise ValueError
             k, i = int(parts[1]), int(parts[2])
+            if f"e_{k}_{i}" != tree:  # only the spelling dgla writes
+                raise ValueError
         except ValueError:
             raise FormatError(
                 f"{context}: expected a basis vector name e_<deg>_<i>, got {tree!r}"
