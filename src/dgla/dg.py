@@ -325,10 +325,12 @@ def _atom_name(k: int, i: int) -> str:
 def _read_atom_name(name) -> tuple[int, int] | None:
     """(k, i) of a basis vector name, or None.  A name is read only in the
     spelling `_atom_name` writes, so no two names are one basis vector."""
+    if not isinstance(name, str) or name.count("_") != 2:
+        return None
+    _, k, i = name.split("_")
     try:
-        e, k, i = name.split("_")
         k, i = int(k), int(i)
-    except (AttributeError, ValueError):
+    except ValueError:
         return None
     return (k, i) if _atom_name(k, i) == name else None
 

@@ -1513,25 +1513,19 @@ def _atom_doc(**entry):
     return {"kind": "findim_dgla", "dims": {"1": 2, "2": 1}, "brackets": [{**bracket, **entry}]}
 
 
-@pytest.mark.parametrize("name", _ATOM_SPELLINGS)
-@pytest.mark.parametrize("field", ["left", "right"])
+@pytest.mark.parametrize(
+    "field, name",
+    [(field, name) for field in ("left", "right") for name in _ATOM_SPELLINGS]
+    + [("value", name) for name in ("e_2_00", "e_02_0", "e_2_\u0660")],
+)
 def test_non_canonical_atom_names_are_refused_in_brackets(capsys, tmp_path, field, name):
-    # each name spells e_1_1 to int(); read as it, it would be written back
-    # in another spelling
+    # each name spells a basis vector to int(); read as it, it would be
+    # written back in another spelling
     path = write(tmp_path, "atoms.json", _atom_doc(**{field: name}))
     code, out, err = run(capsys, "validate", path)
+    where = f"{path}: bracket value" if field == "value" else path
     assert (code, out) == (2, "")
-    assert err == f"error: {path}: expected a basis vector name e_<deg>_<i>, got {name!r}\n"
-
-
-@pytest.mark.parametrize("name", ["e_2_00", "e_02_0", "e_2_\u0660"])
-def test_non_canonical_atom_names_are_refused_in_bracket_values(capsys, tmp_path, name):
-    path = write(tmp_path, "atoms.json", _atom_doc(value=name))
-    code, out, err = run(capsys, "validate", path)
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: {path}: bracket value: expected a basis vector name e_<deg>_<i>, got {name!r}\n"
-    )
+    assert err == f"error: {where}: expected a basis vector name e_<deg>_<i>, got {name!r}\n"
 
 
 @pytest.mark.parametrize(
