@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .dg import QuasiFreeDGLA, validate
+from .dg import QuasiFreeDGLA, require_valid, validate
 from .errors import (
     BaseNotAutomorphism,
     DegreeBoundExceeded,
@@ -72,20 +72,14 @@ def _naming_file(errors, *where: str):
 def _load_validated_algebra(path: str):
     algebra = dgla_from_doc(load_document(path), path)
     with _naming_file(TargetNotFiniteType, path, "maxDegree"):
-        report = validate(algebra)
-    if not report.ok:
-        raise FormatError(report.first).within(path)
+        require_valid(algebra, path)
     return algebra
 
 
 def _load_model(path: str):
     doc = load_document(path)
     with _naming_file(TargetNotFiniteType, path, "structureMap.target.maxDegree"):
-        model = model_from_doc(doc, context=path)
-        report = validate(model.dgla)
-    if not report.ok:
-        raise FormatError(report.first).within(path)
-    return model
+        return model_from_doc(doc, context=path)
 
 
 def cmd_validate(args) -> int:

@@ -85,8 +85,8 @@ from .errors import (
     TargetNotFiniteType,
     UnknownGenerator,
 )
-from .exprs import Terms, eval_tree, format_terms, is_identifier
-from .freelie import FreeGLA, GradedGenerator, LiePoly, TVec, tensor_bracket
+from .exprs import Terms, eval_tree, format_terms
+from .freelie import FreeGLA, GradedGenerator, LiePoly, TVec, generator_violations, tensor_bracket
 from .linalg import (
     Matrix,
     Subspace,
@@ -655,22 +655,20 @@ def validate(a) -> ValidationReport:
     return a._validation
 
 
+def require_valid(a, *where: str) -> None:
+    """Refuse an algebra that `validate` finds fault with: a FormatError
+    with the first violation, at `where`, the file and field it was read
+    from."""
+    report = validate(a)
+    if not report.ok:
+        raise FormatError(report.first).within(*where)
+
+
 def _validate_quasifree(a: QuasiFreeDGLA) -> ValidationReport:
-    violations: list[str] = []
-    seen = set()
-    for g in a.generators:
-        if g.name in seen:
-            violations.append(f"duplicate generator name {g.name!r}")
-        elif not is_identifier(g.name):
-            violations.append(f"generator name {g.name!r} is not an identifier")
-        seen.add(g.name)
-    for g in a.generators:
-        if not isinstance(g.degree, int) or g.degree < 1:
-            violations.append(
-                f"generator {g.name!r} has degree {g.degree}: not simply connected"
-            )
+    violations = [message for _, message in generator_violations(a.generators)]
     if violations:
         return ValidationReport(tuple(violations))
+    seen = {g.name for g in a.generators}
     for name in sorted(a.differential):
         if name not in seen:
             violations.append(f"differential given for unknown generator {name!r}")

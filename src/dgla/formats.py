@@ -10,7 +10,8 @@ Document kinds:
 * ``dgla``            quasi-free algebra: generators + differential exprs
 * ``findim_dgla``     dims per degree, bracket structure constants, d matrices
 * ``dgla_morphism``   source/target (inline doc or path) + generator images;
-                      read only, since no command writes a morphism
+                      an embedded source or target is validated; read
+                      only, since no command writes a morphism
 * ``relative_model``  dgla fields + base, stages, structureMap
 * ``endo``            generator images over a separately supplied model
 
@@ -35,7 +36,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .dg import (
-    DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, _atom_name, _read_atom_name, validate
+    DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA, _atom_name, _read_atom_name, require_valid
 )
 from .errors import (
     FormatError,
@@ -251,17 +252,18 @@ def _findim_from_doc(doc: dict, *where: str) -> FiniteDimDGLA:
     raw_brackets = doc.get("brackets", [])
     if not isinstance(raw_brackets, list):
         raise FormatError("brackets must be an array").within(*where)
-    for entry in raw_brackets:
+    for n, entry in enumerate(raw_brackets):
+        at = f"brackets[{n}]"
         if not isinstance(entry, dict) or not {"left", "right", "value"} <= set(entry):
-            raise FormatError("bracket entries need left/right/value").within(*where)
-        p, i = _atom_indices(entry["left"], *where)
-        q, j = _atom_indices(entry["right"], *where)
-        value = _linear_value(entry["value"], p + q, dims.get(p + q, 0), *where, "bracket value")
+            raise FormatError("bracket entries need left/right/value").within(*where, at)
+        p, i = _atom_indices(entry["left"], *where, f"{at}.left")
+        q, j = _atom_indices(entry["right"], *where, f"{at}.right")
+        value = _linear_value(entry["value"], p + q, dims.get(p + q, 0), *where, f"{at}.value")
         key = (p, q, i, j)
         if key in brackets:
             raise FormatError(
                 f"duplicate bracket entry for ({entry['left']}, {entry['right']})"
-            ).within(*where)
+            ).within(*where, at)
         brackets[key] = value
     d_mats = {}
     raw_d = doc.get("differential", {})
@@ -383,21 +385,27 @@ def dgla_to_doc(algebra) -> dict:
 
 
 def _resolve_algebra(ref, base_dir: Path | None, *where: str):
+    """The validated algebra of a source or target field: a path or a document."""
     if isinstance(ref, str):
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         try:
-            doc = load_document(path)
+            ref = load_document(path)
         except (OSError, ValueError) as e:
             # ValueError: a path with a NUL character cannot be opened
             raise FormatError(str(e)).within(*where) from None
         except (FormatError, ParseError) as e:
             raise e.within(*where) from None
-        return dgla_from_doc(doc, str(path))
-    if isinstance(ref, dict):
-        return dgla_from_doc(ref, *where)
-    raise FormatError("expected a path or an inline document").within(*where)
+        where = (str(path),)
+    elif not isinstance(ref, dict):
+        raise FormatError("expected a path or an inline document").within(*where)
+    algebra = dgla_from_doc(ref, *where)
+    try:
+        require_valid(algebra, *where)
+    except TargetNotFiniteType as e:
+        raise e.within(*where, "maxDegree") from None
+    return algebra
 
 
 def _images_from_doc(raw_images, source, target, *where: str) -> dict[str, Element]:
@@ -471,6 +479,7 @@ def model_to_doc(model: RelativeModel) -> dict:
 
 
 def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
+    """The model of a relative_model document, with both algebras validated."""
     if doc.get("kind") != "relative_model":
         raise FormatError("expected a relative_model document").within(context)
     dgla = _quasifree_from_doc(doc, context)
@@ -496,19 +505,20 @@ def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
     smap = doc.get("structureMap")
     if not isinstance(smap, dict) or "target" not in smap:
         raise FormatError("missing structureMap with target").within(context)
-    target = dgla_from_doc(smap["target"], context, "structureMap target")
+    target = dgla_from_doc(smap["target"], context, "structureMap.target")
     # the images are evaluated in the target, which builds its algebra, so a
     # bad target is refused first
-    report = validate(target)
-    if not report.ok:
-        raise FormatError(report.first).within(context, "structure-map target")
+    require_valid(target, context, "structureMap.target")
     raw_images = smap.get("images", {})
     images = morphism_images_from_doc(raw_images, dgla, target, context, "structureMap")
     q = DGLAMorphism(dgla, target, images)
     try:
-        return RelativeModel(dgla, tuple(base), tuple(stages), q)
+        model = RelativeModel(dgla, tuple(base), tuple(stages), q)
     except FormatError as e:
         raise e.within(context, "base/stages") from None
+    # checked last, so a fault in the base or stages is named first
+    require_valid(dgla, context)
+    return model
 
 
 # -- endomorphisms --------------------------------------------------------------

@@ -228,6 +228,25 @@ def _embed_bracket(left: tuple[int, TVec], right: tuple[int, TVec]) -> tuple[int
     return left[0] + right[0], tensor_bracket(*left, *right)
 
 
+def generator_violations(generators) -> list[tuple[type, str]]:
+    """Each violation of the generator rules as (error class, message):
+    first the names, each a distinct identifier, then the degrees, each
+    an integer >= 1, in generator order."""
+    violations: list[tuple[type, str]] = []
+    seen = set()
+    for g in generators:
+        if g.name in seen:
+            violations.append((FormatError, f"duplicate generator name {g.name!r}"))
+        elif not is_identifier(g.name):
+            violations.append((FormatError, f"generator name {g.name!r} is not an identifier"))
+        seen.add(g.name)
+    for g in generators:
+        if not isinstance(g.degree, int) or g.degree < 1:
+            message = f"generator {g.name!r} has degree {g.degree}: not simply connected"
+            violations.append((NotSimplyConnected, message))
+    return violations
+
+
 class DegreeBasis:
     """Canonical ordered basis of one homogeneous piece.
 
@@ -270,18 +289,10 @@ class FreeGLA:
 
     def __init__(self, generators: Sequence[GradedGenerator]):
         gens = tuple(generators)
-        seen = set()
-        for g in gens:
-            if g.name in seen:
-                raise FormatError(f"duplicate generator name {g.name!r}")
-            if not is_identifier(g.name):
-                raise FormatError(f"generator name {g.name!r} is not an identifier")
-            seen.add(g.name)
-            if not isinstance(g.degree, int) or g.degree < 1:
-                raise NotSimplyConnected(
-                    f"generator {g.name!r} has degree {g.degree}; "
-                    "all generators must have degree >= 1"
-                )
+        violations = generator_violations(gens)
+        if violations:
+            error, message = violations[0]
+            raise error(message)
         self.generators = gens
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)

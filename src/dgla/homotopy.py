@@ -278,6 +278,13 @@ def _require_degree_zero(delta: RelDerivation):
         raise FormatError("expected a degree-0 derivation")
 
 
+def _generator_degree_within(model: RelativeModel, bound: int) -> int:
+    m = model.max_generator_degree()
+    if m > bound:
+        raise DegreeBoundExceeded("bound is smaller than the maximal generator degree")
+    return m
+
+
 def exp_derivation(delta: RelDerivation, bound: int) -> FilteredEndo:
     """exp(delta) as an endomorphism, for nilpotent degree-0 derivations.
 
@@ -287,10 +294,7 @@ def exp_derivation(delta: RelDerivation, bound: int) -> FilteredEndo:
     """
     _require_degree_zero(delta)
     model = delta.model
-    if model.max_generator_degree() > bound:
-        raise DegreeBoundExceeded(
-            "bound is smaller than the maximal generator degree"
-        )
+    _generator_degree_within(model, bound)
     bad = delta.linear_fiber_defects()
     if bad:
         raise NotWordLengthRaising(
@@ -339,10 +343,7 @@ def log_unipotent(u: FilteredEndo, bound: int) -> RelDerivation:
     fiber part on every fiber generator.
     """
     model = u.model
-    if model.max_generator_degree() > bound:
-        raise DegreeBoundExceeded(
-            "bound is smaller than the maximal generator degree"
-        )
+    _generator_degree_within(model, bound)
     dgla = model.dgla
     for name in model.base_names:
         if u.image(name) != dgla.atom(name):
@@ -409,9 +410,7 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
                 f"the {name} endomorphism is not a relative automorphism", position
             )
     data0 = derivation_basis(model, 0, bound)
-    m = model.max_generator_degree()
-    if m > bound:
-        raise DegreeBoundExceeded("bound is smaller than the maximal generator degree")
+    m = _generator_degree_within(model, bound)
     dims = data0.dims
     u = f.compose(invert_relative_quasi_iso(g, bound))
 

@@ -21,13 +21,8 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dg import DGLAMorphism, Element, QuasiFreeDGLA, induced_map_on_homology, validate
-from .errors import (
-    DegreeBoundTooSmall,
-    FormatError,
-    NotAChainMap,
-    NotSimplyConnected,
-)
+from .dg import DGLAMorphism, Element, QuasiFreeDGLA, induced_map_on_homology, require_valid, validate
+from .errors import DegreeBoundTooSmall, FormatError, NotAChainMap
 from .freelie import GradedGenerator, LiePoly
 from .linalg import Matrix, Subspace, dense_vector, kernel_basis, solve_pivot
 
@@ -142,16 +137,6 @@ def is_minimal(model: RelativeModel) -> MinimalityReport:
     return model._minimality
 
 
-def _require_valid(algebra) -> None:
-    report = validate(algebra)
-    if report.ok:
-        return
-    first = report.first
-    if "simply connected" in first:
-        raise NotSimplyConnected(first)
-    raise FormatError(first)
-
-
 def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
     """Construct the minimal relative model of f: L(V) -> g, staged to `bound`.
 
@@ -162,8 +147,8 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
     if bound < 1:
         raise DegreeBoundTooSmall("the degree bound must be at least 1")
     source, target = f.source, f.target
-    _require_valid(source)
-    _require_valid(target)
+    require_valid(source)
+    require_valid(target)
     if not f.is_chain_map():
         raise NotAChainMap(
             "input map does not commute with the differentials on "

@@ -19,6 +19,7 @@ from dgla.dg import (
     FiniteDimDGLA,
     QuasiFreeDGLA,
     induced_map_on_homology,
+    require_valid,
     validate,
 )
 from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, tensor_bracket
@@ -37,7 +38,7 @@ from dgla.linalg import (
     vector,
     zero_vector,
 )
-from dgla.minimal import RelativeModel, Stage, _require_valid, build_minimal_model
+from dgla.minimal import RelativeModel, Stage, build_minimal_model
 
 
 def rand_coeff(rng, lo=-2, hi=3):
@@ -771,8 +772,8 @@ def reference_build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
     fresh algebra and structure map at every stage and once more at the end.
     The input checks are the same; the reserved-name check is left out."""
     source, target = f.source, f.target
-    _require_valid(source)
-    _require_valid(target)
+    require_valid(source)
+    require_valid(target)
     assert f.is_chain_map()
     gens = list(source.generators)
     diffs = dict(source.differential)

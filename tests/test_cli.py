@@ -1398,7 +1398,7 @@ _HUGE = "1" * 5000
                 "dims": {"1": 1, "2": 1},
                 "brackets": [{"left": "e_1_0", "right": "e_1_0", "value": "²*e_2_0"}],
             },
-            "bracket value",
+            "brackets[0].value",
             "line 1, col 1: integer with a digit that is not decimal",
         ),
         (
@@ -1409,7 +1409,7 @@ _HUGE = "1" * 5000
                     {"left": "e_1_0", "right": "e_1_0", "value": f"e_2_0 - {_HUGE}*e_2_0"}
                 ],
             },
-            "bracket value",
+            "brackets[0].value",
             "line 1, col 9: integer of 5000 digits is too long",
         ),
         (
@@ -1523,9 +1523,11 @@ def test_non_canonical_atom_names_are_refused_in_brackets(capsys, tmp_path, fiel
     # written back in another spelling
     path = write(tmp_path, "atoms.json", _atom_doc(**{field: name}))
     code, out, err = run(capsys, "validate", path)
-    where = f"{path}: bracket value" if field == "value" else path
     assert (code, out) == (2, "")
-    assert err == f"error: {where}: expected a basis vector name e_<deg>_<i>, got {name!r}\n"
+    assert err == (
+        f"error: {path}: brackets[0].{field}: "
+        f"expected a basis vector name e_<deg>_<i>, got {name!r}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1563,7 +1565,7 @@ def test_model_image_in_an_undeclared_degree_of_the_target_names_the_field(
     path = write(tmp_path, "degree_zero.json", doc)
     code, _, err = run(capsys, "pi0", path, "--max-degree", "3")
     _assert_one_line_error(
-        code, err, f"{path}: structure-map target: degree 0 piece declared: not simply connected"
+        code, err, f"{path}: structureMap.target: degree 0 piece declared: not simply connected"
     )
 
 
@@ -1589,7 +1591,7 @@ def test_model_target_with_a_duplicate_generator_exits_with_one_line(capsys, tmp
     code, out, err = run(capsys, "pi0", path, "--max-degree", "1")
     assert (code, out) == (2, "")
     _assert_one_line_error(
-        code, err, f"{path}: structure-map target: duplicate generator name 'y'"
+        code, err, f"{path}: structureMap.target: duplicate generator name 'y'"
     )
 
 
@@ -1620,7 +1622,7 @@ def test_bad_model_target_names_file_and_field(capsys, tmp_path, generators, ima
     path = write(tmp_path, "m.json", doc)
     code, out, err = run(capsys, "pi0", path, "--max-degree", "1")
     assert (code, out) == (2, "")
-    _assert_one_line_error(code, err, f"{path}: structure-map target: {violation}")
+    _assert_one_line_error(code, err, f"{path}: structureMap.target: {violation}")
     assert err.count("m.json") == 1
 
 
@@ -1871,7 +1873,7 @@ _LOCATED_REFUSALS = {
           "stages": [], "structureMap": {"target": _gens(("y", 0))}},
          "--max-degree", "1"],
         1,
-        "structure-map target: generator 'y' has degree 0: not simply connected",
+        "structureMap.target: generator 'y' has degree 0: not simply connected",
     ),
     "not-filtered": _located(
         # in L(x, y | w), the image of the base generator y holds the fiber w
@@ -1893,6 +1895,104 @@ _LOCATED_REFUSALS = {
 def test_located_refusals_keep_their_whole_line(files, capsys, tmp_path, case):
     argv, line, code = _LOCATED_REFUSALS[case](files, tmp_path)
     assert run(capsys, *argv) == (code, "", f"error: {line}\n")
+
+
+# invalid algebras, each with the refusal of its first violation
+_INVALID_ALGEBRAS = {
+    "degree-zero": (_gens(("x", 0)), "generator 'x' has degree 0: not simply connected"),
+    "duplicate-name": (_gens(("x", 1), ("x", 1)), "duplicate generator name 'x'"),
+    "unknown-generator": (
+        {**_gens(("x", 1), ("w", 2)), "differential": {"w": "z"}},
+        "differential of 'w' uses unknown generator 'z'",
+    ),
+    "not-homogeneous": (
+        {**_gens(("x", 1), ("y", 1), ("w", 3)), "differential": {"w": "x + [x,y]"}},
+        "differential of 'w' is not homogeneous",
+    ),
+    "d-squared": (
+        {**_gens(("x", 1), ("y", 2), ("w", 3)), "differential": {"w": "y", "y": "x"}},
+        "d^2 is nonzero on generator 'w'",
+    ),
+    "above-maxDegree": (
+        {"kind": "findim_dgla", "dims": {"2": 1, "6": 1}, "maxDegree": 1},
+        "maxDegree: degree 2 exceeds the declared maximum degree 1",
+    ),
+}
+
+
+def _minimal_model(files, tmp_path, base=None, target=None, map_doc=None):
+    """minimal-model of the inclusion of the sphere into the wedge, with the
+    base or target file or the map document given instead."""
+    map_path = files["incl"] if map_doc is None else write(tmp_path, "map.json", map_doc)
+    return ["minimal-model", base or files["sphere"], target or files["wedge"], map_path,
+            "--max-degree", "2", "--out", str(tmp_path / "out.json")]
+
+
+def _reading_map_end(end):
+    def argv(files, tmp_path, doc, bad):
+        args = _minimal_model(files, tmp_path, map_doc={**_map({"a": "a"}), end: doc})
+        return args, f"{args[3]}: {end}"
+
+    return argv
+
+
+def _reading_model(own):
+    def argv(files, tmp_path, doc, bad):
+        if own:
+            model = {**doc, "kind": "relative_model", "stages": [],
+                     "base": [g["name"] for g in doc["generators"]],
+                     "structureMap": {"target": _gens(("a", 1)), "images": {}}}
+        else:
+            model = json.loads(Path(files["model"]).read_text(encoding="utf-8"))
+            model["structureMap"] = {"target": doc, "images": {}}
+        path = write(tmp_path, "m.json", model)
+        return ["pi0", path, "--max-degree", "3"], path if own else f"{path}: structureMap.target"
+
+    return argv
+
+
+# every path that reads an algebra: (files, tmp_path, the algebra's document,
+# that document as a file) -> (argv, the place the refusal names)
+_ALGEBRA_READERS = {
+    "validate": lambda files, tmp_path, doc, bad: (["validate", bad], bad),
+    "homology": lambda files, tmp_path, doc, bad: (["homology", bad, "--max-degree", "2"], bad),
+    "minimal-model-base": lambda files, tmp_path, doc, bad: (
+        _minimal_model(files, tmp_path, base=bad), bad
+    ),
+    "minimal-model-target": lambda files, tmp_path, doc, bad: (
+        _minimal_model(files, tmp_path, target=bad), bad
+    ),
+    "map-source": _reading_map_end("source"),
+    "map-target": _reading_map_end("target"),
+    # a referenced file is named itself, as its parse errors are
+    "map-source-path": lambda files, tmp_path, doc, bad: (
+        _minimal_model(files, tmp_path, map_doc={**_map({"a": "a"}), "source": bad}), bad
+    ),
+    "model-target": _reading_model(own=False),
+    "model-algebra": _reading_model(own=True),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, fault",
+    [
+        (reader, fault)
+        for reader in _ALGEBRA_READERS
+        for fault in _INVALID_ALGEBRAS
+        # validate lists the axiom violations it finds instead (see the
+        # tests above), so it refuses only the bound; a model's own algebra
+        # is quasi-free, and the bound of its target is pinned in
+        # _LOCATED_REFUSALS
+        if (fault == "above-maxDegree" and not reader.startswith("model"))
+        or (fault != "above-maxDegree" and reader != "validate")
+    ],
+)
+def test_every_path_that_reads_an_algebra_refuses_an_invalid_one(
+    files, capsys, tmp_path, reader, fault
+):
+    doc, message = _INVALID_ALGEBRAS[fault]
+    argv, place = _ALGEBRA_READERS[reader](files, tmp_path, doc, write(tmp_path, "bad.json", doc))
+    assert run(capsys, *argv) == (2, "", f"error: {place}: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -100,7 +100,24 @@ def test_model_target_must_be_an_object():
     doc["structureMap"]["target"] = "cone.json"
     with pytest.raises(FormatError) as exc:
         model_from_doc(doc, context="m.json")
-    assert str(exc.value).startswith("m.json: structureMap target: expected")
+    assert str(exc.value).startswith("m.json: structureMap.target: expected")
+
+
+def test_model_with_an_invalid_algebra_is_refused():
+    # d(w) = y and d(y) = x, so d(d(w)) = x
+    doc = {
+        "kind": "relative_model",
+        "generators": [
+            {"name": "x", "degree": 1}, {"name": "y", "degree": 2}, {"name": "w", "degree": 3}
+        ],
+        "differential": {"w": "y", "y": "x"},
+        "base": ["x", "y", "w"],
+        "stages": [],
+        "structureMap": {"target": SPHERE, "images": {}},
+    }
+    with pytest.raises(FormatError) as exc:
+        model_from_doc(doc, context="m.json")
+    assert str(exc.value) == "m.json: d^2 is nonzero on generator 'w'"
 
 
 def test_expression_error_carries_position():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dgla.dg import QuasiFreeDGLA, validate
 from dgla.errors import FormatError, MixedDegrees, NotSimplyConnected, ParseError, UnknownGenerator
 from dgla.exprs import _Scanner, is_identifier, parse_expr
 from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, bracket, tensor_bracket
@@ -84,6 +85,22 @@ def test_basis_coords_rejects_a_vector_of_another_degree():
 def test_degree_zero_generator_rejected():
     with pytest.raises(NotSimplyConnected):
         L(0)
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ([("x", 0)], NotSimplyConnected),
+        ([("x", 0), ("x", 1)], FormatError),
+        ([("x", 1), ("2", 1)], FormatError),
+        ([("x", 1), ("y", -1), ("z", 0)], NotSimplyConnected),
+    ],
+)
+def test_free_algebra_raises_the_first_generator_violation_validate_lists(pairs, error):
+    gens = [GradedGenerator(n, d) for n, d in pairs]
+    with pytest.raises(error) as exc:
+        FreeGLA(gens)
+    assert str(exc.value) == validate(QuasiFreeDGLA(gens, {})).first
 
 
 def test_one_odd_generator_dimensions():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dgla import minimal
 from dgla.dg import DGLAMorphism, Element, FiniteDimDGLA, QuasiFreeDGLA
-from dgla.errors import DegreeBoundTooSmall, NotSimplyConnected
+from dgla.errors import DegreeBoundTooSmall, FormatError, NotSimplyConnected
 from dgla.exprs import parse_expr
 from dgla.freelie import GradedGenerator, LiePoly
 from dgla.minimal import (
@@ -127,6 +127,14 @@ def test_not_simply_connected_rejected():
     bad = QuasiFreeDGLA([GradedGenerator("x", 0)], {})
     with pytest.raises(NotSimplyConnected):
         build_minimal_model(DGLAMorphism.identity(bad), 2)
+
+
+def test_invalid_source_is_refused_as_every_reader_refuses_it():
+    # the images are given, so no free Lie algebra is built before the check
+    bad = QuasiFreeDGLA([GradedGenerator("x", 0)], {})
+    f = DGLAMorphism(bad, bad, {"x": Element(0, ())})
+    with pytest.raises(FormatError, match="^generator 'x' has degree 0: not simply connected$"):
+        build_minimal_model(f, 2)
 
 
 def test_verify_flags_zero_b_differential():
