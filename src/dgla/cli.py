@@ -76,12 +76,6 @@ def _load_validated_algebra(path: str):
     return algebra
 
 
-def _load_model(path: str):
-    doc = load_document(path)
-    with _naming_file(TargetNotFiniteType, path, "structureMap.target.maxDegree"):
-        return model_from_doc(doc, context=path)
-
-
 def cmd_validate(args) -> int:
     algebra = dgla_from_doc(load_document(args.file), args.file)
     with _naming_file(TargetNotFiniteType, args.file, "maxDegree"):
@@ -137,7 +131,7 @@ def cmd_minimal_model(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    model = _load_model(args.model)
+    model = model_from_doc(load_document(args.model), context=args.model)
     endo = endo_from_doc(load_document(args.endo), model, context=args.endo)
     with _naming_file(NotMinimal, args.model), _naming_file(
         (NotQuasiIso, BaseNotAutomorphism, NotAChainMap), args.endo
@@ -165,7 +159,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_equivalent(args) -> int:
-    model = _load_model(args.model)
+    model = model_from_doc(load_document(args.model), context=args.model)
     f = endo_from_doc(load_document(args.endo1), model, context=args.endo1)
     g = endo_from_doc(load_document(args.endo2), model, context=args.endo2)
     with _naming_file(NotMinimal, args.model), _naming_file(
@@ -200,7 +194,7 @@ def cmd_equivalent(args) -> int:
 
 
 def cmd_pi0(args) -> int:
-    model = _load_model(args.model)
+    model = model_from_doc(load_document(args.model), context=args.model)
     with _naming_file(DegreeBoundExceeded, args.model, "--max-degree"):
         report = pi0_report(model, args.max_degree)
     if args.format == "table":

@@ -639,10 +639,10 @@ class ValidationReport(NamedTuple):
 
 
 def validate(a) -> ValidationReport:
-    """Check the dg Lie algebra axioms; violations are reported, not thrown.
-
-    The report is memoized single-assignment on the algebra, so a command
-    that validates one algebra on several paths checks the axioms once.
+    """Check the dg Lie algebra axioms; violations are reported, not thrown,
+    save TargetNotFiniteType: a finite-dimensional algebra raises it when a
+    degree its Jacobi check reads is above maxDegree, and the callers put
+    that field on it.  Memoized single-assignment, so each path checks once.
     """
     if isinstance(a, QuasiFreeDGLA):
         check = _validate_quasifree

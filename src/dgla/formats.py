@@ -506,11 +506,18 @@ def model_from_doc(doc: dict, context: str = "model") -> RelativeModel:
     if not isinstance(smap, dict) or "target" not in smap:
         raise FormatError("missing structureMap with target").within(context)
     target = dgla_from_doc(smap["target"], context, "structureMap.target")
-    # the images are evaluated in the target, which builds its algebra, so a
-    # bad target is refused first
-    require_valid(target, context, "structureMap.target")
     raw_images = smap.get("images", {})
-    images = morphism_images_from_doc(raw_images, dgla, target, context, "structureMap")
+    try:
+        # the images are evaluated in the target, which builds its algebra,
+        # so a bad target is refused first
+        require_valid(target, context, "structureMap.target")
+        images = morphism_images_from_doc(raw_images, dgla, target, context, "structureMap")
+    except TargetNotFiniteType as e:
+        # from validating the target, or the zero image of a generator left
+        # out; one from a written image has its place already
+        if not e.where:
+            e.within(context, "structureMap.target", "maxDegree")
+        raise
     q = DGLAMorphism(dgla, target, images)
     try:
         model = RelativeModel(dgla, tuple(base), tuple(stages), q)

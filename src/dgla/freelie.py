@@ -63,7 +63,10 @@ content blocks are the ambient blocks over the subset, so each keeps the
 same greedy basis: in order, the ambient basis vectors whose words use only
 the subset's letters.  An element lies in the sub-algebra iff its
 coordinates vanish off those indices, and the ones at them are its
-sub-algebra coordinates.
+sub-algebra coordinates.  That is the reading on coordinates; on tensor
+form it is `letters`: the embedding is faithful and every word of a content
+block has that block's letters, so an element lies in the sub-algebra iff
+the letters of its words are among the subset.
 
 Tensor-space vectors are sparse dicts keyed by words (tuples of generator
 indices), with int or Fraction values.  Words are enumerated by (length,
@@ -461,6 +464,11 @@ class FreeGLA:
             for i, vec in enumerate(self.degree_basis(k).vectors)
             if letters.issuperset(next(iter(vec)))
         )
+
+    def letters(self, vec: TVec) -> set[str]:
+        """The names of the generators in the words of the tensor vector vec:
+        the least set of names whose free sub-algebra holds vec."""
+        return {self.generators[i].name for i in set().union(*vec)}
 
     def dim(self, k: int) -> int:
         if k < 1:

@@ -198,8 +198,7 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
         k = g.degree + r - 1
         if dgla.dim(k):
             d_g = d_images.get(algebra.index_of(g.name), {})
-            letters = {x for word in d_g for x in word}
-            blocks.append((g, rows, k, d_g, letters))
+            blocks.append((g, rows, k, d_g, algebra.letters(d_g)))
             rows += dgla.dim(k)
     cols = []
     for w in model.fiber_generators:
@@ -213,7 +212,7 @@ def der_boundary_matrix(model: RelativeModel, r: int) -> Matrix:
             col = {}
             for g, start, k_g, d_g, letters in blocks:
                 value = {}
-                if letter in letters:
+                if w.name in letters:
                     image = algebra.apply_derivation(r, theta, d_g)
                     value = algebra.sparse_coords(k_g, image, scale)
                 if g.name == w.name:

@@ -15,7 +15,8 @@ same argument makes the inversion the quasi-isomorphism test (see
 
 The base L(V) is not built as an algebra of its own.  It is read by indices
 from the ambient basis (`FreeGLA.sub_basis`): the base block of f is f's
-matrix at the base indices.
+matrix at the base indices.  A base image lies in L(V) when the letters of
+its words (`FreeGLA.letters`) are base names.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ class FilteredEndo(DGLAMorphism):
         full = {g.name: images.get(g.name, dgla.atom(g.name)) for g in dgla.generators}
         super().__init__(dgla, dgla, full)
         self.model = model
+        base = set(model.base_names)
         for name in model.base_names:
-            base = dgla.algebra.sub_basis(full[name].degree, model.base_names)
-            if _nonzero_outside(full[name].coords, base):
+            image = dgla.algebra.tensor_of(full[name].degree, full[name].coords)
+            if not dgla.algebra.letters(image) <= base:
                 raise NotFiltered(
                     f"image of base generator {name!r} leaves the base subalgebra"
                 )
@@ -96,12 +98,6 @@ def is_relative_automorphism(f: FilteredEndo) -> bool:
         if Matrix._of_columns(block, len(block)).rank() != len(block):
             return False
     return True
-
-
-def _nonzero_outside(coords, inside: tuple[int, ...]) -> bool:
-    """Whether coords are nonzero at some index outside `inside`."""
-    keep = set(inside)
-    return any(c for i, c in enumerate(coords) if i not in keep)
 
 
 def _base_inverse_images(f: FilteredEndo) -> dict[str, Element]:

@@ -658,7 +658,7 @@ def test_model_target_above_max_degree_names_file_and_field(files, capsys, tmp_p
     _assert_one_line_error(
         code,
         err,
-        f"{path}: structureMap.target.maxDegree: degree 3 exceeds the declared maximum degree 2",
+        f"{path}: structureMap.target: maxDegree: degree 3 exceeds the declared maximum degree 2",
     )
     assert out == ""
 
@@ -1726,7 +1726,7 @@ _LOCATED_REFUSALS = {
     "model-target-maxDegree": _located(
         ["pi0", lambda files, _: _model_with_low_target(files), "--max-degree", "2"],
         1,
-        f"structureMap.target.maxDegree: {_ABOVE}",
+        f"structureMap.target: maxDegree: {_ABOVE}",
     ),
     "map-target-maxDegree": _located(
         ["minimal-model", "sphere", _LOW_MAX_DEGREE, _map({"a": "e_1_0"}), "--max-degree", "2",
@@ -1981,9 +1981,8 @@ _ALGEBRA_READERS = {
         for fault in _INVALID_ALGEBRAS
         # validate lists the axiom violations it finds instead (see the
         # tests above), so it refuses only the bound; a model's own algebra
-        # is quasi-free, and the bound of its target is pinned in
-        # _LOCATED_REFUSALS
-        if (fault == "above-maxDegree" and not reader.startswith("model"))
+        # is quasi-free, so it has no bound
+        if (fault == "above-maxDegree" and reader != "model-algebra")
         or (fault != "above-maxDegree" and reader != "validate")
     ],
 )

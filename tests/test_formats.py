@@ -120,6 +120,39 @@ def test_model_with_an_invalid_algebra_is_refused():
     assert str(exc.value) == "m.json: d^2 is nonzero on generator 'w'"
 
 
+def _model_in_low_target(target_dims, images):
+    return {
+        "kind": "relative_model",
+        "generators": [{"name": "x", "degree": 1}, {"name": "v", "degree": 3}],
+        "differential": {},
+        "base": ["x", "v"],
+        "stages": [],
+        "structureMap": {
+            "target": {"kind": "findim_dgla", "dims": target_dims, "maxDegree": 2},
+            "images": images,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "target_dims, images, where",
+    [
+        # validating the target reaches degree 3 = 1 + 1 + 1
+        ({"1": 1, "3": 1}, {"x": "e_1_0"}, ("m.json", "structureMap.target", "maxDegree")),
+        # the zero image of v, which the document leaves out
+        ({"1": 1}, {"x": "e_1_0"}, ("m.json", "structureMap.target", "maxDegree")),
+        # a written image has its own place
+        ({"1": 1}, {"x": "e_1_0", "v": "0"}, ("m.json", "structureMap", "images[v]")),
+    ],
+    ids=["validation", "left-out", "written"],
+)
+def test_model_target_above_max_degree_is_located(target_dims, images, where):
+    with pytest.raises(TargetNotFiniteType) as exc:
+        model_from_doc(_model_in_low_target(target_dims, images), context="m.json")
+    assert exc.value.where == where
+    assert str(exc.value).endswith(": degree 3 exceeds the declared maximum degree 2")
+
+
 def test_expression_error_carries_position():
     doc = dict(CONE, differential={"y": "x +"})
     with pytest.raises(ParseError) as exc:

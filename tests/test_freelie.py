@@ -654,6 +654,25 @@ def test_sub_basis_below_degree_one_and_on_unknown_names():
         alg.sub_basis(2, ["nope"])
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 6))
+def test_letters_and_sub_basis_read_the_same_sub_algebras(seed, k):
+    """letters, the reading on tensor form, holds an element in the free
+    sub-algebra on some names exactly when sub_basis, the reading on
+    coordinates, does."""
+    rng = random.Random(seed)
+    alg = rand_quasifree(rng).algebra
+    names = {name for name in alg.names() if rng.random() < 0.5}
+    inside = set(alg.sub_basis(k, names))
+    # half the draws stay inside the sub-algebra, so both answers occur
+    support = inside if rng.random() < 0.5 else range(alg.dim(k))
+    coords = [Fraction(0)] * alg.dim(k)
+    for i in support:
+        coords[i] = Fraction(rng.randrange(-2, 3))
+    vanish_off = not any(c for i, c in enumerate(coords) if i not in inside)
+    assert (alg.letters(alg.tensor_of(k, coords)) <= names) == vanish_off
+
+
 @pytest.mark.parametrize("name", ["[x,y]", "2", "", "w-1", " x", "x y"])
 def test_a_generator_name_that_is_no_identifier_is_refused(name):
     # the text of a monomial in such a name could read as another tree

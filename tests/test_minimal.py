@@ -198,6 +198,32 @@ def test_verify_flags_condition_e_inside_a_bracket():
     assert checks["minimal"][0]
 
 
+def test_verify_reads_a_vanishing_base_differential_as_using_no_generator():
+    # |x| = 2 and |a_1_0| = 1, so [x,[a_1_0,x]] = -[x,[x,a_1_0]] and d(v) = 0
+    # in L although its written terms name the fiber generator a_1_0
+    m = hand_model(
+        [("x", 2), ("v", 4), ("a_1_0", 1)],
+        {"v": "[x,[x,a_1_0]] + [x,[a_1_0,x]]"},
+        ("x", "v"),
+        (Stage(("a_1_0",), ()),),
+    )
+    checks = {name: (ok, msg) for name, ok, msg in verify_model(m, 1).checks}
+    assert checks["base-subalgebra"] == (True, "")
+
+
+def test_verify_reads_a_vanishing_stage_differential_as_using_no_later_generator():
+    # |x| = |a_2_0| = 2, so [a_2_0,x] = -[x,a_2_0] and d(b_1_0) = 0 in L,
+    # though its written terms name the later-stage a_2_0
+    m = hand_model(
+        [("x", 2), ("b_1_0", 2), ("a_2_0", 2)],
+        {"b_1_0": "[x,a_2_0] + [a_2_0,x]"},
+        ("x",),
+        (Stage((), ("b_1_0",)), Stage(("a_2_0",), ())),
+    )
+    checks = {name: (ok, msg) for name, ok, msg in verify_model(m, 1).checks}
+    assert checks["ks-chain"] == (True, "")
+
+
 def test_verify_flags_stage_degree_layout():
     m = hand_model(
         [("x", 1), ("w", 3)],
