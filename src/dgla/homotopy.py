@@ -7,7 +7,8 @@ tensor-algebra derivation with the same generator values
 the complex (with differential the graded commutator with d) form the Lie
 algebra of the relative automorphism group; the degree-zero boundaries
 exponentiate onto the subgroup of automorphisms homotopic to the identity
-rel base, and that identification is what the equivalence decision runs on:
+rel base.  Neither subspace is built: their dimensions are ranks of the
+boundary matrices, and the equivalence decision runs on one solve:
 
     f ~ g  iff  u = f o g^{-1} is unipotent-relative and log(u) is a boundary.
 
@@ -40,11 +41,9 @@ from .freelie import LiePoly
 from .invert import FilteredEndo, invert_relative_quasi_iso, is_relative_automorphism
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     add_scaled,
     dense_vector,
-    kernel_basis,
     solve_pivot,
     vec_is_zero,
     vec_sub,
@@ -233,42 +232,32 @@ class DerComplexData(NamedTuple):
     space: DerSpace
     boundary_out: Matrix
     boundary_in: Matrix
-    cycles: Subspace
-    boundaries: Subspace
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    @property
-    def homology_dim(self) -> int:
-        return self.cycles.dim - self.boundaries.dim
-
-    @property
-    def dims(self) -> dict[str, int]:
-        """Dimensions of Der_r, Z_r, B_r and H_r, keyed der<r>, z<r>, b<r>, h<r>."""
+    def dims(self, boundaries: int | None = None) -> dict[str, int]:
+        """Dimensions of Der_r, Z_r, B_r and H_r, keyed der<r>, z<r>, b<r>, h<r>:
+        z_r = dim Der_r - rank(boundary_out), and b_r = rank(boundary_in)
+        unless a caller that already eliminated boundary_in passes it."""
         r = self.degree
-        return {
-            f"der{r}": self.dim,
-            f"z{r}": self.cycles.dim,
-            f"b{r}": self.boundaries.dim,
-            f"h{r}": self.homology_dim,
-        }
+        z = self.dim - self.boundary_out.rank()
+        b = self.boundary_in.rank() if boundaries is None else boundaries
+        return {f"der{r}": self.dim, f"z{r}": z, f"b{r}": b, f"h{r}": z - b}
 
 
 def derivation_basis(model: RelativeModel, r: int, bound: int) -> DerComplexData:
-    """The canonical chart on Der_r plus its cycle/boundary subspaces."""
+    """The canonical chart on Der_r with the boundary matrices out of it and
+    into it; `DerComplexData.dims` reads Z_r and B_r from their ranks."""
     top = max((g.degree for g in model.fiber_generators), default=0)
     if top + r > bound:
         raise DegreeBoundExceeded(
             f"derivations of degree {r} need bases up to degree {top + r}, "
             f"beyond the bound {bound}"
         )
-    space = der_space(model, r)
-    out = der_boundary_matrix(model, r)
-    into = der_boundary_matrix(model, r + 1)
     return DerComplexData(
-        r, space, out, into, kernel_basis(out), Subspace._spanned(space.dim, into._columns)
+        r, der_space(model, r), der_boundary_matrix(model, r), der_boundary_matrix(model, r + 1)
     )
 
 
@@ -394,7 +383,8 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
 
     Computes u = f o g^{-1}; if u is not unipotent-relative it cannot lie in
     the exponential of the boundary derivations and the maps are not
-    equivalent.  Otherwise log(u) is tested for membership in B_0; a
+    equivalent.  Otherwise log(u) is tested for membership in B_0 by one
+    elimination of [boundary_in | log(u)], which also gives dim B_0; a
     positive answer comes with a degree-1 derivation witness G satisfying
     [d, G] = log(u) exactly.
     """
@@ -410,7 +400,6 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
             )
     data0 = derivation_basis(model, 0, bound)
     m = _generator_degree_within(model, bound)
-    dims = data0.dims
     u = f.compose(invert_relative_quasi_iso(g, bound))
 
     moved = _moved_linearly(u)
@@ -420,7 +409,7 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
             None,
             f"f o g^-1 has a non-identity linear part on {moved[0]!r}, "
             "so it lies outside the exponential of the boundary derivations",
-            dims,
+            data0.dims(),
             m,
         )
     # u fixes the base, has no linear fiber part and m <= bound, so every
@@ -431,7 +420,8 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
         raise ArithmeticError(
             "log of a chain automorphism is not a cycle; internal bug"
         )
-    x = solve_pivot(data0.boundary_in, theta_vec)
+    x, pivots = solve_pivot(data0.boundary_in, theta_vec)
+    dims = data0.dims(len(pivots))
     if x is None:
         return Verdict(
             False,
@@ -473,7 +463,7 @@ def pi0_report(model: RelativeModel, bound: int) -> dict:
     return {
         "truncationDegree": m,
         "sigmaDimension": sigma,
-        "derivations": data0.dims,
+        "derivations": data0.dims(),
         "conditions": {
             "degreePreserving": sigma * sigma
             - sum(d * d for d in dims_by_degree.values()),

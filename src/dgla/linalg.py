@@ -22,14 +22,14 @@ view built the same way, and its dense `reduce`, `contains` and
 The package has one elimination engine, the private `_Echelon`: sparse
 rows of primitive integers, each with its minimal key as pivot, reduced
 fraction-free (Bareiss-style, with the gcd divided out) in pivot order.
-One routine, `_rref_rows`, drives it for all of linalg: it clears each
-row's denominators, inserts it, back-substitutes and divides each row by
-its pivot only at the end.  `Matrix.rref` transposes its columns into rows
-for it and back; `invert` appends unit columns and `solve_pivot` appends
-the right-hand side as a column before it.  Spans and kernels hand it their
-sparse rows directly.  `freelie` keys the same rows by words, with one
-echelon per letter content that both selects the basis and solves for
-coordinates.
+One loop, `_echelon`, drives it for all of linalg: it clears each row's
+denominators and inserts it.  `Matrix.rank` counts the rows it keeps;
+`_rref_rows` back-substitutes them and divides each by its pivot at the
+end.  `Matrix.rref` transposes its columns into rows for it and back;
+`invert` appends unit columns and `solve_pivot` the right-hand side as a
+column before it.  Spans and kernels hand it their sparse rows directly.
+`freelie` keys the same rows by words, with one echelon per letter
+content that both selects the basis and solves for coordinates.
 
 `kernel_basis` runs the same elimination with the columns keyed in reverse
 (key cols-1-j), so each row's pivot is its rightmost column.  After
@@ -337,7 +337,8 @@ class Matrix:
         return Matrix._of_columns(_transpose(rows, self.cols), self.rows), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The rows one `_echelon` keeps: no back-substitution, no `Fraction`s."""
+        return _echelon(_transpose(self._columns, self.rows)).rank
 
 
 def add_scaled(out: dict, scale, vec: dict) -> None:
@@ -369,19 +370,21 @@ def _transpose(columns: Sequence[dict], rows: int) -> list[dict]:
     return out
 
 
-def _rref_rows(rows: Iterable[dict]) -> tuple[list[dict], tuple]:
-    """The nonzero rows of the RREF of these sparse rows, with their pivots.
-
-    Each row is a dict from keys to nonzero `Fraction`s, and each row's
-    pivot is its minimal key.  Each nonzero row is scaled once to integers
-    and inserted into one `_Echelon`; the echelon is back-substituted and
-    only then is each row divided by its pivot entry, which is where
-    `Fraction`s come back.
-    """
+def _echelon(rows: Iterable[dict]) -> _Echelon:
+    """These sparse rows of `Fraction`s, each scaled once to integers and
+    inserted in order into one `_Echelon`."""
     echelon = _Echelon()
     for row in rows:
         if row:
             echelon.insert(_clear_denominators(row)[0])
+    return echelon
+
+
+def _rref_rows(rows: Iterable[dict]) -> tuple[list[dict], tuple]:
+    """The nonzero rows of the RREF of these sparse rows, with their pivots
+    (minimal keys): `_echelon`, back-substituted, and only then each row
+    divided by its pivot entry, which is where `Fraction`s come back."""
+    echelon = _echelon(rows)
     echelon.back_substitute()
     out = []
     for pivot, row, _ in echelon.rows:
@@ -528,14 +531,15 @@ def membership(v: Sequence[Fraction], sub: Subspace) -> Vector | None:
     return None if residual else dense_vector(coeffs, sub.dim)
 
 
-def solve_pivot(m: Matrix, v: Sequence[Fraction]) -> Vector | None:
-    """Canonical solution of m*x = v (free variables zero), None if none."""
+def solve_pivot(m: Matrix, v: Sequence[Fraction]) -> tuple[Vector | None, tuple[int, ...]]:
+    """(x, pivots): the canonical solution of m*x = v (free variables zero)
+    or None, and the pivot columns of m, read off the one elimination."""
     v = vector(v)
     if len(v) != m.rows:
         raise ValueError("right-hand side length mismatch")
     aug = Matrix._of_columns(m._columns + (sparse_vector(v),), m.rows)
     reduced, pivots = aug.rref()
     if m.cols in pivots:
-        return None
+        return None, pivots[:-1]
     rhs = reduced._columns[m.cols]
-    return dense_vector({p: rhs[r] for r, p in enumerate(pivots) if r in rhs}, m.cols)
+    return dense_vector({p: rhs[r] for r, p in enumerate(pivots) if r in rhs}, m.cols), pivots

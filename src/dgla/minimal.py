@@ -195,7 +195,7 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
             gens.append(GradedGenerator(name, k + 1))
             cycle = Element(k, dense_vector(h_model.reps._combine(kappa.items()), current.dim(k)))
             diffs[name] = current.poly(cycle)
-            eta = solve_pivot(target.d_matrix(k + 1), q.apply(cycle).coords)
+            eta, _ = solve_pivot(target.d_matrix(k + 1), q.apply(cycle).coords)
             if eta is None:
                 raise ArithmeticError(
                     "structure-map value of a kernel cycle is not a boundary; "

@@ -254,10 +254,15 @@ def rand_minimal_model(rng, bound):
     return build_minimal_model(f, bound), f
 
 
+def der_subspaces(data):
+    """Z_r and B_r of a `derivation_basis` result, built as subspaces."""
+    return kernel_basis(data.boundary_out), Subspace._spanned(data.dim, data.boundary_in._columns)
+
+
 def sample_exp_candidate(rng, model, bound):
     """Random degree-0 cycle derivation with no linear fiber part, or None."""
     data = derivation_basis(model, 0, bound)
-    cycles = data.cycles
+    cycles, _ = der_subspaces(data)
     if cycles.dim == 0:
         return None
     bad_slots = []
@@ -799,7 +804,7 @@ def reference_build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
             cycle = DenseHomology(h_model).rep_of(kappa)
             diffs[b_names[-1]] = current.poly(Element(k, cycle))
             qv = q.apply(Element(k, cycle))
-            qimages[b_names[-1]] = Element(k + 1, solve_pivot(target.d_matrix(k + 1), qv.coords))
+            qimages[b_names[-1]] = Element(k + 1, solve_pivot(target.d_matrix(k + 1), qv.coords)[0])
         stages.append(Stage(tuple(a_names), tuple(b_names)))
     full = QuasiFreeDGLA(gens, diffs)
     q_full = DGLAMorphism(full, target, qimages)

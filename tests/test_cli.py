@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import signal
 import tempfile
 import time
@@ -275,6 +276,29 @@ def test_pi0_document(files, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["derivations"]["h0"] == doc["derivations"]["z0"] - doc["derivations"]["b0"]
+
+
+def test_pi0_back_substitutes_nothing(files, capsys, tmp_path, monkeypatch):
+    # pi0 reads Z_0 and B_0 as ranks of the boundary matrices; no
+    # elimination on its path builds a reduced row echelon form
+    from dgla import linalg
+    from dgla.formats import model_to_doc
+    from helpers import rand_minimal_model
+
+    runs = [(files["model"], "3")]
+    for seed in range(3):
+        model, _ = rand_minimal_model(random.Random(seed), 3)
+        path = write(tmp_path, f"seed{seed}.json", model_to_doc(model))
+        runs.append((path, str(model.max_generator_degree())))
+    expected = [run(capsys, "pi0", path, "--max-degree", bound) for path, bound in runs]
+
+    def refuse(self):
+        raise AssertionError("pi0 back-substituted an echelon")
+
+    monkeypatch.setattr(linalg._Echelon, "back_substitute", refuse)
+    for (path, bound), before in zip(runs, expected):
+        assert run(capsys, "pi0", path, "--max-degree", bound) == before
+        assert before[0] == 0, before
 
 
 def test_all_commands_are_deterministic(files, capsys, tmp_path):

@@ -27,6 +27,7 @@ from dgla import homotopy, minimal
 from dgla.minimal import RelativeModel, Stage, build_minimal_model
 
 from helpers import (
+    der_subspaces,
     rand_minimal_model,
     rand_relative_automorphism,
     sample_exp_candidate,
@@ -64,9 +65,9 @@ def cycle_model():
 def test_der_basis_dims_flat(flat_model):
     data = derivation_basis(flat_model, 0, 3)
     assert data.dim == 2  # w can go to w or [x,x]
-    assert data.cycles.dim == 2
-    assert data.boundaries.dim == 0
-    assert data.homology_dim == 2
+    z0, b0 = der_subspaces(data)
+    assert (z0.dim, b0.dim) == (2, 0)
+    assert data.dims() == {"der0": 2, "z0": 2, "b0": 0, "h0": 2}
 
 
 def test_der_basis_negative_degree(flat_model):
@@ -87,9 +88,10 @@ def test_boundary_matrix_squares_to_zero(cycle_model):
 
 def test_cycles_and_boundaries_with_differential(cycle_model):
     data = derivation_basis(cycle_model, 0, 3)
-    z0, b0 = data.cycles, data.boundaries
+    z0, b0 = der_subspaces(data)
     assert b0.dim == 1
     assert z0.dim == 3
+    assert data.dims() == {"der0": data.dim, "z0": 3, "b0": 1, "h0": 2}
     # every boundary is a cycle
     for vec in b0.basis:
         assert z0.contains(vec)
@@ -289,6 +291,46 @@ def test_equivalence_checks_minimality_once(cycle_model, monkeypatch):
     assert len(reports) == 1
 
 
+def _verdict_path(verdict):
+    if verdict.equivalent:
+        return "witness"
+    return "linear part" if "linear part" in verdict.reason else "not a boundary"
+
+
+@pytest.mark.parametrize(
+    "name, image, path",
+    [
+        ("w", "w + [x,x]", "witness"),
+        ("v", "v + [x,w]", "not a boundary"),
+        ("w", "2*w", "linear part"),
+    ],
+)
+def test_equivalent_eliminates_boundary_in_once(cycle_model, monkeypatch, name, image, path):
+    # the solve of [boundary_in | log(u)] gives b0 as well, and the
+    # linear-part verdict ranks boundary_in for its dims alone
+    from dgla import linalg
+
+    into = der_boundary_matrix(cycle_model, 1)
+    into_rows = linalg._transpose(into._columns, into.rows)
+    calls = []
+    echelon = linalg._echelon
+
+    def recorded(rows):
+        rows = list(rows)
+        calls.append([{k: x for k, x in row.items() if k < into.cols} for row in rows])
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    alg = cycle_model.dgla
+    endo = FilteredEndo(
+        cycle_model, {name: alg.element(LiePoly(parse_expr(image)), cycle_model.degree_of(name))}
+    )
+    verdict = are_homotopic_rel(endo, FilteredEndo.identity(cycle_model), 3)
+    assert _verdict_path(verdict) == path
+    assert verdict.dims == {"der0": into.rows, "z0": 3, "b0": 1, "h0": 2}
+    assert calls.count(into_rows) == 1
+
+
 def test_scaling_is_not_equivalent(cycle_model):
     alg = cycle_model.dgla
     f = FilteredEndo.identity(cycle_model)
@@ -438,6 +480,47 @@ def test_boundaries_exponentiate_to_equivalences():
         done += 1
 
 
+def test_dims_are_the_subspace_dims_and_every_verdict_prints_pi0s():
+    # Z_r and B_r are read as ranks, never built: the test builds them.  The
+    # linear-part verdict ranks boundary_in, the solve path reads b0 off its
+    # own elimination; both must print the dims pi0 prints
+    rng = random.Random(3131)
+    seen = set()
+    models = 0
+    while models < 6 or len(seen) < 3:
+        model, _ = rand_minimal_model(rng, 3)
+        if not model.fiber_names:
+            continue
+        models += 1
+        assert models <= 40, seen
+        bound = model.max_generator_degree()
+        for r in (0, 1):
+            data = derivation_basis(model, r, bound + r)
+            z, b = der_subspaces(data)
+            assert data.dims() == {
+                f"der{r}": data.dim, f"z{r}": z.dim, f"b{r}": b.dim, f"h{r}": z.dim - b.dim
+            }
+            if r == 0:
+                b0 = b
+        expected = pi0_report(model, bound)["derivations"]
+        identity = FilteredEndo.identity(model)
+        cases = [(rand_relative_automorphism(rng, model, bound), None)]
+        delta = sample_exp_candidate(rng, model, bound)
+        if delta is not None:
+            in_b0 = b0.contains(der_space(model, 0).pack(delta))
+            cases.append((exp_derivation(delta, bound), "witness" if in_b0 else "not a boundary"))
+        space1 = der_space(model, 1)
+        if space1.dim:
+            vec = tuple(Fraction(rng.randrange(-2, 3)) for _ in range(space1.dim))
+            boundary = der_space(model, 0).unpack(der_boundary_matrix(model, 1).apply(vec))
+            cases.append((exp_derivation(boundary, bound), "witness"))
+        for u, path in cases:
+            verdict = are_homotopic_rel(u, identity, bound)
+            assert path is None or _verdict_path(verdict) == path
+            assert verdict.dims == expected
+            seen.add(_verdict_path(verdict))
+
+
 def test_cycles_and_boundaries_with_base_linear_differential():
     # base x (deg 1, d=0), fiber w (deg 2) with d(w) = x.  By hand: the
     # derivation w -> w is not a cycle (its commutator with d moves w to x),
@@ -450,9 +533,9 @@ def test_cycles_and_boundaries_with_base_linear_differential():
     )
     data = derivation_basis(model, 0, 3)
     assert data.dim == 2
-    assert data.cycles.dim == 1
-    assert data.boundaries.dim == 1
-    assert data.homology_dim == 0
+    z0, b0 = der_subspaces(data)
+    assert (z0.dim, b0.dim) == (1, 1)
+    assert data.dims() == {"der0": 2, "z0": 1, "b0": 1, "h0": 0}
     g_der = RelDerivation(model, 1, {"w": model.dgla.element(
         bracket(LiePoly.gen("x"), LiePoly.gen("w")), 3
     )})

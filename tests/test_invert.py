@@ -280,7 +280,7 @@ def _rand_base_automorphism(rng, model):
         atom = alg.atom(gen.name).coords
         dw = alg.d_matrix(t).apply(atom)
         fdw = FilteredEndo(model, images).apply(Element(t - 1, dw)).coords if t > 1 else ()
-        y = solve_pivot(alg.d_matrix(t), tuple(a - b for a, b in zip(fdw, dw)))
+        y, _ = solve_pivot(alg.d_matrix(t), tuple(a - b for a, b in zip(fdw, dw)))
         if y is None:
             return None
         images[gen.name] = Element(t, tuple(a + b for a, b in zip(atom, y)))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -122,13 +122,16 @@ def test_membership_scalar_multiple():
 
 def test_solve_pivot_consistent_and_canonical():
     m = Matrix([[1, 1, 0], [0, 0, 1]])
-    x = solve_pivot(m, (3, 5))
+    x, pivots = solve_pivot(m, (3, 5))
     assert x == (Fraction(3), Fraction(0), Fraction(5))
+    assert pivots == (0, 2)
     assert m.apply(x) == (Fraction(3), Fraction(5))
 
 
 def test_solve_pivot_inconsistent():
-    assert solve_pivot(Matrix([[1], [1]]), (1, 2)) is None
+    # the right-hand side's own pivot is not one of m's
+    assert solve_pivot(Matrix([[1], [1]]), (1, 2)) == (None, (0,))
+    assert solve_pivot(Matrix.zero(2, 3), (0, 1)) == (None, ())
 
 
 def test_invert_round_trip():
@@ -331,7 +334,7 @@ def _rational_entries(results):
     for key in ("kernel", "span"):
         yield from (e for vec in results[key][0] for e in vec)
     for key in ("solve consistent", "solve"):
-        yield from results[key] or ()
+        yield from results[key][0] or ()
     if isinstance(results.get("invert"), Matrix):
         yield from (e for row in results["invert"].data for e in row)
 
@@ -348,9 +351,27 @@ def test_integer_kernel_matches_fraction_reference(case, data):
         expected = _linalg_results(rows, cols, x, rhs, reference_kernel_basis)
     got = _linalg_results(rows, cols, x, rhs)
     assert got == expected
-    assert got["solve consistent"] is not None
+    assert got["solve consistent"][0] is not None
     # an int here would turn a later 1 / e into a float
     assert all(type(e) is Fraction for e in _rational_entries(got))
+
+
+@given(_rational_matrix())
+@example(([], 0))
+@example(([], 5))
+@example(([[Fraction(0)]] * 3, 1))
+@example(([[], [], []], 0))
+@example(([[Fraction(1, 2), Fraction(-3)]] * 4 + [[Fraction(0)] * 2], 2))
+@settings(max_examples=200, deadline=None)
+def test_rank_counts_the_pivots_of_the_reference_rref(case):
+    # Matrix.rank inserts rows into one echelon and stops there, so it does
+    # not reach the elimination reference_elimination replaces; its check
+    # is this count, and solve_pivot's pivots are m's own
+    rows, cols = case
+    m = Matrix(rows, cols=cols)
+    _, pivots = reference_rref(m)
+    assert m.rank() == len(pivots)
+    assert solve_pivot(m, (Fraction(1),) * len(rows))[1] == pivots
 
 
 def _assert_rref(basis, pivots, n):
@@ -512,7 +533,6 @@ def test_spans_inverses_and_solutions_run_through_the_patched_rref():
         "kernel_basis": kernel_basis,
         "invert": invert,
         "solve_pivot": lambda m: solve_pivot(m, (Fraction(1), Fraction(0))),
-        "rank": Matrix.rank,
     }
     for name, run in runs.items():
         with reference_elimination() as calls:

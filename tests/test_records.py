@@ -33,7 +33,7 @@ FIELD = {
     "MinimalityReport": "witnesses",
     "ModelReport": "checks",
     "DerSpace": "pairs",
-    "DerComplexData": "cycles",
+    "DerComplexData": "boundary_in",
     "Verdict": "equivalent",
 }
 SLOTTED = ("GradedGenerator", "DegreeBasis")
