@@ -87,6 +87,7 @@ from .errors import (
 )
 from .exprs import Terms, eval_tree, format_terms
 from .freelie import FreeGLA, GradedGenerator, LiePoly, TVec, generator_violations, tensor_bracket
+from .freelie import _below, _least_degree
 from .linalg import (
     Matrix,
     Subspace,
@@ -222,6 +223,19 @@ class QuasiFreeDGLA(_DGLA):
         if self._algebra is None:
             self._algebra = FreeGLA(self.generators)
         return self._algebra
+
+    def extend(self, generators: Sequence[GradedGenerator], differential: dict) -> "QuasiFreeDGLA":
+        """This algebra with `generators` appended, d on them given by
+        `differential`, over `FreeGLA.extend`.  It starts from this one's d on
+        L_k for k < m, the least new degree, as d there reads only generators
+        of degree <= k, and from B_k = d(L_{k+1}) and H_k for k < m - 1."""
+        out = QuasiFreeDGLA(self.generators + tuple(generators), {**self.differential, **differential})
+        out._algebra = self.algebra.extend(generators)
+        m = _least_degree(generators)
+        out._d = _below(self._d, m)
+        out._boundaries = _below(self._boundaries, m - 1)
+        out._homology = _below(self._homology, m - 1)
+        return out
 
     def dim(self, k: int) -> int:
         return self.algebra.dim(k)

@@ -77,7 +77,7 @@ the pivots follow tuple order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, inf
 from typing import Iterable, Sequence
 
 from .errors import FormatError, MixedDegrees, NotSimplyConnected, UnknownGenerator
@@ -250,6 +250,16 @@ def generator_violations(generators) -> list[tuple[type, str]]:
     return violations
 
 
+def _least_degree(generators) -> int | float:
+    """The least degree among `generators`; inf when there are none."""
+    return min((g.degree for g in generators), default=inf)
+
+
+def _below(memo: dict, m: int | float) -> dict:
+    """The entries of a per-degree memo whose degree is below m."""
+    return {k: v for k, v in memo.items() if k < m}
+
+
 class DegreeBasis:
     """Canonical ordered basis of one homogeneous piece.
 
@@ -307,6 +317,30 @@ class FreeGLA:
         self._oracle: dict[int, list[TVec]] = {}
         self._brackets: dict[tuple[int, int], tuple] = {}
         self._atoms: dict[str, tuple[int, int]] = {}
+
+    def extend(self, generators: Sequence[GradedGenerator]) -> "FreeGLA":
+        """This algebra with `generators` appended, which starts from this
+        one's memos below m, the least degree among them.
+
+        No word of degree k < m has a new letter, and the new letters come
+        last in the (length, lex) enumeration, so degree k keeps its words,
+        their order and its greedy basis.  Hence the bases, monomial tables
+        and PBW dimensions of degrees k < m, the bracket tables of p + q < m and
+        the atoms of degree < m carry over as the same objects.  The Witt
+        dimensions and the tree embeddings do not read the other generators
+        (old letters keep their indices), so both carry over whole, copied,
+        since the new algebra adds to them.
+        """
+        out = FreeGLA(self.generators + tuple(generators))
+        m = _least_degree(generators)
+        out._basis = _below(self._basis, m)
+        out._monomials = _below(self._monomials, m)
+        out._pbw = _below(self._pbw, m)
+        out._brackets = {pq: t for pq, t in self._brackets.items() if sum(pq) < m}
+        out._atoms = {name: a for name, a in self._atoms.items() if a[0] < m}
+        out._witt = dict(self._witt)
+        out._embed_cache = dict(self._embed_cache)
+        return out
 
     # -- generators ---------------------------------------------------------
 

@@ -161,15 +161,15 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
                 "stage naming scheme a_<stage>_<index> / b_<stage>_<index>"
             )
 
-    gens = list(source.generators)
-    diffs = dict(source.differential)
     qimages = dict(f.images)
     base_names = tuple(g.name for g in source.generators)
     stages: list[Stage] = []
 
-    # One algebra and structure map per generator set: a stage that adds no
-    # generator keeps both, with their memoized bases, d-matrices and homology.
-    current = QuasiFreeDGLA(gens, diffs)
+    # One algebra and structure map per generator set.  A stage that adds no
+    # generator keeps both; one that adds generators of degree >= k extends
+    # the algebra, which keeps every memo of the degrees below them (see
+    # QuasiFreeDGLA.extend), and a new structure map is built on it.
+    current = QuasiFreeDGLA(source.generators, source.differential)
     q = DGLAMorphism(current, target, qimages)
     for k in range(1, bound + 1):
         h_model = current.homology(k)
@@ -180,11 +180,13 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
         # coordinates of its image; each is represented by that rep.
         image = set(Subspace._spanned(h_target.dim, hq._columns).pivots)
         coker_reps = [rep for c, rep in enumerate(h_target.reps._columns) if c not in image]
+        added: list[GradedGenerator] = []
+        added_diffs: dict[str, LiePoly] = {}
         a_names = []
         for i, rep in enumerate(coker_reps):
             name = f"a_{k}_{i}"
             a_names.append(name)
-            gens.append(GradedGenerator(name, k))
+            added.append(GradedGenerator(name, k))
             qimages[name] = Element(k, dense_vector(rep, target.dim(k)))
 
         kernel = kernel_basis(hq)
@@ -192,9 +194,9 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
         for j, kappa in enumerate(kernel._rows):
             name = f"b_{k}_{j}"
             b_names.append(name)
-            gens.append(GradedGenerator(name, k + 1))
+            added.append(GradedGenerator(name, k + 1))
             cycle = Element(k, dense_vector(h_model.reps._combine(kappa.items()), current.dim(k)))
-            diffs[name] = current.poly(cycle)
+            added_diffs[name] = current.poly(cycle)
             eta, _ = solve_pivot(target.d_matrix(k + 1), q.apply(cycle).coords)
             if eta is None:
                 raise ArithmeticError(
@@ -203,8 +205,8 @@ def build_minimal_model(f: DGLAMorphism, bound: int) -> RelativeModel:
                 )
             qimages[name] = Element(k + 1, eta)
         stages.append(Stage(tuple(a_names), tuple(b_names)))
-        if a_names or b_names:
-            current = QuasiFreeDGLA(gens, diffs)
+        if added:
+            current = current.extend(added, added_diffs)
             q = DGLAMorphism(current, target, qimages)
 
     return RelativeModel(current, base_names, tuple(stages), q)

@@ -18,7 +18,7 @@ from dgla.minimal import (
     verify_model,
 )
 
-from dgla.formats import canonical_json, model_to_doc
+from dgla.formats import canonical_json, dgla_from_doc, model_to_doc
 from helpers import rand_minimal_model, rand_model_input, reference_build_minimal_model
 
 
@@ -357,15 +357,118 @@ def test_the_examples_have_empty_stages(seed, bound, empty):
 def test_an_algebra_is_built_before_stage_one_and_after_each_stage_that_adds_generators(
     seed, bound, monkeypatch
 ):
+    # the first algebra is constructed, every later one is an extension
     built = []
+    extend = QuasiFreeDGLA.extend
 
     class Counting(QuasiFreeDGLA):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
+    def counting_extend(self, *args):
+        built.append(extend(self, *args))
+        return built[-1]
+
     monkeypatch.setattr(minimal, "QuasiFreeDGLA", Counting)
+    monkeypatch.setattr(QuasiFreeDGLA, "extend", counting_extend)
     model = build_minimal_model(rand_model_input(random.Random(seed)), bound)
     assert len(built) == 1 + _empty_stages(model).count(False)
     assert model.dgla is built[-1]
     assert model.q.source is model.dgla
+
+
+def _ab12_input():
+    """perfbench's ab12 shape: x of degree 1 sent to e_1_1 in the abelian
+    algebra with dims {1: 2}."""
+    target = dgla_from_doc(
+        {"kind": "findim_dgla", "dims": {"1": 2}, "brackets": [], "differential": {}}
+    )
+    return DGLAMorphism(make([("x", 1)], {}), target, {"x": target.atom("e_1_1")})
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_the_ab12_shape_gives_the_rebuilt_model(bound):
+    model = build_minimal_model(_ab12_input(), bound)
+    reference = reference_build_minimal_model(_ab12_input(), bound)
+    assert canonical_json(model_to_doc(model)) == canonical_json(model_to_doc(reference))
+
+
+def _assert_carried(new, old, keep):
+    """new holds exactly the entries of old that keep admits, as old's objects."""
+    assert set(new) == {key for key in old if keep(key)}
+    assert all(new[key] is old[key] for key in new)
+
+
+def _check_extend(f, bound, n):
+    """Split the model of f at stage n, extend the algebra before it by the
+    generators from stage n on, and compare every degree <= bound + 1 with
+    a fresh algebra on all the generators.  Returns (old, extended, m)."""
+    model = build_minimal_model(f, bound)
+    alg = model.dgla
+    cut = len(model.base_names) + sum(len(s.A) + len(s.B) for s in model.stages[: n - 1])
+    gens, new = alg.generators[:cut], alg.generators[cut:]
+    later = {g.name for g in new}
+    d = {name: p for name, p in alg.differential.items() if name not in later}
+    new_d = {name: p for name, p in alg.differential.items() if name in later}
+    top = bound + 1
+
+    old = QuasiFreeDGLA(gens, d)
+    free = old.algebra
+    for k in range(1, top + 1):
+        old.homology(k)
+        free.monomial_index(k, ())
+        for p in range(1, k):
+            free.bracket_table(p, k - p)
+    for g in gens:
+        free.atom(g.name)
+
+    ext = old.extend(new, new_d)
+    m = min((g.degree for g in new), default=float("inf"))
+    o, e = old.algebra, ext.algebra
+    _assert_carried(e._basis, o._basis, lambda k: k < m)
+    _assert_carried(e._monomials, o._monomials, lambda k: k < m)
+    _assert_carried(e._pbw, o._pbw, lambda k: k < m)
+    _assert_carried(e._brackets, o._brackets, lambda pq: sum(pq) < m)
+    _assert_carried(e._atoms, o._atoms, lambda name: o._atoms[name][0] < m)
+    _assert_carried(ext._d, old._d, lambda k: k < m)
+    _assert_carried(ext._boundaries, old._boundaries, lambda k: k < m - 1)
+    _assert_carried(ext._homology, old._homology, lambda k: k < m - 1)
+    assert e._witt == o._witt and e._witt is not o._witt
+    assert e._embed_cache == o._embed_cache and e._embed_cache is not o._embed_cache
+    if new:
+        # the warm-up built these, and none is carried over
+        assert m in o._basis and m in old._d
+        assert m not in e._basis and m not in ext._d
+        if m > 1:
+            assert m - 1 in old._boundaries and m - 1 in old._homology
+            assert m - 1 not in ext._boundaries and m - 1 not in ext._homology
+
+    fresh = QuasiFreeDGLA(gens + new, {**d, **new_d})
+    for k in range(1, top + 1):
+        a, b = e.degree_basis(k), fresh.algebra.degree_basis(k)
+        assert (a.monomials, a.vectors) == (b.monomials, b.vectors)
+        assert ext.d_matrix(k)._columns == fresh.d_matrix(k)._columns
+        a, b = ext.boundaries(k), fresh.boundaries(k)
+        assert (a._rows, a.pivots) == (b._rows, b.pivots)
+        a, b = ext.homology(k), fresh.homology(k)
+        assert (a.dim, a.reps._columns) == (b.dim, b.reps._columns)
+    return old, ext, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), bound=st.integers(1, 4), n=st.integers(1, 4))
+@example(seed=0, bound=3, n=3)  # the final stage adds nothing
+@example(seed=7, bound=2, n=1)  # an empty stage before one that adds generators
+def test_an_extension_is_the_fresh_algebra_and_keeps_the_memos_below_it(seed, bound, n):
+    _check_extend(rand_model_input(random.Random(seed)), bound, min(n, bound))
+
+
+def test_a_new_b_generator_changes_the_boundaries_one_degree_below_it():
+    # stage 2 of ab12 adds only b_2_0, b_2_1, b_2_2 in degree m = 3, and
+    # their differentials are the brackets of degree 2
+    old, ext, m = _check_extend(_ab12_input(), 4, 2)
+    assert m == 3
+    assert old.boundaries(m - 1).dim == 0
+    assert ext.boundaries(m - 1).dim == 3
+    assert (old.homology(m - 1).dim, ext.homology(m - 1).dim) == (3, 0)
