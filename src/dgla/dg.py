@@ -36,12 +36,14 @@ span and keeps the brackets in int arithmetic.  The Leibniz rule holds for
 any derivation, so none of this assumes d^2 = 0, and the d^2 guard of
 `HomologyData` still sees a boundary that is not a cycle.
 
-A finite-dimensional algebra holds its structure constants once, as
-integers over one common denominator D (`FiniteDimDGLA.bracket_cells`),
-from the reader on: brackets multiply ints and divide once per output
-coordinate, and its d^2, graded Jacobi and Leibniz checks run on Python
-ints.  Those checks also put the columns of d over one common denominator
-E, once per validation.  d^2 is quadratic in d, the Jacobiator is
+Both kinds hold their structure constants as integer cells over one
+common denominator D: a finite-dimensional algebra once, from the reader on
+(`FiniteDimDGLA.bracket_cells`), a quasi-free one per pair of degrees
+(`FreeGLA.bracket_cells`).  One loop, `_bracket_of_cells`, brackets in
+both: it multiplies ints and divides once per output coordinate.  The d^2,
+graded Jacobi and Leibniz checks of a finite-dimensional algebra run on
+Python ints too.  Those checks also put the columns of d over one common
+denominator E, once per validation.  d^2 is quadratic in d, the Jacobiator is
 quadratic in the structure constants and Leibniz is bilinear in (brackets,
 d), so the scaled identities are E^2, D^2 and D*E times the rational ones
 and vanish exactly when they do.
@@ -94,6 +96,7 @@ from .linalg import (
     Vector,
     _ZERO,
     _clear_denominators,
+    _integer_cells,
     add_scaled,
     kernel_basis,
     sparse_vector,
@@ -306,8 +309,8 @@ class QuasiFreeDGLA(_DGLA):
         return span
 
     def bracket(self, a: Element, b: Element) -> Element:
-        coords = self.algebra.bracket_coords(a.degree, a.coords, b.degree, b.coords)
-        return Element(a.degree + b.degree, coords)
+        cells = self.algebra.bracket_cells(a.degree, b.degree)
+        return _bracket_of_cells(a, b, self.dim(a.degree + b.degree), *cells)
 
     def atom(self, name: str) -> Element:
         d, i = self.algebra.atom(name)
@@ -368,6 +371,26 @@ def _sum_terms(terms, value, zero, degree: int | None, what: str) -> Element:
     if degree is None:
         raise ValueError(f"zero {what} needs an explicit degree")
     return zero(degree)
+
+
+def _bracket_of_cells(a: Element, b: Element, n: int, scale: int, cells: dict) -> Element:
+    """[a, b] in int arithmetic, from structure constants (scale, cells) in
+    the form of `FiniteDimDGLA.bracket_cells`, n being dim L_{|a|+|b|}: the
+    coordinates of a and b over their own denominators, one division per
+    output coordinate."""
+    xs, den_a = _clear_denominators(sparse_vector(a.coords))
+    ys, den_b = _clear_denominators(sparse_vector(b.coords))
+    p, q = a.degree, b.degree
+    total = [0] * n
+    for i, x in xs.items():
+        for j, y in ys.items():
+            cell = cells.get((p, q, i, j))
+            if cell:
+                c = x * y
+                for t, v in cell:
+                    total[t] += c * v
+    den = scale * den_a * den_b
+    return Element(p + q, tuple(Fraction(v, den) if v else _ZERO for v in total))
 
 
 class FiniteDimDGLA(_DGLA):
@@ -478,9 +501,6 @@ class FiniteDimDGLA(_DGLA):
             )
         return self.dims.get(k, 0)
 
-    def max_generator_degree(self) -> int:
-        return max(self.dims, default=0)
-
     def d_matrix(self, k: int) -> Matrix:
         if k in self.d_mats:
             return self.d_mats[k]
@@ -491,24 +511,7 @@ class FiniteDimDGLA(_DGLA):
         return self.d_matrix(k + 1)._columns
 
     def bracket(self, a: Element, b: Element) -> Element:
-        """[a, b] in int arithmetic: the coordinates of a and b over their
-        own denominators, one division per output coordinate."""
-        k = a.degree + b.degree
-        n = self.dim(k)
-        scale, cells = self._cells
-        xs, den_a = _clear_denominators(sparse_vector(a.coords))
-        ys, den_b = _clear_denominators(sparse_vector(b.coords))
-        p, q = a.degree, b.degree
-        total = [0] * n
-        for i, x in xs.items():
-            for j, y in ys.items():
-                cell = cells.get((p, q, i, j))
-                if cell:
-                    c = x * y
-                    for t, v in cell:
-                        total[t] += c * v
-        den = scale * den_a * den_b
-        return Element(k, tuple(Fraction(v, den) if v else _ZERO for v in total))
+        return _bracket_of_cells(a, b, self.dim(a.degree + b.degree), *self._cells)
 
     def atom(self, name: str) -> Element:
         indices = _read_atom_name(name)
@@ -904,18 +907,3 @@ def _fails_on(law: str, vectors) -> str:
     """The violation of `law` on basis vectors given as (degree, index)."""
     names = ", ".join(_atom_name(k, i) for k, i in vectors)
     return f"graded {law} fails on ({names})"
-
-
-def _integer_cells(cells: dict) -> tuple[int, dict]:
-    """Sparse rational vectors over one denominator, as sparse int vectors.
-
-    Every vector is multiplied by the lcm `den` of all denominators, so a
-    form of degree n in the cells scales by den to the n and keeps its
-    zeros.  Returns den and a map from each key to its nonzero (index,
-    numerator) pairs.
-    """
-    den = math.lcm(*(c.denominator for vec in cells.values() for c in vec.values()))
-    return den, {
-        key: [(t, c.numerator * (den // c.denominator)) for t, c in vec.items()]
-        for key, vec in cells.items()
-    }

@@ -21,9 +21,13 @@ have the same length, plain lexicographic order.  Reducing a vector tracks
 an integer combination gamma of the block's basis vectors and a scale s,
 and a vector in the span has coordinates -gamma/s, so the echelon is also
 the content's coordinate solver.  Fractions appear only at the boundary, in
-`basis_coords` and so in `bracket_table` and the d-matrices built from it;
-`basis_coords` also takes an integer scale, so a vector held as scale times
-a rational one (the differential's images) is divided by it only there.
+`basis_coords` and so in the d-matrices built from it; `basis_coords` also
+takes an integer scale, so a vector held as scale times a rational one (the
+differential's images) is divided by it only there.  The structure
+constants are held as integers over one scale, `bracket_cells`, in the form
+a finite-dimensional algebra holds its own, so both kinds of algebra
+bracket coordinates in one integer loop (`dg`); `bracket_table` is a dense
+`Fraction` view of them.
 The enumeration stops once the total rank reaches the dimension the PBW
 series predicts, since no later word can add to the span.
 
@@ -82,7 +86,7 @@ from typing import Iterable, Sequence
 
 from .errors import FormatError, MixedDegrees, NotSimplyConnected, UnknownGenerator
 from .exprs import MONOMIAL_LETTERS, combine_terms, eval_tree, format_terms, format_tree, is_identifier
-from .linalg import Vector, _clear_denominators, _Echelon, add_scaled, dense_vector
+from .linalg import Vector, _clear_denominators, _Echelon, _integer_cells, add_scaled, dense_vector
 
 Word = tuple[int, ...]
 TVec = dict[Word, int | Fraction]
@@ -316,7 +320,6 @@ class FreeGLA:
         self._witt: dict[tuple[tuple[int, int], ...], int] = {}
         self._oracle: dict[int, list[TVec]] = {}
         self._brackets: dict[tuple[int, int], tuple] = {}
-        self._atoms: dict[str, tuple[int, int]] = {}
 
     def extend(self, generators: Sequence[GradedGenerator]) -> "FreeGLA":
         """This algebra with `generators` appended, which starts from this
@@ -325,11 +328,11 @@ class FreeGLA:
         No word of degree k < m has a new letter, and the new letters come
         last in the (length, lex) enumeration, so degree k keeps its words,
         their order and its greedy basis.  Hence the bases, monomial tables
-        and PBW dimensions of degrees k < m, the bracket tables of p + q < m and
-        the atoms of degree < m carry over as the same objects.  The Witt
-        dimensions and the tree embeddings do not read the other generators
-        (old letters keep their indices), so both carry over whole, copied,
-        since the new algebra adds to them.
+        and PBW dimensions of degrees k < m and the bracket cells of p + q < m
+        carry over as the same objects.  The Witt dimensions and the tree
+        embeddings do not read the other generators (old letters keep their
+        indices), so both carry over whole, copied, since the new algebra
+        adds to them.
         """
         out = FreeGLA(self.generators + tuple(generators))
         m = _least_degree(generators)
@@ -337,7 +340,6 @@ class FreeGLA:
         out._monomials = _below(self._monomials, m)
         out._pbw = _below(self._pbw, m)
         out._brackets = {pq: t for pq, t in self._brackets.items() if sum(pq) < m}
-        out._atoms = {name: a for name, a in self._atoms.items() if a[0] < m}
         out._witt = dict(self._witt)
         out._embed_cache = dict(self._embed_cache)
         return out
@@ -661,16 +663,13 @@ class FreeGLA:
         return out
 
     def atom(self, name: str) -> tuple[int, int]:
-        """(degree, basis index) of a generator inside its degree basis."""
-        hit = self._atoms.get(name)
-        if hit is not None:
-            return hit
+        """(degree, basis index) of a generator inside its degree basis, read
+        from the monomial table, where a generator's text is its name."""
         d = self.degree_of(name)
-        basis = self.degree_basis(d)
-        for i, tree in enumerate(basis.monomials):
-            if tree == name:
-                return self._atoms.setdefault(name, (d, i))
-        raise ArithmeticError(f"generator {name!r} missing from its degree basis")
+        i = self.monomial_index(d, (name,)).get(name)
+        if i is None:
+            raise ArithmeticError(f"generator {name!r} missing from its degree basis")
+        return d, i
 
     def poly_of_coords(self, k: int, coords: Sequence[Fraction]) -> LiePoly:
         basis = self.degree_basis(k)
@@ -682,34 +681,30 @@ class FreeGLA:
 
     # -- brackets on coordinates -------------------------------------------
 
-    def bracket_table(self, p: int, q: int) -> tuple:
-        """table[i][j] = coordinates of [e_i^(p), e_j^(q)] in degree p+q."""
+    def bracket_cells(self, p: int, q: int) -> tuple[int, dict]:
+        """The brackets [e_i^(p), e_j^(q)] as integer cells over one scale,
+        memoized, in the form of `FiniteDimDGLA.bracket_cells`; a zero
+        bracket has no key."""
         hit = self._brackets.get((p, q))
         if hit is not None:
             return hit
-        bp, bq = self.degree_basis(p), self.degree_basis(q)
-        table = tuple(
-            tuple(self.basis_coords(p + q, tensor_bracket(p, vi, q, vj)) for vj in bq.vectors)
-            for vi in bp.vectors
-        )
-        return self._brackets.setdefault((p, q), table)
+        bp, bq = self.degree_basis(p).vectors, self.degree_basis(q).vectors
+        scale, cells = _integer_cells({
+            (p, q, i, j): self.sparse_coords(p + q, tensor_bracket(p, vi, q, vj))
+            for i, vi in enumerate(bp) for j, vj in enumerate(bq)
+        })
+        cells = {key: sorted(cell) for key, cell in cells.items() if cell}
+        return self._brackets.setdefault((p, q), (scale, cells))
 
-    def bracket_coords(self, p: int, vp: Sequence[Fraction], q: int, vq: Sequence[Fraction]) -> Vector:
-        table = self.bracket_table(p, q)
-        dim_out = self.dim(p + q)
-        out = [Fraction(0)] * dim_out
-        for i, ci in enumerate(vp):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(vq):
-                if cj == 0:
-                    continue
-                cell = table[i][j]
-                c = ci * cj
-                for t in range(dim_out):
-                    if cell[t]:
-                        out[t] += c * cell[t]
-        return tuple(out)
+    def bracket_table(self, p: int, q: int) -> tuple:
+        """table[i][j] = coordinates of [e_i^(p), e_j^(q)] in degree p+q: a
+        dense Fraction view of `bracket_cells`, built on each call."""
+        scale, cells = self.bracket_cells(p, q)
+        rows = [[{} for _ in range(self.dim(q))] for _ in range(self.dim(p))]
+        for (_, _, i, j), cell in cells.items():
+            rows[i][j] = {t: Fraction(v, scale) for t, v in cell}
+        n = self.dim(p + q)
+        return tuple(tuple(dense_vector(c, n) for c in row) for row in rows)
 
     # -- independent dimension oracle ----------------------------------------
 

@@ -398,8 +398,8 @@ def are_homotopic_rel(f: FilteredEndo, g: FilteredEndo, bound: int) -> Verdict:
             raise NotRelativeAutomorphism(
                 f"the {name} endomorphism is not a relative automorphism", position
             )
-    data0 = derivation_basis(model, 0, bound)
     m = _generator_degree_within(model, bound)
+    data0 = derivation_basis(model, 0, bound)
     u = f.compose(invert_relative_quasi_iso(g, bound))
 
     moved = _moved_linearly(u)

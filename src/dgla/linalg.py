@@ -103,6 +103,21 @@ def _clear_denominators(entries: dict) -> tuple[dict, int]:
     return {k: a.numerator * (den // a.denominator) for k, a in entries.items()}, den
 
 
+def _integer_cells(cells: dict) -> tuple[int, dict]:
+    """Sparse rational vectors over one denominator, as sparse int vectors.
+
+    Every vector is multiplied by the lcm `den` of all denominators, so a
+    form of degree n in the cells scales by den to the n and keeps its
+    zeros.  Returns den and a map from each key to its nonzero (index,
+    numerator) pairs.
+    """
+    den = lcm(*(c.denominator for vec in cells.values() for c in vec.values()))
+    return den, {
+        key: [(t, c.numerator * (den // c.denominator)) for t, c in vec.items()]
+        for key, vec in cells.items()
+    }
+
+
 class _Echelon:
     """Triangular sparse rows of primitive integers with deterministic pivots.
 

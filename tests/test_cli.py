@@ -713,8 +713,7 @@ def test_equivalent_below_model_degree_names_file_and_flag(files, capsys):
     _assert_one_line_error(
         code,
         err,
-        f"{files['model']}: --max-degree: derivations of degree 0 need bases "
-        "up to degree 3, beyond the bound 2",
+        f"{files['model']}: --max-degree: bound is smaller than the maximal generator degree",
     )
     assert out == ""
 
@@ -752,6 +751,26 @@ def test_equivalent_below_a_base_generator_is_refused_before_any_verdict(
     )
     assert code == 2 and out == ""
     assert run(capsys, *argv, "4")[0] == verdict
+
+
+def test_equivalent_refuses_the_bound_before_building_the_derivation_complex(
+    files, capsys, tmp_path, monkeypatch
+):
+    # Der_0 of the xyw model fits under the bound 2, y does not: the
+    # refusal comes before any boundary matrix is built
+    from dgla import homotopy
+
+    def refuse(model, r):
+        raise AssertionError("equivalent built a derivation complex")
+
+    monkeypatch.setattr(homotopy, "der_boundary_matrix", refuse)
+    model = _xyw_model(tmp_path)
+    argv = ["equivalent", model, files["endo_id"], files["endo_id"], "--max-degree", "2"]
+    code, out, err = run(capsys, *argv)
+    _assert_one_line_error(
+        code, err, f"{model}: --max-degree: bound is smaller than the maximal generator degree"
+    )
+    assert code == 2 and out == ""
 
 
 def _non_minimal_model(tmp_path) -> str:
@@ -1803,7 +1822,7 @@ _LOCATED_REFUSALS = {
     "equivalent-max-degree": _located(
         ["equivalent", "model", "endo_id", "endo_shift", "--max-degree", "2"],
         "model",
-        "--max-degree: derivations of degree 0 need bases up to degree 3, beyond the bound 2",
+        "--max-degree: bound is smaller than the maximal generator degree",
     ),
     "pi0-max-degree": _located(
         ["pi0", "model", "--max-degree", "2"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgla.dg import QuasiFreeDGLA, validate
+from dgla.dg import Element, QuasiFreeDGLA, validate
 from dgla.errors import FormatError, MixedDegrees, NotSimplyConnected, ParseError, UnknownGenerator
 from dgla.exprs import _Scanner, is_identifier, parse_expr
 from dgla.freelie import FreeGLA, GradedGenerator, LiePoly, bracket, tensor_bracket
@@ -238,14 +238,10 @@ def test_basis_matches_oracle_small_grid():
             assert alg.dim(k) == alg.dim_oracle(k), (degrees, k)
 
 
-def test_bracket_coords_agrees_with_polys():
-    alg = L(1, 2)
+def test_bracket_agrees_with_polys():
+    a = QuasiFreeDGLA(L(1, 2).generators, {})
     x, y = LiePoly.gen("g0"), LiePoly.gen("g1")
-    _, vx = alg.normalize(x, 1)
-    _, vy = alg.normalize(y, 2)
-    via_coords = alg.bracket_coords(1, vx, 2, vy)
-    _, direct = alg.normalize(bracket(x, y), 3)
-    assert via_coords == direct
+    assert a.bracket(a.element(x, 1), a.element(y, 2)) == a.element(bracket(x, y), 3)
 
 
 def test_poly_of_coords_round_trip():
@@ -529,6 +525,7 @@ def test_basis_coords_match_the_reference_on_combinations_and_brackets():
     rng = random.Random(41)
     for degrees, top in [((1, 1, 1), 5), ((1, 2), 6), ((1, 1, 2), 5), ((2, 3), 8)]:
         alg = L(*degrees)
+        qf = QuasiFreeDGLA(alg.generators, {})
         for k in range(1, top + 1):
             for _ in range(4):
                 coords, vec = _rand_combination(rng, alg, k)
@@ -538,7 +535,37 @@ def test_basis_coords_match_the_reference_on_combinations_and_brackets():
                 cq, vq = _rand_combination(rng, alg, k - p)
                 vec = tensor_bracket(p, vp, k - p, vq)
                 _assert_solver_matches_reference(alg, k, vec)
-                assert alg.basis_coords(k, vec) == alg.bracket_coords(p, cp, k - p, cq)
+                got = qf.bracket(Element(p, cp), Element(k - p, cq))
+                assert got == Element(k, alg.basis_coords(k, vec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_quasifree_bracket_matches_the_tensor_route_and_the_dense_view(seed):
+    rng = random.Random(seed)
+    a = rand_quasifree(rng, max_gens=3, max_degree=3)
+    alg = a.algebra
+    for p in range(1, 5):
+        for q in range(1, 6 - p):
+            # the tensor route reads no structure constants
+            cp, vp = _rand_combination(rng, alg, p)
+            cq, vq = _rand_combination(rng, alg, q)
+            expected = alg.basis_coords(p + q, tensor_bracket(p, vp, q, vq))
+            assert a.bracket(Element(p, cp), Element(q, cq)) == Element(p + q, expected)
+            # the memo holds the integer cells, and the table is their view
+            scale, cells = alg.bracket_cells(p, q)
+            assert alg._brackets[(p, q)] == (scale, cells)
+            table = alg.bracket_table(p, q)
+            n = alg.dim(p + q)
+            for i in range(alg.dim(p)):
+                for j in range(alg.dim(q)):
+                    cell = cells.get((p, q, i, j), [])
+                    assert all(type(v) is int and v for _, v in cell)
+                    assert [t for t, _ in cell] == sorted({t for t, _ in cell})
+                    dense = [Fraction(0)] * n
+                    for t, v in cell:
+                        dense[t] += Fraction(v) / scale
+                    assert table[i][j] == tuple(dense)
 
 
 def test_basis_coords_of_a_probe_with_many_contents_and_denominators():

@@ -419,9 +419,7 @@ def _check_extend(f, bound, n):
         old.homology(k)
         free.monomial_index(k, ())
         for p in range(1, k):
-            free.bracket_table(p, k - p)
-    for g in gens:
-        free.atom(g.name)
+            free.bracket_cells(p, k - p)
 
     ext = old.extend(new, new_d)
     m = min((g.degree for g in new), default=float("inf"))
@@ -430,7 +428,6 @@ def _check_extend(f, bound, n):
     _assert_carried(e._monomials, o._monomials, lambda k: k < m)
     _assert_carried(e._pbw, o._pbw, lambda k: k < m)
     _assert_carried(e._brackets, o._brackets, lambda pq: sum(pq) < m)
-    _assert_carried(e._atoms, o._atoms, lambda name: o._atoms[name][0] < m)
     _assert_carried(ext._d, old._d, lambda k: k < m)
     _assert_carried(ext._boundaries, old._boundaries, lambda k: k < m - 1)
     _assert_carried(ext._homology, old._homology, lambda k: k < m - 1)
